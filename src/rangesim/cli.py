@@ -213,6 +213,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             command_parser = next(
                 p for name, p in _subparsers(parser).items() if name == args.command)
             _apply_config_file(args, command_parser, argv)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"rangesim: config error: {exc}", file=sys.stderr)

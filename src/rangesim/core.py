@@ -79,7 +79,7 @@ class SimConfig:
         if self.model is ModelKind.RANGE:
             if self.r is None:
                 raise ConfigError("range model requires a communication range r")
-            if self.r < 0:
+            if not self.r >= 0:  # also rejects NaN, which no distance is <= to
                 raise ConfigError(f"communication range must be non-negative, got {self.r}")
             if self.n > self.g * self.g:
                 raise ConfigError(

@@ -35,6 +35,10 @@ class MetricsOptions:
     n_ref: int = DEFAULT_N_REF
     small_world: bool = True
 
+    def __post_init__(self) -> None:
+        if self.n_ref < 1:
+            raise ConfigError(f"n_ref must be at least 1, got {self.n_ref}")
+
 
 class MetricsCollector:
     """Observer that turns each snapshot into a MetricsRow."""

@@ -13,9 +13,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components as _cc
-from scipy.sparse.csgraph import shortest_path as _shortest_path
 
 from .core import RngStream
 
@@ -27,7 +24,8 @@ class NetworkSnapshot:
     """Simple undirected graph for one timestep.
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only; edge and neighbor views are derived lazily.
+    Instances are read-only; edge and neighbor views, clustering and the
+    path-length and component statistics are derived lazily, each once.
     """
 
     adj: np.ndarray
@@ -67,6 +65,16 @@ class NetworkSnapshot:
     def neighbors(self, node: int) -> np.ndarray:
         return np.flatnonzero(self.adj[node])
 
+    @cached_property
+    def _clustering(self) -> float:
+        return float(_local_clustering(self.adj[None])[0].mean())
+
+    @cached_property
+    def _path_stats(self) -> tuple[float, int, int]:
+        """(ASPL, component count, largest component) from one kernel call."""
+        hops, pairs, reps = _hop_distances(self.adj[None])
+        return (_aspl(hops[0], pairs[0]), *_component_stats(reps[0]))
+
 
 @dataclass(frozen=True)
 class MetricsRow:
@@ -89,53 +97,84 @@ def average_degree(snap: NetworkSnapshot) -> float:
     return 2.0 * snap.edge_count / snap.n
 
 
+# Reference graphs are sampled and evaluated in chunks of at most this many
+# adjacency entries (one graph at least), which bounds each (b, n, n) float
+# temporary to a few MB.
+_BATCH_ELEMENTS = 1 << 20
+
+
+def _local_clustering(stack: np.ndarray) -> np.ndarray:
+    """Local clustering coefficient of every node of a (b, n, n) stack."""
+    a = stack.astype(np.float64)
+    k = a.sum(axis=2)
+    # ((A@A) * A) row-sums count each edge among a node's neighbors twice
+    closed = (np.matmul(a, a) * a).sum(axis=2)
+    possible = k * (k - 1.0)
+    return np.divide(closed, possible, out=np.zeros_like(closed),
+                     where=possible > 0)
+
+
 def average_clustering(snap: NetworkSnapshot) -> float:
     """Mean local clustering coefficient.
 
     Per node: linked neighbor pairs over possible neighbor pairs; nodes
     with fewer than two neighbors contribute 0.
     """
-    a = snap.adj.astype(np.float64)
-    k = a.sum(axis=1)
-    # ((A@A) * A) row-sums count each edge among a node's neighbors twice
-    closed = ((a @ a) * a).sum(axis=1)
-    possible = k * (k - 1.0)
-    local = np.divide(closed, possible, out=np.zeros_like(closed),
-                      where=possible > 0)
-    return float(local.mean())
+    return snap._clustering
 
 
-def transitivity(snap: NetworkSnapshot) -> float:
-    """Global transitivity (closed triads over all triads). Debug-only output."""
-    a = snap.adj.astype(np.float64)
-    closed = ((a @ a) * a).sum()
-    k = a.sum(axis=1)
-    triads = (k * (k - 1.0)).sum()
-    return float(closed / triads) if triads > 0 else 0.0
+def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shortest-path hop counts of a (b, n, n) stack of graphs.
+
+    Returns (hops, pairs, reps): per graph, the sum of hop counts over
+    ordered connected pairs and the number of those pairs; per node, the
+    lowest-indexed node it reaches, which labels its component.
+
+    Level-synchronous BFS from every source of every graph at once: one
+    float32 `frontier @ A` product per level.
+    """
+    n = stack.shape[1]
+    frontier = stack.astype(np.float32)
+    a = frontier.copy()
+    unreached = ~stack
+    unreached[:, np.arange(n), np.arange(n)] = False
+    found = np.count_nonzero(stack, axis=(1, 2))
+    hops = found.copy()
+    pairs = found.copy()
+    nxt = np.empty_like(stack)
+    level = 1
+    while found.any():
+        level += 1
+        np.greater(np.matmul(frontier, a), 0, out=nxt)
+        nxt &= unreached
+        found = np.count_nonzero(nxt, axis=(1, 2))
+        unreached ^= nxt
+        hops += level * found
+        pairs += found
+        frontier[...] = nxt
+    return hops, pairs, np.argmin(unreached, axis=2)
 
 
-def _distance_matrix(snap: NetworkSnapshot) -> np.ndarray:
-    return _shortest_path(snap.adj.astype(np.float64), method="FW", directed=False)
+def _aspl(hops, pairs) -> float:
+    # Both counts are exact integers in float64 and twice the unordered
+    # ones, so the rounded quotient is bit-identical to the mean over
+    # unordered pairs.
+    return float(hops / pairs) if pairs else 0.0
+
+
+def _component_stats(reps: np.ndarray) -> tuple[int, int]:
+    _, sizes = np.unique(reps, return_counts=True)
+    return int(sizes.size), int(sizes.max())
 
 
 def average_shortest_path_length(snap: NetworkSnapshot) -> float:
     """Mean shortest path length over connected node pairs; 0 if none are."""
-    if snap.n < 2 or snap.edge_count == 0:
-        return 0.0
-    dist = _distance_matrix(snap)
-    iu, ju = np.triu_indices(snap.n, k=1)
-    pair_dists = dist[iu, ju]
-    finite = pair_dists[np.isfinite(pair_dists)]
-    if finite.size == 0:
-        return 0.0
-    return float(finite.mean())
+    return snap._path_stats[0]
 
 
 def components(snap: NetworkSnapshot) -> tuple[int, int]:
     """(number of connected components, size of the largest one)."""
-    count, labels = _cc(csr_array(snap.adj), directed=False)
-    largest = int(np.bincount(labels).max())
-    return int(count), largest
+    return snap._path_stats[1:]
 
 
 _PAIR_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -170,18 +209,28 @@ def small_world_index(snap: NetworkSnapshot, rng: RngStream,
     The reference clustering C_R and path length L_R are means over n_ref
     graphs sampled uniformly with the snapshot's node and edge counts.
     Returns (C_G/C_R) / (L_G/L_R), or None whenever a ratio is undefined
-    (C_R = 0, L_R = 0, or L_G = 0).
+    (C_R = 0, L_R = 0, or L_G = 0). An edgeless snapshot samples nothing.
     """
     if n_ref < 1:
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
-    c_g = average_clustering(snap)
-    l_g = average_shortest_path_length(snap)
+    n, m = snap.n, snap.edge_count
+    if m == 0:
+        return None
+    c_g = snap._clustering
+    l_g = snap._path_stats[0]
     c_total = 0.0
     l_total = 0.0
-    for _ in range(n_ref):
-        ref = sample_gnm(snap.n, snap.edge_count, rng)
-        c_total += average_clustering(ref)
-        l_total += average_shortest_path_length(ref)
+    per_chunk = max(1, _BATCH_ELEMENTS // (n * n))
+    for start in range(0, n_ref, per_chunk):
+        # sampling draws in reference order; the computation draws nothing
+        refs = np.stack([sample_gnm(n, m, rng).adj
+                         for _ in range(min(per_chunk, n_ref - start))])
+        local = _local_clustering(refs)
+        hops, pairs, _ = _hop_distances(refs)
+        # one reference at a time, so the sums round as they always have
+        for k in range(len(refs)):
+            c_total += float(local[k].mean())
+            l_total += _aspl(hops[k], pairs[k])
     c_r = c_total / n_ref
     l_r = l_total / n_ref
     if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
@@ -198,27 +247,16 @@ def metrics_snapshot(snap: NetworkSnapshot, rng: RngStream, timestep: int = 0,
     consumes the generator deterministically; pass small_world=False to
     skip it (the column is then None).
 
-    Path lengths and components share one distance-matrix computation;
+    Path lengths and components share one distance computation, and the
+    small-world index reuses the snapshot's clustering and path length;
     the results are identical to calling the individual operations.
     """
-    n = snap.n
-    if n < 2 or snap.edge_count == 0:
-        aspl = 0.0
-        count, largest = n, 1
-    else:
-        dist = _distance_matrix(snap)
-        iu, ju = _pair_indices(n)
-        pair_dists = dist[iu, ju]
-        finite = pair_dists[np.isfinite(pair_dists)]
-        aspl = float(finite.mean()) if finite.size else 0.0
-        # the lowest-indexed reachable node labels each component
-        reps = np.isfinite(dist).argmax(axis=1)
-        uniq, sizes = np.unique(reps, return_counts=True)
-        count, largest = int(uniq.size), int(sizes.max())
+    aspl, count, largest = snap._path_stats
+    clustering = average_clustering(snap)
     sw = small_world_index(snap, rng, n_ref=n_ref) if small_world else None
     return MetricsRow(
         avg_degree=average_degree(snap),
-        clustering=average_clustering(snap),
+        clustering=clustering,
         aspl=aspl,
         n_components=count,
         largest_component=largest,

@@ -43,6 +43,11 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             range_config(r=-0.5)
 
+    def test_nan_r_rejected(self):
+        # NaN fails every distance <= r test, so it would give empty graphs
+        with pytest.raises(ConfigError):
+            range_config(r=float("nan"))
+
     @pytest.mark.parametrize("p", [-0.1, 1.5])
     def test_p_connect_bounds(self, p):
         with pytest.raises(ConfigError):

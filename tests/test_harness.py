@@ -245,6 +245,19 @@ class TestCli:
                      "--steps", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_zero_reference_graphs_is_config_error(self, tmp_path, capsys):
+        code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",
+                     "--steps", "2", "--n-ref", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "n_ref must be at least 1" in capsys.readouterr().err
+
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys):
+        code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",
+                     "--steps", "2", "--workers", "-3", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_required_parameter(self, tmp_path):
         code = main(["run", "--model", "range", "--n", "5", "--g", "5",
                      "--steps", "2", "--out", str(tmp_path / "x.csv")])

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, shortest_path
 
+from rangesim import metrics
 from rangesim.core import make_rng
 from rangesim.metrics import (
     NetworkSnapshot,
@@ -11,8 +14,8 @@ from rangesim.metrics import (
     metrics_snapshot,
     sample_gnm,
     small_world_index,
-    transitivity,
 )
+from rangesim.range_model import range_links
 
 from oracles import (
     aspl_oracle,
@@ -77,11 +80,6 @@ class TestWorkedExamples:
     def test_small_world_empty_missing(self):
         assert small_world_index(snap(5, []), make_rng(1, 0), n_ref=4) is None
 
-    def test_transitivity_endpoints(self):
-        assert transitivity(complete(5)) == 1.0
-        assert transitivity(snap(3, [(0, 1), (1, 2)])) == 0.0
-        assert transitivity(snap(3, [])) == 0.0
-
 
 class TestMetricsSnapshot:
     def test_empty_graph_row(self):
@@ -117,7 +115,97 @@ class TestMetricsSnapshot:
         assert row.small_world is None
 
 
+def fw_reference(g):
+    """(ASPL, components) from scipy Floyd-Warshall and connected_components."""
+    dist = shortest_path(g.adj.astype(np.float64), method="FW", directed=False)
+    pair_dists = dist[np.triu_indices(g.n, k=1)]
+    finite = pair_dists[np.isfinite(pair_dists)]
+    aspl = float(finite.mean()) if finite.size else 0.0
+    count, labels = connected_components(csr_array(g.adj), directed=False)
+    return aspl, (int(count), int(np.bincount(labels).max()))
+
+
+def path(n):
+    return snap(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def kernel_cases(n, rng):
+    """Range, null and G(n,m) graphs, sparse and dense, plus edge cases."""
+    g = int(np.ceil(np.sqrt(2 * n)))
+    graphs = []
+    for r in (1.0, 1.5, 2.0, 3.0):
+        tiles = rng.choice(g * g, size=n, replace=False)
+        graphs.append(NetworkSnapshot(range_links(
+            [(int(t // g), int(t % g)) for t in tiles], r)))
+    for mean_degree in (1, 2, 3.5, 4, 8):
+        p = min(1.0, mean_degree / (n - 1))
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        graphs.append(NetworkSnapshot(upper | upper.T))
+        m = int(mean_degree * n / 2)
+        graphs.append(sample_gnm(n, m, make_rng(int(rng.integers(1 << 30)), 0)))
+    graphs += [snap(n, []), path(n), complete(n)]
+    return graphs
+
+
 class TestOracleEquivalence:
+    @pytest.mark.parametrize("n", [20, 40, 80, 200])
+    def test_kernel_matches_floyd_warshall_exactly(self, n):
+        graphs = kernel_cases(n, np.random.default_rng(n))
+        for g in graphs:
+            aspl, comps = fw_reference(g)
+            assert average_shortest_path_length(g) == aspl
+            assert components(g) == comps
+            row = metrics_snapshot(g, make_rng(0, 0), small_world=False)
+            assert (row.aspl, (row.n_components, row.largest_component)) == (aspl, comps)
+
+    def test_single_node_and_edgeless(self):
+        for g in (snap(1, []), snap(2, []), snap(150, [])):
+            assert average_shortest_path_length(g) == 0.0
+            assert components(g) == (g.n, 1)
+        assert fw_reference(snap(150, [])) == (0.0, (150, 1))
+
+    def test_small_world_matches_sequential_loop(self):
+        rng = np.random.default_rng(20)
+        for seed in range(30):
+            g = snap(20, random_graph(20, rng, p=rng.uniform(0.05, 0.5)))
+            value = small_world_index(g, make_rng(seed, 0), n_ref=20)
+            refs_rng = make_rng(seed, 0)
+            c_total = l_total = 0.0
+            for _ in range(20):
+                ref = sample_gnm(20, g.edge_count, refs_rng)
+                c_total += average_clustering(ref)
+                l_total += fw_reference(ref)[0]
+            c_r, l_r = c_total / 20, l_total / 20
+            l_g = fw_reference(g)[0]
+            if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
+                assert value is None
+            else:
+                assert value == (average_clustering(g) / c_r) / (l_g / l_r)
+
+    def test_reference_chunks_do_not_change_the_index(self, monkeypatch):
+        g = snap(20, random_graph(20, np.random.default_rng(3), p=0.2))
+        whole = small_world_index(g, make_rng(5, 0), n_ref=20)
+        # three references per chunk: 20 = 3 * 6 + 2
+        monkeypatch.setattr(metrics, "_BATCH_ELEMENTS", 3 * 20 * 20)
+        assert small_world_index(g, make_rng(5, 0), n_ref=20) == whole
+        assert whole is not None
+
+    def test_edgeless_snapshot_samples_nothing(self):
+        rng = make_rng(4, 0)
+        assert small_world_index(snap(10, []), rng, n_ref=20) is None
+        assert rng.random() == make_rng(4, 0).random()
+
+    def test_snapshot_distances_computed_once(self, monkeypatch):
+        batches = []
+        kernel = metrics._hop_distances
+        monkeypatch.setattr(metrics, "_hop_distances",
+                            lambda stack: batches.append(len(stack)) or kernel(stack))
+        g = snap(20, random_graph(20, np.random.default_rng(8), p=0.2))
+        metrics_snapshot(g, make_rng(6, 0), n_ref=20)
+        assert average_shortest_path_length(g) > 0 and components(g)[0] >= 1
+        # the snapshot once, then its 20 references in one batch
+        assert batches == [1, 20]
+
     def test_random_graphs_match_oracles(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
