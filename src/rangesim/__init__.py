@@ -6,105 +6,4 @@ model relinks pairs at a matched probability. Per-timestep network
 measures, four transmission processes, and a sweep harness sit on top.
 """
 
-from .core import (
-    ConfigError,
-    Coordinate,
-    ModelKind,
-    RngStream,
-    SimConfig,
-    WorldState,
-    candidate_moves,
-    euclidean_distance,
-    init_population,
-    make_rng,
-)
-from .diffusion import (
-    ComplexContagionConfig,
-    CulturalConfig,
-    DiffusionTrajectory,
-    PotionConfig,
-    Recipe,
-    SIConfig,
-    complex_contagion_step,
-    cultural_step,
-    default_potion_config,
-    load_potion_config,
-    potion_step,
-    si_step,
-    try_combine,
-)
-from .harness import (
-    AggregateRow,
-    MetricAggregate,
-    MetricsOptions,
-    SweepConfig,
-    aggregate_rounds,
-    run_diffusion_rounds,
-    run_round,
-    run_sweep,
-    write_csv,
-)
-from .metrics import (
-    MetricsRow,
-    NetworkSnapshot,
-    average_clustering,
-    average_degree,
-    average_shortest_path_length,
-    components,
-    metrics_snapshot,
-    sample_gnm,
-    small_world_index,
-)
-from .null_model import NullState, run_null, step_null
-from .range_model import run_range, step_range
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateRow",
-    "ComplexContagionConfig",
-    "ConfigError",
-    "Coordinate",
-    "CulturalConfig",
-    "DiffusionTrajectory",
-    "MetricAggregate",
-    "MetricsOptions",
-    "MetricsRow",
-    "ModelKind",
-    "NetworkSnapshot",
-    "NullState",
-    "PotionConfig",
-    "Recipe",
-    "RngStream",
-    "SIConfig",
-    "SimConfig",
-    "SweepConfig",
-    "WorldState",
-    "aggregate_rounds",
-    "average_clustering",
-    "average_degree",
-    "average_shortest_path_length",
-    "candidate_moves",
-    "complex_contagion_step",
-    "components",
-    "cultural_step",
-    "default_potion_config",
-    "euclidean_distance",
-    "init_population",
-    "load_potion_config",
-    "make_rng",
-    "metrics_snapshot",
-    "potion_step",
-    "run_diffusion_rounds",
-    "run_null",
-    "run_range",
-    "run_round",
-    "run_sweep",
-    "sample_gnm",
-    "si_step",
-    "small_world_index",
-    "step_null",
-    "step_range",
-    "try_combine",
-    "write_csv",
-]

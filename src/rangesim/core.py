@@ -6,7 +6,6 @@ g-by-g grid: both components live in [0, g-1], giving exactly g*g tiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -111,42 +110,20 @@ class WorldState:
     def n(self) -> int:
         return self.link_matrix.shape[0]
 
-    @property
-    def links(self) -> set[tuple[int, int]]:
-        """Current link set as unordered (i, j) pairs with i < j."""
-        iu, ju = np.nonzero(np.triu(self.link_matrix, k=1))
-        return {(int(i), int(j)) for i, j in zip(iu, ju)}
-
 
 def init_population(config: SimConfig, rng: RngStream) -> WorldState:
     """Place N agents on distinct uniformly random tiles with no links.
 
     Placement shuffles the g*g tile indices and takes the first N, which
     is uniform without replacement and consumes a fixed amount of
-    randomness. Under the null model there are no positions; the returned
-    state has an empty grid and an empty N-node link set.
+    randomness.
     """
     n = config.n
-    empty_links = np.zeros((n, n), dtype=bool)
-    if config.model is ModelKind.NULL:
-        return WorldState(g=config.g, positions=[], occupancy={}, link_matrix=empty_links)
     tiles = rng.permutation(config.g * config.g)[:n]
     positions = [Coordinate(int(t) // config.g, int(t) % config.g) for t in tiles]
     occupancy = {pos: agent for agent, pos in enumerate(positions)}
     return WorldState(g=config.g, positions=positions, occupancy=occupancy,
-                      link_matrix=empty_links)
-
-
-def euclidean_distance(a: Coordinate, b: Coordinate) -> float:
-    """Straight-line distance between two grid coordinates.
-
-    Exact integer arithmetic followed by one correctly rounded sqrt, so
-    the result is bit-identical to the vectorized distance computation
-    used by the range model.
-    """
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return math.sqrt(dx * dx + dy * dy)
+                      link_matrix=np.zeros((n, n), dtype=bool))
 
 
 def candidate_moves(world: WorldState, agent: int) -> list[Coordinate]:

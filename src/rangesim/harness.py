@@ -11,7 +11,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     STREAM_DIFFUSION,
@@ -23,9 +24,11 @@ from .core import (
     make_rng,
 )
 from .diffusion import DiffusionTrajectory, ProcessConfig, make_observer, padded_frequencies
-from .metrics import DEFAULT_N_REF, METRIC_NAMES, MetricsRow, metrics_snapshot
-from .null_model import run_null
-from .range_model import run_range
+from .metrics import DEFAULT_N_REF, METRIC_NAMES, MetricsRow, NetworkSnapshot, metrics_snapshot
+from .null_model import null_stepper
+from .range_model import range_stepper
+
+Observer = Callable[[int, NetworkSnapshot], None]
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,22 @@ class MetricsCollector:
         ))
 
 
-def _run_model(config: SimConfig, rng, observers, collect=False):
-    runner = run_range if config.model is ModelKind.RANGE else run_null
-    return runner(config, rng, observers, collect=collect)
+def run_model(config: SimConfig, rng, observers: Sequence[Observer] = ()) -> None:
+    """Set up the configured model and run `config.steps` timesteps.
+
+    Observers are called after each step, in order, with (timestep,
+    snapshot); timesteps count from 1. A run stops early only when every
+    observer reports `done` (absorbing diffusion states); metric
+    collectors never do.
+    """
+    stepper = range_stepper if config.model is ModelKind.RANGE else null_stepper
+    step = stepper(config, rng)
+    for t in range(1, config.steps + 1):
+        snap = step()
+        for obs in observers:
+            obs(t, snap)
+        if observers and all(getattr(obs, "done", False) for obs in observers):
+            break
 
 
 def run_round(config: SimConfig, round_idx: int,
@@ -80,7 +96,7 @@ def run_round(config: SimConfig, round_idx: int,
         diff_obs = make_observer(diffusion, config.n,
                                  make_rng(config.seed, round_idx, STREAM_DIFFUSION))
         observers.append(diff_obs)
-    _run_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), observers)
+    run_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), observers)
     trajectory = None
     if diff_obs is not None:
         trajectory = diff_obs.trajectory
@@ -113,9 +129,6 @@ def aggregate_rounds(round_averages: Sequence[float | None]) -> MetricAggregate:
     return MetricAggregate(mean, std, 1.5 * std, len(defined))
 
 
-DIFFUSION_STAT_NAMES = ("fixation_time", "crossover_time")
-
-
 @dataclass(frozen=True)
 class AggregateRow:
     """One sweep point for one model: per-metric cross-round aggregates."""
@@ -141,7 +154,6 @@ class SweepConfig:
     vary: str
     values: tuple[float, ...]
     paired: bool = False
-    diffusion: ProcessConfig | None = None
     metrics: MetricsOptions = MetricsOptions()
     burn_in: int = 0
 
@@ -208,57 +220,57 @@ class SweepConfig:
         return value
 
 
+def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
+    """`map(fn, *iterables)`, on a pool of `workers` processes when above 1.
+
+    Results come lazily and in input order, so a caller can reduce or
+    write each one as soon as it and every earlier one have finished.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *iterables)
+    else:
+        yield from map(fn, *iterables)
+
+
 def _round_averages(config: SimConfig, round_idx: int, metrics: MetricsOptions,
-                    burn_in: int, diffusion: ProcessConfig | None) -> dict[str, float | None]:
+                    burn_in: int) -> dict[str, float | None]:
     """Worker body: time-averages of one round's metric trajectory."""
-    rows, traj = run_round(config, round_idx, diffusion=diffusion, metrics=metrics)
+    rows, _ = run_round(config, round_idx, metrics=metrics)
     kept = rows[burn_in:]
     out: dict[str, float | None] = {}
     for name in METRIC_NAMES:
         values = [getattr(row, name) for row in kept]
         defined = [v for v in values if v is not None]
         out[name] = sum(defined) / len(defined) if defined else None
-    if traj is not None:
-        out["fixation_time"] = (
-            float(traj.fixation_time) if traj.fixation_time is not None else None)
-        out["crossover_time"] = (
-            float(traj.crossover_time) if traj.crossover_time is not None else None)
     return out
-
-
-def _sweep_task(args) -> dict[str, float | None]:
-    return _round_averages(*args)
 
 
 def iter_sweep(sweep: SweepConfig, workers: int = 1) -> Iterator[AggregateRow]:
     """Yield one AggregateRow per (value, model) cell, in sweep order.
 
     Cells and rounds are deterministic regardless of scheduling: round
-    results are reduced in round-index order.
+    results are reduced in round-index order, and each cell is yielded as
+    soon as its own rounds and those of every earlier cell are in.
     """
     cells = [(value, model) for value in sweep.values for model in sweep.models()]
-    tasks = [(sweep.resolve(model, value), round_idx, sweep.metrics, sweep.burn_in,
-              sweep.diffusion)
-             for value, model in cells
-             for round_idx in range(sweep.base.rounds)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=8))
-    else:
-        results = [_sweep_task(task) for task in tasks]
-    stat_names = METRIC_NAMES + (DIFFUSION_STAT_NAMES if sweep.diffusion else ())
+    configs = [sweep.resolve(model, value) for value, model in cells]
     rounds = sweep.base.rounds
-    for idx, (value, model) in enumerate(cells):
-        cell_results = results[idx * rounds:(idx + 1) * rounds]
-        aggregates = {name: aggregate_rounds([res[name] for res in cell_results])
-                      for name in stat_names}
+    results = _map_rounds(
+        _round_averages, workers,
+        [config for config in configs for _ in range(rounds)],
+        [round_idx for _ in configs for round_idx in range(rounds)],
+        repeat(sweep.metrics), repeat(sweep.burn_in))
+    for (value, model), config in zip(cells, configs):
+        cell_results = list(islice(results, rounds))
         yield AggregateRow(
             model=model,
-            config=sweep.resolve(model, value),
+            config=config,
             param_name=sweep.param_label(model),
             param_value=sweep.param_value_for(model, value),
             rounds=rounds,
-            metrics=aggregates,
+            metrics={name: aggregate_rounds([res[name] for res in cell_results])
+                     for name in METRIC_NAMES},
         )
 
 
@@ -269,17 +281,9 @@ def run_sweep(sweep: SweepConfig, workers: int = 1) -> list[AggregateRow]:
 def run_diffusion_rounds(config: SimConfig, process: ProcessConfig,
                          workers: int = 1) -> list[DiffusionTrajectory]:
     """All rounds of one diffusion experiment, without metric collection."""
-    tasks = [(config, round_idx, process) for round_idx in range(config.rounds)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_diffusion_task, tasks, chunksize=4))
-    return [_diffusion_task(task) for task in tasks]
-
-
-def _diffusion_task(args) -> DiffusionTrajectory:
-    config, round_idx, process = args
-    _, traj = run_round(config, round_idx, diffusion=process, metrics=None)
-    return traj
+    rounds = _map_rounds(run_round, workers, repeat(config), range(config.rounds),
+                         repeat(process), repeat(None))
+    return [traj for _, traj in rounds]
 
 
 def _fmt(value) -> str:
@@ -295,97 +299,75 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _write_csv(path: str, header: Sequence[str],
+               groups: Iterable[Iterable[Sequence[str]]]) -> int:
+    """Write a header line, then each group of rows; returns the row count.
+
+    Output is flushed after each group, so an interrupted run leaves every
+    finished group on disk. `path` "-" writes to stdout, which stays open.
+    """
+    out = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="")
+    count = 0
+    try:
+        out.write(",".join(header) + "\n")
+        for group in groups:
+            for fields in group:
+                out.write(",".join(fields) + "\n")
+                count += 1
+            out.flush()
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return count
 
 
-def write_csv(rows: Iterable[AggregateRow], path: str,
-              diffusion: bool = False) -> int:
+def _aggregate_fields(row: AggregateRow) -> list[str]:
+    cfg = row.config
+    fields = [row.model.value, _fmt(cfg.n), _fmt(cfg.g), _fmt(cfg.r), _fmt(cfg.p_connect),
+              row.param_name, _fmt(row.param_value), _fmt(row.rounds)]
+    for name in METRIC_NAMES:
+        agg = row.metrics[name]
+        fields += [_fmt(agg.mean), _fmt(agg.std), _fmt(agg.band), _fmt(agg.defined_count)]
+    return fields
+
+
+def write_csv(rows: Iterable[AggregateRow], path: str) -> int:
     """Write aggregate rows as tidy UTF-8 CSV; returns the row count.
 
     Rows are flushed as they arrive, so an interrupted sweep leaves the
     completed rows on disk.
     """
-    stat_names = METRIC_NAMES + (DIFFUSION_STAT_NAMES if diffusion else ())
     header = ["model", "N", "g", "r", "p_connect", "param_name", "param_value", "rounds"]
-    for name in stat_names:
+    for name in METRIC_NAMES:
         header += [f"{name}_mean", f"{name}_std", f"{name}_band", f"{name}_defined_count"]
-    out, owned = _open_out(path)
-    count = 0
-    try:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            cfg = row.config
-            fields = [row.model.value, _fmt(cfg.n), _fmt(cfg.g), _fmt(cfg.r),
-                      _fmt(cfg.p_connect), row.param_name, _fmt(row.param_value),
-                      _fmt(row.rounds)]
-            for name in stat_names:
-                agg = row.metrics[name]
-                fields += [_fmt(agg.mean), _fmt(agg.std), _fmt(agg.band),
-                           _fmt(agg.defined_count)]
-            out.write(",".join(fields) + "\n")
-            out.flush()
-            count += 1
-    finally:
-        if owned:
-            out.close()
-    return count
+    return _write_csv(path, header, ([_aggregate_fields(row)] for row in rows))
 
 
 def write_timeseries_csv(config: SimConfig, path: str,
                          metrics: MetricsOptions = MetricsOptions(),
                          workers: int = 1) -> int:
-    """Per-timestep dump: one line per (round, timestep); returns line count."""
-    tasks = [(config, round_idx, metrics) for round_idx in range(config.rounds)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_round = list(pool.map(_timeseries_task, tasks, chunksize=1))
-    else:
-        per_round = [_timeseries_task(task) for task in tasks]
+    """Per-timestep dump: one line per (round, timestep); returns line count.
+
+    Each round's lines are flushed as soon as it and every earlier round
+    have finished.
+    """
     header = ["model", "N", "g", "r", "p_connect", "round", "timestep", *METRIC_NAMES]
-    out, owned = _open_out(path)
-    count = 0
-    try:
-        out.write(",".join(header) + "\n")
-        prefix = [config.model.value, _fmt(config.n), _fmt(config.g),
-                  _fmt(config.r), _fmt(config.p_connect)]
-        for round_idx, rows in enumerate(per_round):
-            for row in rows:
-                fields = prefix + [str(round_idx), str(row.timestep)]
-                fields += [_fmt(getattr(row, name)) for name in METRIC_NAMES]
-                out.write(",".join(fields) + "\n")
-            out.flush()
-            count += len(rows)
-    finally:
-        if owned:
-            out.close()
-    return count
-
-
-def _timeseries_task(args) -> list[MetricsRow]:
-    config, round_idx, metrics = args
-    rows, _ = run_round(config, round_idx, metrics=metrics)
-    return rows
+    prefix = [config.model.value, _fmt(config.n), _fmt(config.g),
+              _fmt(config.r), _fmt(config.p_connect)]
+    rounds = _map_rounds(run_round, workers, repeat(config), range(config.rounds),
+                         repeat(None), repeat(metrics))
+    return _write_csv(path, header, (
+        [prefix + [str(round_idx), str(row.timestep)]
+         + [_fmt(getattr(row, name)) for name in METRIC_NAMES] for row in rows]
+        for round_idx, (rows, _) in enumerate(rounds)))
 
 
 def write_trajectories_csv(trajectories: Sequence[DiffusionTrajectory],
                            path: str) -> int:
     """Diffusion trajectory dump: one line per (round, timestep)."""
     header = ["round", "timestep", "frequency", "fixation_time", "crossover_time"]
-    out, owned = _open_out(path)
-    count = 0
-    try:
-        out.write(",".join(header) + "\n")
-        for round_idx, traj in enumerate(trajectories):
-            for t, freq in enumerate(traj.frequencies, start=1):
-                fields = [str(round_idx), str(t), _fmt(freq),
-                          _fmt(traj.fixation_time), _fmt(traj.crossover_time)]
-                out.write(",".join(fields) + "\n")
-            out.flush()
-            count += len(traj.frequencies)
-    finally:
-        if owned:
-            out.close()
-    return count
+    return _write_csv(path, header, (
+        [[str(round_idx), str(t), _fmt(freq),
+          _fmt(traj.fixation_time), _fmt(traj.crossover_time)]
+         for t, freq in enumerate(traj.frequencies, start=1)]
+        for round_idx, traj in enumerate(trajectories)))

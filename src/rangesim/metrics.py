@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -24,8 +23,8 @@ class NetworkSnapshot:
     """Simple undirected graph for one timestep.
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only; edge and neighbor views, clustering and the
-    path-length and component statistics are derived lazily, each once.
+    Instances are read-only; degrees, clustering and the path-length and
+    component statistics are derived lazily, each once.
     """
 
     adj: np.ndarray
@@ -36,23 +35,9 @@ class NetworkSnapshot:
             raise ValueError("adjacency must be a square boolean matrix")
         adj.setflags(write=False)
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "NetworkSnapshot":
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-link on node {i}")
-            adj[i, j] = adj[j, i] = True
-        return cls(adj)
-
     @property
     def n(self) -> int:
         return self.adj.shape[0]
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        iu, ju = np.nonzero(np.triu(self.adj, k=1))
-        return frozenset((int(i), int(j)) for i, j in zip(iu, ju))
 
     @cached_property
     def degrees(self) -> np.ndarray:

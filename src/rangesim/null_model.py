@@ -8,13 +8,12 @@ are no positions; only the link set evolves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import ConfigError, RngStream, SimConfig
 from .metrics import NetworkSnapshot, _pair_indices
-from .range_model import Observer
 
 
 @dataclass
@@ -27,12 +26,6 @@ class NullState:
     @classmethod
     def initial(cls, n: int) -> "NullState":
         return cls(n=n, link_vector=np.zeros(n * (n - 1) // 2, dtype=bool))
-
-    @property
-    def links(self) -> set[tuple[int, int]]:
-        iu, ju = _pair_indices(self.n)
-        on = np.flatnonzero(self.link_vector)
-        return {(int(iu[k]), int(ju[k])) for k in on}
 
     def snapshot(self) -> NetworkSnapshot:
         iu, ju = _pair_indices(self.n)
@@ -57,21 +50,7 @@ def step_null(state: NullState, p_connect: float, rng: RngStream) -> NetworkSnap
     return state.snapshot()
 
 
-def run_null(config: SimConfig, rng: RngStream,
-             observers: Sequence[Observer] = (),
-             collect: bool = True) -> list[NetworkSnapshot]:
-    """Run `config.steps` null-model timesteps from an empty link set.
-
-    Observer and early-stop semantics match `run_range`.
-    """
+def null_stepper(config: SimConfig, rng: RngStream) -> Callable[[], NetworkSnapshot]:
+    """Start from an empty link set and return a function that advances it one timestep."""
     state = NullState.initial(config.n)
-    snapshots: list[NetworkSnapshot] = []
-    for t in range(1, config.steps + 1):
-        snap = step_null(state, config.p_connect, rng)
-        for obs in observers:
-            obs(t, snap)
-        if collect:
-            snapshots.append(snap)
-        if observers and all(getattr(obs, "done", False) for obs in observers):
-            break
-    return snapshots
+    return lambda: step_null(state, config.p_connect, rng)

@@ -14,8 +14,6 @@ import numpy as np
 from .core import Coordinate, RngStream, SimConfig, WorldState, candidate_moves, init_population
 from .metrics import NetworkSnapshot
 
-Observer = Callable[[int, NetworkSnapshot], None]
-
 
 def range_links(positions: Sequence[Coordinate], r: float) -> np.ndarray:
     """Boolean link matrix: pair (i, j) linked iff their distance is <= r."""
@@ -52,25 +50,7 @@ def step_range(world: WorldState, config: SimConfig, rng: RngStream) -> NetworkS
     return NetworkSnapshot(world.link_matrix.copy())
 
 
-def run_range(config: SimConfig, rng: RngStream,
-              observers: Sequence[Observer] = (),
-              collect: bool = True) -> list[NetworkSnapshot]:
-    """Initialize a population and run `config.steps` timesteps.
-
-    Observers are called after each step, in order, with (timestep,
-    snapshot); timesteps count from 1. Snapshots are returned unless
-    collect is False (long runs driven purely by observers). A run stops
-    early only when every observer reports `done` (absorbing diffusion
-    states); metric collectors never do.
-    """
+def range_stepper(config: SimConfig, rng: RngStream) -> Callable[[], NetworkSnapshot]:
+    """Place a fresh population and return a function that advances it one timestep."""
     world = init_population(config, rng)
-    snapshots: list[NetworkSnapshot] = []
-    for t in range(1, config.steps + 1):
-        snap = step_range(world, config, rng)
-        for obs in observers:
-            obs(t, snap)
-        if collect:
-            snapshots.append(snap)
-        if observers and all(getattr(obs, "done", False) for obs in observers):
-            break
-    return snapshots
+    return lambda: step_range(world, config, rng)

@@ -2,14 +2,35 @@
 
 Everything here is deliberately brute force (triple enumeration,
 Floyd-Warshall over dicts, exhaustive labelling) and shares no code with
-the package's metric implementations.
+the package's metric implementations. `edge_set` and `snapshot_from_edges`
+convert between the oracles' edge sets and the package's adjacency
+matrices.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from rangesim.metrics import NetworkSnapshot
+
 INF = math.inf
+
+
+def edge_set(adj):
+    """Unordered (i, j) pairs with i < j of a symmetric boolean matrix."""
+    iu, ju = np.nonzero(np.triu(adj, k=1))
+    return {(int(i), int(j)) for i, j in zip(iu, ju)}
+
+
+def snapshot_from_edges(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-link on node {i}")
+        adj[i, j] = adj[j, i] = True
+    return NetworkSnapshot(adj)
 
 
 def adjacency_sets(n, edges):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,11 @@ from rangesim.core import (
     SimConfig,
     WorldState,
     candidate_moves,
-    euclidean_distance,
     init_population,
     make_rng,
 )
+
+from oracles import edge_set
 
 
 def range_config(**kwargs):
@@ -72,7 +71,7 @@ class TestInitPopulation:
         cfg = range_config(n=1, g=4)
         world = init_population(cfg, make_rng(cfg.seed, 0))
         assert len(world.positions) == 1
-        assert world.links == set()
+        assert edge_set(world.link_matrix) == set()
 
     def test_same_seed_same_positions(self):
         cfg = range_config(n=10, g=10, seed=77)
@@ -92,35 +91,6 @@ class TestInitPopulation:
         world = init_population(cfg, make_rng(cfg.seed, 0))
         for x, y in world.positions:
             assert 0 <= x < 7 and 0 <= y < 7
-
-    def test_null_model_has_no_positions(self):
-        cfg = SimConfig(model=ModelKind.NULL, n=6, p_connect=0.5)
-        world = init_population(cfg, make_rng(cfg.seed, 0))
-        assert world.positions == []
-        assert world.links == set()
-        assert world.n == 6
-
-
-class TestEuclideanDistance:
-    def test_three_four_five(self):
-        assert euclidean_distance(Coordinate(0, 0), Coordinate(3, 4)) == 5.0
-
-    def test_identity(self):
-        assert euclidean_distance(Coordinate(2, 2), Coordinate(2, 2)) == 0.0
-
-    def test_unit_diagonal(self):
-        assert euclidean_distance(Coordinate(0, 0), Coordinate(1, 1)) == math.sqrt(2)
-
-    def test_random_triples(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            a, b, c = (Coordinate(int(p[0]), int(p[1]))
-                       for p in rng.integers(0, 50, size=(3, 2)))
-            ab = euclidean_distance(a, b)
-            assert ab == euclidean_distance(b, a)
-            assert ab >= 0
-            assert (ab == 0) == (a == b)
-            assert ab <= euclidean_distance(a, c) + euclidean_distance(c, b) + 1e-12
 
 
 class TestCandidateMoves:

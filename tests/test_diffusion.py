@@ -21,12 +21,19 @@ from rangesim.diffusion import (
     si_step,
     try_combine,
 )
-from rangesim.metrics import NetworkSnapshot
-from rangesim.range_model import run_range
+from rangesim.harness import run_model
+
+from oracles import snapshot_from_edges
 
 
 def snap(n, edges):
-    return NetworkSnapshot.from_edges(n, edges)
+    return snapshot_from_edges(n, edges)
+
+
+def run_snapshots(config, rng):
+    snaps = []
+    run_model(config, rng, [lambda t, s: snaps.append(s)])
+    return snaps
 
 
 def star(leaves):
@@ -152,7 +159,7 @@ class TestComplexContagion:
     def test_w_zero_identical_to_per_agent_si(self):
         # same stream, same draw pattern: trajectories must match exactly
         cfg_sim = SimConfig(model=ModelKind.RANGE, n=12, g=6, r=2.0, steps=40, seed=8)
-        snaps = run_range(cfg_sim, make_rng(8, 0))
+        snaps = run_snapshots(cfg_sim, make_rng(8, 0))
         cc = ComplexContagionConfig(p_base=0.2, w=0.0)
         si = SIConfig(p_infect=0.2, exposure="per_agent")
         states_cc = np.zeros(12, dtype=bool)
@@ -274,7 +281,7 @@ class TestPotionStep:
         cfg = default_potion_config()
         base = set(cfg.starting_inventory)
         sim = SimConfig(model=ModelKind.RANGE, n=20, g=5, r=2.0, steps=40, seed=3)
-        snaps = run_range(sim, make_rng(sim.seed, 0))
+        snaps = run_snapshots(sim, make_rng(sim.seed, 0))
         rng = make_rng(sim.seed, 0, 2)
         inventories = [set(base) for _ in range(sim.n)]
         created_so_far = set()
@@ -301,7 +308,7 @@ class TestObservers:
     def test_si_frequency_never_decreases(self):
         sim = SimConfig(model=ModelKind.RANGE, n=15, g=6, r=2.0, steps=60, seed=6)
         obs = SIObserver(SIConfig(p_infect=0.3), sim.n, make_rng(sim.seed, 0, 2))
-        run_range(sim, make_rng(sim.seed, 0), observers=[obs])
+        run_model(sim, make_rng(sim.seed, 0), observers=[obs])
         freqs = obs.trajectory.frequencies
         assert all(b >= a for a, b in zip(freqs, freqs[1:]))
         if obs.trajectory.fixation_time is not None:

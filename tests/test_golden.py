@@ -60,6 +60,10 @@ CASES = {
          "--steps", "4", "--seed", "3", "--n-ref", "3"],
         "ff7b5f9a4edb6ab5efadec0d1abeecd0c1607dfcb6d033ac8bdf0b74d08022dc"),
 }
+# a worker pool must reproduce the serial bytes
+for _name in ("run-range", "diffusion-si"):
+    _argv, _digest = CASES[_name]
+    CASES[f"{_name}-workers2"] = ([*_argv, "--workers", "2"], _digest)
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from rangesim import harness
 from rangesim.cli import main, parse_values
-from rangesim.core import ConfigError, ModelKind, SimConfig
+from rangesim.core import ConfigError, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import SIConfig
 from rangesim.harness import (
     MetricsOptions,
     SweepConfig,
     aggregate_rounds,
+    iter_sweep,
     run_diffusion_rounds,
+    run_model,
     run_round,
     run_sweep,
     write_csv,
@@ -27,6 +30,59 @@ def range_config(**kwargs):
 
 
 FAST = MetricsOptions(n_ref=3)
+
+
+def model_config(kind, **kwargs):
+    defaults = dict(model=kind, n=12, g=6, steps=12, rounds=1, seed=99)
+    defaults.update({"r": 1.5} if kind is ModelKind.RANGE else {"p_connect": 0.35})
+    defaults.update(kwargs)
+    return SimConfig(**defaults)
+
+
+def count_round_calls(monkeypatch, fail_at=None):
+    """Route harness.run_round through a counter; raise at round `fail_at`."""
+    calls = []
+    real = harness.run_round
+
+    def counted(config, round_idx, *args, **kwargs):
+        calls.append(round_idx)
+        if round_idx == fail_at:
+            raise RuntimeError(f"round {round_idx} interrupted")
+        return real(config, round_idx, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_round", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+class TestRunModel:
+    def test_zero_steps_empty_trajectory(self, kind):
+        seen = []
+        run_model(model_config(kind, steps=0), make_rng(1, 0), [lambda t, s: seen.append(t)])
+        assert seen == []
+
+    def test_observers_called_in_order_each_step(self, kind):
+        calls = []
+        obs_a = lambda t, snap: calls.append(("a", t))
+        obs_b = lambda t, snap: calls.append(("b", t))
+        run_model(model_config(kind, steps=3), make_rng(1, 0), observers=[obs_a, obs_b])
+        assert calls == [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
+
+    def test_deterministic_trajectory(self, kind):
+        cfg = model_config(kind)
+        runs = [[], []]
+        for snaps in runs:
+            run_model(cfg, make_rng(cfg.seed, 4), [lambda t, s, out=snaps: out.append(s.adj)])
+        assert len(runs[0]) == cfg.steps
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    def test_single_agent_has_no_pairs(self, kind):
+        snaps = []
+        run_model(model_config(kind, n=1, steps=5), make_rng(1, 0),
+                  [lambda t, s: snaps.append(s)])
+        assert len(snaps) == 5
+        assert all(s.edge_count == 0 and s.n == 1 for s in snaps)
 
 
 class TestRunRound:
@@ -128,19 +184,13 @@ class TestSweep:
         write_csv(run_sweep(sweep, workers=2), str(parallel))
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_sweep_with_diffusion_adds_stats(self, tmp_path):
-        sweep = SweepConfig(base=range_config(steps=30, rounds=3), vary="r",
-                            values=(2.0,), metrics=FAST,
-                            diffusion=SIConfig(p_infect=1.0))
-        rows = run_sweep(sweep)
-        assert "fixation_time" in rows[0].metrics
-        assert "crossover_time" in rows[0].metrics
-        fix = rows[0].metrics["fixation_time"]
-        assert fix.defined_count <= 3
-        path = tmp_path / "diff.csv"
-        write_csv(rows, str(path), diffusion=True)
-        header = path.read_text().splitlines()[0]
-        assert "fixation_time_mean" in header and "crossover_time_defined_count" in header
+    def test_first_cell_streams_before_later_cells_run(self, monkeypatch):
+        calls = count_round_calls(monkeypatch)
+        sweep = SweepConfig(base=range_config(steps=3, rounds=2), vary="r",
+                            values=(1.0, 2.0, 3.0), metrics=FAST)
+        row = next(iter_sweep(sweep))
+        assert row.config.r == 1.0
+        assert calls == [0, 1]
 
     def test_doubling_rounds_moves_mean_within_tolerance(self):
         few = SweepConfig(base=range_config(steps=20, rounds=12), vary="r",
@@ -196,6 +246,17 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert count == 7 * 3
         assert len(lines) == 1 + 21
+
+    def test_interrupted_timeseries_keeps_finished_rounds(self, tmp_path, monkeypatch):
+        count_round_calls(monkeypatch, fail_at=1)
+        cfg = range_config(steps=4, rounds=3)
+        path = tmp_path / "dump.csv"
+        with pytest.raises(RuntimeError, match="round 1 interrupted"):
+            write_timeseries_csv(cfg, str(path), metrics=FAST)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("model,N,g,r,p_connect,round,timestep,")
+        assert [line.split(",")[5:7] for line in lines[1:]] == [
+            ["0", str(t)] for t in range(1, 5)]
 
     def test_trajectory_dump(self, tmp_path):
         cfg = range_config(steps=10, rounds=2)

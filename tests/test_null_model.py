@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from rangesim.core import ConfigError, ModelKind, SimConfig, make_rng
-from rangesim.null_model import NullState, run_null, step_null
+from rangesim.core import ConfigError, make_rng
+from rangesim.null_model import NullState, step_null
 
-
-def config(**kwargs):
-    defaults = dict(model=ModelKind.NULL, n=10, p_connect=0.5, steps=10, rounds=1, seed=1)
-    defaults.update(kwargs)
-    return SimConfig(**defaults)
+from oracles import edge_set
 
 
 def test_p_zero_stays_empty():
@@ -60,22 +56,10 @@ def test_pairs_evolve_independently():
     assert abs(corr) < 4 / np.sqrt(steps)
 
 
-def test_deterministic_given_stream():
-    cfg = config(n=8, p_connect=0.35, steps=15, seed=5)
-    a = run_null(cfg, make_rng(cfg.seed, 2))
-    b = run_null(cfg, make_rng(cfg.seed, 2))
-    for snap_a, snap_b in zip(a, b):
-        assert snap_a.edges == snap_b.edges
-
-
-def test_single_agent_has_no_pairs():
-    cfg = config(n=1, steps=5)
-    snaps = run_null(cfg, make_rng(1, 0))
-    assert all(s.edge_count == 0 and s.n == 1 for s in snaps)
-
-
 def test_links_view_matches_snapshot():
     state = NullState.initial(7)
     rng = make_rng(2, 0)
     snap = step_null(state, 0.5, rng)
-    assert state.links == set(snap.edges)
+    iu, ju = np.triu_indices(7, k=1)
+    on = state.link_vector
+    assert {(int(i), int(j)) for i, j in zip(iu[on], ju[on])} == edge_set(snap.adj)

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from rangesim.core import Coordinate, ModelKind, SimConfig, init_population, make_rng
+from rangesim.harness import run_model
 from rangesim.metrics import NetworkSnapshot, average_clustering
-from rangesim.range_model import range_links, run_range, step_range
+from rangesim.range_model import range_links, step_range
 
-from oracles import in_range_links_oracle
+from oracles import edge_set, in_range_links_oracle
 
 
 def config(**kwargs):
     defaults = dict(model=ModelKind.RANGE, n=10, g=10, r=2.0, steps=10, rounds=1, seed=1)
     defaults.update(kwargs)
     return SimConfig(**defaults)
-
-
-def edge_set(matrix):
-    iu, ju = np.nonzero(np.triu(matrix, k=1))
-    return {(int(i), int(j)) for i, j in zip(iu, ju)}
 
 
 class TestRangeLinks:
@@ -84,8 +80,8 @@ class TestStepRange:
             for _ in range(20):
                 snap = step_range(world, cfg, rng)
                 expected = in_range_links_oracle(world.positions, cfg.r)
-                assert set(snap.edges) == expected
-                assert world.links == expected
+                assert edge_set(snap.adj) == expected
+                assert edge_set(world.link_matrix) == expected
 
     def test_chebyshev_displacement_at_most_one(self):
         cfg = config(n=20, g=7, r=2.0)
@@ -124,11 +120,13 @@ class TestStepRange:
             assert snap.edge_count == cfg.n * (cfg.n - 1) // 2
 
 
-class TestRunRange:
-    def test_zero_steps_empty_trajectory(self):
-        snaps = run_range(config(steps=0), make_rng(1, 0))
-        assert snaps == []
+def collect_snapshots(cfg, rng):
+    snaps = []
+    run_model(cfg, rng, [lambda t, s: snaps.append(s)])
+    return snaps
 
+
+class TestRunRange:
     def test_saturated_grid_never_moves(self):
         cfg = config(n=16, g=4, r=1.0, steps=15)
         rng = make_rng(cfg.seed, 0)
@@ -140,17 +138,10 @@ class TestRunRange:
 
     def test_deterministic_trajectory(self):
         cfg = config(n=12, g=6, r=1.5, steps=12, seed=99)
-        runs = [run_range(cfg, make_rng(cfg.seed, 4)) for _ in range(2)]
+        runs = [collect_snapshots(cfg, make_rng(cfg.seed, 4)) for _ in range(2)]
         for a, b in zip(*runs):
-            assert a.edges == b.edges
-
-    def test_observers_called_in_order_each_step(self):
-        calls = []
-        obs_a = lambda t, snap: calls.append(("a", t))
-        obs_b = lambda t, snap: calls.append(("b", t))
-        run_range(config(steps=3), make_rng(1, 0), observers=[obs_a, obs_b])
-        assert calls == [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
+            assert edge_set(a.adj) == edge_set(b.adj)
 
     def test_snapshot_count(self):
-        snaps = run_range(config(steps=7), make_rng(1, 0))
+        snaps = collect_snapshots(config(steps=7), make_rng(1, 0))
         assert len(snaps) == 7
