@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +28,6 @@ class ConfigError(ValueError):
 class ModelKind(str, Enum):
     RANGE = "range"
     NULL = "null"
-
-
-class Coordinate(NamedTuple):
-    x: int
-    y: int
 
 
 def make_rng(seed: int, round_idx: int = 0, stream: int = STREAM_MODEL) -> RngStream:
@@ -92,23 +86,62 @@ class SimConfig:
                 raise ConfigError(f"p_connect must be in [0, 1], got {self.p_connect}")
 
 
+# Tile values of the padded occupancy grid besides agent indices.
+FREE = -1
+BORDER = -2
+
+
 @dataclass
 class WorldState:
     """Agent positions on the grid plus the current undirected link set.
 
-    `occupancy` is the inverse of `positions` and is kept a bijection onto
-    the occupied tiles: no two agents ever share a tile. Links are stored
-    as a symmetric boolean matrix with a False diagonal.
+    The grid is stored with a one-tile BORDER frame, as a flat row-major
+    list of (g+2)*(g+2) ints: tile (x, y) is `grid[(x+1)*(g+2) + y+1]` and
+    holds the agent on it or FREE. `positions[agent]` is the flat index of
+    the agent's tile, and `grid` is kept its inverse on the occupied tiles:
+    no two agents ever share a tile. Links are stored as a symmetric
+    boolean matrix with a False diagonal.
     """
 
     g: int
-    positions: list[Coordinate]
-    occupancy: dict[Coordinate, int] = field(repr=False)
+    grid: list[int] = field(repr=False)
+    positions: list[int]
     link_matrix: np.ndarray = field(repr=False)
+    # flat offsets of the Moore neighborhood and the tile itself, row-major
+    moore: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        width = self.g + 2
+        self.moore = tuple(dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+    @classmethod
+    def place(cls, g: int, coordinates) -> "WorldState":
+        """A world with agent i on tile coordinates[i] and no links."""
+        width = g + 2
+        grid = [BORDER] * (width * width)
+        for x in range(1, g + 1):
+            grid[x * width + 1:x * width + g + 1] = [FREE] * g
+        positions = [(x + 1) * width + y + 1 for x, y in coordinates]
+        for agent, tile in enumerate(positions):
+            grid[tile] = agent
+        n = len(positions)
+        return cls(g=g, grid=grid, positions=positions,
+                   link_matrix=np.zeros((n, n), dtype=bool))
 
     @property
     def n(self) -> int:
-        return self.link_matrix.shape[0]
+        return len(self.positions)
+
+    def move(self, agent: int, tile: int) -> None:
+        """Put `agent` on the flat grid index `tile`, freeing its old tile."""
+        self.grid[self.positions[agent]] = FREE
+        self.grid[tile] = agent
+        self.positions[agent] = tile
+
+    def coordinates(self) -> np.ndarray:
+        """(n, 2) int array of every agent's (x, y) tile."""
+        x, y = np.divmod(np.array(self.positions, dtype=np.int64), self.g + 2)
+        return np.stack([x - 1, y - 1], axis=1)
 
 
 def init_population(config: SimConfig, rng: RngStream) -> WorldState:
@@ -118,34 +151,19 @@ def init_population(config: SimConfig, rng: RngStream) -> WorldState:
     is uniform without replacement and consumes a fixed amount of
     randomness.
     """
-    n = config.n
-    tiles = rng.permutation(config.g * config.g)[:n]
-    positions = [Coordinate(int(t) // config.g, int(t) % config.g) for t in tiles]
-    occupancy = {pos: agent for agent, pos in enumerate(positions)}
-    return WorldState(g=config.g, positions=positions, occupancy=occupancy,
-                      link_matrix=np.zeros((n, n), dtype=bool))
+    g = config.g
+    tiles = rng.permutation(g * g)[:config.n].tolist()
+    return WorldState.place(g, [divmod(t, g) for t in tiles])
 
 
-def candidate_moves(world: WorldState, agent: int) -> list[Coordinate]:
+def candidate_moves(world: WorldState, agent: int) -> list[int]:
     """Legal move targets for one agent: its tile plus free in-bounds Moore neighbors.
 
-    The current tile is always included, so the list is never empty --
-    an agent boxed in by the boundary and other agents stays in place.
-    Order is row-major over the 3x3 neighborhood, making index selection
-    by RNG reproducible.
+    Targets are flat grid indices. The current tile is always included,
+    so the list is never empty -- an agent boxed in by the border and
+    other agents stays in place. Order is row-major over the 3x3
+    neighborhood, making index selection by RNG reproducible.
     """
-    x, y = world.positions[agent]
-    g = world.g
-    moves = []
-    for dx in (-1, 0, 1):
-        nx = x + dx
-        if not 0 <= nx < g:
-            continue
-        for dy in (-1, 0, 1):
-            ny = y + dy
-            if not 0 <= ny < g:
-                continue
-            holder = world.occupancy.get(Coordinate(nx, ny))
-            if holder is None or holder == agent:
-                moves.append(Coordinate(nx, ny))
-    return moves
+    here = world.positions[agent]
+    grid = world.grid
+    return [here + d for d in world.moore if d == 0 or grid[here + d] == FREE]

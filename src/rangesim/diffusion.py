@@ -333,8 +333,7 @@ class _ContagionObserver:
     """Shared infected-state tracking for the SI-style processes."""
 
     def __init__(self, cfg, n: int, rng: RngStream):
-        if cfg.n_init > n:
-            raise ConfigError(f"n_init={cfg.n_init} exceeds population {n}")
+        check_population(cfg, n)
         self.cfg = cfg
         self.rng = rng
         self.states = np.zeros(n, dtype=bool)
@@ -414,6 +413,12 @@ _OBSERVERS = {
     CulturalConfig: CulturalObserver,
     PotionConfig: PotionObserver,
 }
+
+
+def check_population(cfg: ProcessConfig, n: int) -> None:
+    """Raise ConfigError if the process seeds more agents than there are."""
+    if isinstance(cfg, (SIConfig, ComplexContagionConfig)) and cfg.n_init > n:
+        raise ConfigError(f"n_init={cfg.n_init} exceeds population {n}")
 
 
 def make_observer(cfg: ProcessConfig, n: int, rng: RngStream):

@@ -23,8 +23,21 @@ from .core import (
     SimConfig,
     make_rng,
 )
-from .diffusion import DiffusionTrajectory, ProcessConfig, make_observer, padded_frequencies
-from .metrics import DEFAULT_N_REF, METRIC_NAMES, MetricsRow, NetworkSnapshot, metrics_snapshot
+from .diffusion import (
+    DiffusionTrajectory,
+    ProcessConfig,
+    check_population,
+    make_observer,
+    padded_frequencies,
+)
+from .metrics import (
+    DEFAULT_N_REF,
+    METRIC_NAMES,
+    MetricsRow,
+    NetworkSnapshot,
+    chunk_size,
+    metrics_rows,
+)
 from .null_model import null_stepper
 from .range_model import range_stepper
 
@@ -44,18 +57,32 @@ class MetricsOptions:
 
 
 class MetricsCollector:
-    """Observer that turns each snapshot into a MetricsRow."""
+    """Observer that turns each snapshot into a MetricsRow.
+
+    Consecutive snapshots are held until they fill one `chunk_size`
+    chunk and are then measured together; `flush` measures the rest.
+    The rows are those of measuring each snapshot as it arrives.
+    """
 
     def __init__(self, rng, options: MetricsOptions = MetricsOptions()):
         self.rng = rng
         self.options = options
         self.rows: list[MetricsRow] = []
+        self._held: list[tuple[int, NetworkSnapshot]] = []
 
-    def __call__(self, t: int, snap) -> None:
-        self.rows.append(metrics_snapshot(
-            snap, self.rng, timestep=t,
-            n_ref=self.options.n_ref, small_world=self.options.small_world,
-        ))
+    def __call__(self, t: int, snap: NetworkSnapshot) -> None:
+        self._held.append((t, snap))
+        if len(self._held) >= chunk_size(snap.n):
+            self.flush()
+
+    def flush(self) -> list[MetricsRow]:
+        """Measure every held snapshot; returns all rows so far."""
+        if self._held:
+            timesteps, snaps = zip(*self._held)
+            self._held = []
+            self.rows += metrics_rows(snaps, timesteps, self.rng, n_ref=self.options.n_ref,
+                                      small_world=self.options.small_world)
+        return self.rows
 
 
 def run_model(config: SimConfig, rng, observers: Sequence[Observer] = ()) -> None:
@@ -101,7 +128,7 @@ def run_round(config: SimConfig, round_idx: int,
     if diff_obs is not None:
         trajectory = diff_obs.trajectory
         trajectory.frequencies = padded_frequencies(trajectory, config.steps)
-    return (collector.rows if collector else []), trajectory
+    return (collector.flush() if collector else []), trajectory
 
 
 @dataclass(frozen=True)
@@ -173,6 +200,10 @@ class SweepConfig:
                 raise ConfigError(f"swept N must be an integer in [1, g*g], got {v}")
             if self.vary == "g" and (v != int(v) or v < 1):
                 raise ConfigError(f"swept g must be a positive integer, got {v}")
+        # every cell resolves, so a sweep fails before it writes anything
+        for value in self.values:
+            for model in self.models():
+                self.resolve(model, value)
 
     def models(self) -> tuple[ModelKind, ...]:
         if self.paired:
@@ -279,11 +310,17 @@ def run_sweep(sweep: SweepConfig, workers: int = 1) -> list[AggregateRow]:
 
 
 def run_diffusion_rounds(config: SimConfig, process: ProcessConfig,
-                         workers: int = 1) -> list[DiffusionTrajectory]:
-    """All rounds of one diffusion experiment, without metric collection."""
+                         workers: int = 1) -> Iterator[DiffusionTrajectory]:
+    """Each round's trajectory of one diffusion experiment, lazily and in
+    round order, without metric collection.
+
+    The process is checked against the population before this returns, so
+    a bad config raises ConfigError before any round runs.
+    """
+    check_population(process, config.n)
     rounds = _map_rounds(run_round, workers, repeat(config), range(config.rounds),
                          repeat(process), repeat(None))
-    return [traj for _, traj in rounds]
+    return (traj for _, traj in rounds)
 
 
 def _fmt(value) -> str:
@@ -362,9 +399,13 @@ def write_timeseries_csv(config: SimConfig, path: str,
         for round_idx, (rows, _) in enumerate(rounds)))
 
 
-def write_trajectories_csv(trajectories: Sequence[DiffusionTrajectory],
+def write_trajectories_csv(trajectories: Iterable[DiffusionTrajectory],
                            path: str) -> int:
-    """Diffusion trajectory dump: one line per (round, timestep)."""
+    """Diffusion trajectory dump: one line per (round, timestep); returns
+    the line count.
+
+    Each round's lines are flushed as soon as its trajectory arrives.
+    """
     header = ["round", "timestep", "frequency", "fixation_time", "crossover_time"]
     return _write_csv(path, header, (
         [[str(round_idx), str(t), _fmt(freq),

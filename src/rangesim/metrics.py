@@ -9,7 +9,8 @@ random graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ class NetworkSnapshot:
     """Simple undirected graph for one timestep.
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only; degrees, clustering and the path-length and
+    Instances are read-only; degrees and the clustering, path-length and
     component statistics are derived lazily, each once.
     """
 
@@ -51,14 +52,12 @@ class NetworkSnapshot:
         return np.flatnonzero(self.adj[node])
 
     @cached_property
-    def _clustering(self) -> float:
-        return float(_local_clustering(self.adj[None])[0].mean())
+    def _stats(self) -> tuple[float, float, int, int]:
+        """(clustering, ASPL, component count, largest component).
 
-    @cached_property
-    def _path_stats(self) -> tuple[float, int, int]:
-        """(ASPL, component count, largest component) from one kernel call."""
-        hops, pairs, reps = _hop_distances(self.adj[None])
-        return (_aspl(hops[0], pairs[0]), *_component_stats(reps[0]))
+        `_measure` fills this for many snapshots with one kernel call.
+        """
+        return _snapshot_stats(self.adj[None])[0]
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,15 @@ def average_degree(snap: NetworkSnapshot) -> float:
     return 2.0 * snap.edge_count / snap.n
 
 
-# Reference graphs are sampled and evaluated in chunks of at most this many
-# adjacency entries (one graph at least), which bounds each (b, n, n) float
-# temporary to a few MB.
-_BATCH_ELEMENTS = 1 << 20
+# Snapshots and reference graphs are evaluated in chunks of at most this
+# many adjacency entries (one graph at least): 40 graphs at n = 20, one
+# graph from n = 128 up, which keeps each (b, n, n) temporary small.
+_BATCH_ELEMENTS = 1 << 14
+
+
+def chunk_size(n: int) -> int:
+    """Graphs of n nodes evaluated per kernel call."""
+    return max(1, _BATCH_ELEMENTS // (n * n))
 
 
 def _local_clustering(stack: np.ndarray) -> np.ndarray:
@@ -97,15 +101,6 @@ def _local_clustering(stack: np.ndarray) -> np.ndarray:
     possible = k * (k - 1.0)
     return np.divide(closed, possible, out=np.zeros_like(closed),
                      where=possible > 0)
-
-
-def average_clustering(snap: NetworkSnapshot) -> float:
-    """Mean local clustering coefficient.
-
-    Per node: linked neighbor pairs over possible neighbor pairs; nodes
-    with fewer than two neighbors contribute 0.
-    """
-    return snap._clustering
 
 
 def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,51 +135,123 @@ def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return hops, pairs, np.argmin(unreached, axis=2)
 
 
-def _aspl(hops, pairs) -> float:
-    # Both counts are exact integers in float64 and twice the unordered
-    # ones, so the rounded quotient is bit-identical to the mean over
-    # unordered pairs.
-    return float(hops / pairs) if pairs else 0.0
+def _clustering_and_paths(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean clustering, ASPL and component labels of each graph of a stack.
+
+    Each graph's mean is taken over its own row, and its ASPL is 0 when
+    no pair is connected. Both hop counts are exact integers in float64
+    and twice the unordered ones, so the rounded quotient is
+    bit-identical to the mean over unordered pairs.
+    """
+    hops, pairs, reps = _hop_distances(stack)
+    aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
+    return _local_clustering(stack).mean(axis=1), aspl, reps
 
 
-def _component_stats(reps: np.ndarray) -> tuple[int, int]:
-    _, sizes = np.unique(reps, return_counts=True)
-    return int(sizes.size), int(sizes.max())
+def _snapshot_stats(stack: np.ndarray) -> list[tuple[float, float, int, int]]:
+    """(clustering, ASPL, component count, largest component) per graph."""
+    clustering, aspl, reps = _clustering_and_paths(stack)
+    stats = []
+    for c, l, labels in zip(clustering.tolist(), aspl.tolist(), reps):
+        _, sizes = np.unique(labels, return_counts=True)
+        stats.append((c, l, int(sizes.size), int(sizes.max())))
+    return stats
+
+
+def _measure(snaps: Sequence[NetworkSnapshot]) -> None:
+    """Fill the statistics of every snapshot that lacks them, in one call."""
+    todo = [snap for snap in snaps if "_stats" not in snap.__dict__]
+    if todo:
+        stats = _snapshot_stats(np.stack([snap.adj for snap in todo]))
+        for snap, values in zip(todo, stats):
+            snap.__dict__["_stats"] = values
+
+
+def average_clustering(snap: NetworkSnapshot) -> float:
+    """Mean local clustering coefficient.
+
+    Per node: linked neighbor pairs over possible neighbor pairs; nodes
+    with fewer than two neighbors contribute 0.
+    """
+    return snap._stats[0]
 
 
 def average_shortest_path_length(snap: NetworkSnapshot) -> float:
     """Mean shortest path length over connected node pairs; 0 if none are."""
-    return snap._path_stats[0]
+    return snap._stats[1]
 
 
 def components(snap: NetworkSnapshot) -> tuple[int, int]:
     """(number of connected components, size of the largest one)."""
-    return snap._path_stats[1:]
+    return snap._stats[2:]
 
 
-_PAIR_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=None)
+def _upper_flat(n: int) -> np.ndarray:
+    """Flat indices i*n + j of the pairs i < j of an n-by-n matrix, row-major."""
+    iu, ju = np.triu_indices(n, k=1)
+    flat = iu * n + ju
+    flat.setflags(write=False)  # shared by every caller
+    return flat
 
 
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _PAIR_INDEX_CACHE.get(n)
-    if cached is None:
-        cached = np.triu_indices(n, k=1)
-        _PAIR_INDEX_CACHE[n] = cached
-    return cached
+def _draw_gnm(row: np.ndarray, n: int, m: int, rng: RngStream) -> None:
+    """Set m uniformly chosen upper-triangle entries of a flat False n*n row.
+
+    One `choice` draw of m pairs; m = 0 draws nothing.
+    """
+    if m > 0:
+        upper = _upper_flat(n)
+        row[upper[rng.choice(upper.size, size=m, replace=False)]] = True
+
+
+def _symmetric(rows: np.ndarray, n: int) -> np.ndarray:
+    upper = rows.reshape(-1, n, n)
+    return upper | upper.transpose(0, 2, 1)
 
 
 def sample_gnm(n: int, m: int, rng: RngStream) -> NetworkSnapshot:
     """One uniform sample from the simple graphs with n nodes and m edges."""
-    iu, ju = _pair_indices(n)
-    n_pairs = iu.size
-    if m > n_pairs:
+    if m > n * (n - 1) // 2:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
-    adj = np.zeros((n, n), dtype=bool)
-    if m > 0:
-        chosen = rng.choice(n_pairs, size=m, replace=False)
-        adj[iu[chosen], ju[chosen]] = True
-        adj |= adj.T
-    return NetworkSnapshot(adj)
+    row = np.zeros(n * n, dtype=bool)
+    _draw_gnm(row, n, m, rng)
+    return NetworkSnapshot(_symmetric(row, n)[0])
+
+
+def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
+                     rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """(C_R, L_R) for each edge count: means over n_ref sampled G(n, m) graphs.
+
+    References are drawn in order, n_ref per edge count, into one
+    chunk-sized buffer that is evaluated whenever it fills, so memory
+    stays bounded by the chunk. Each mean is summed reference by
+    reference, left to right, as a running total rounds.
+    """
+    total = len(edge_counts) * n_ref
+    clustering = np.empty(total)
+    aspl = np.empty(total)
+    buffer = np.zeros((min(chunk_size(n), total), n * n), dtype=bool)
+    done = filled = 0
+    for m in edge_counts:
+        for _ in range(n_ref):
+            _draw_gnm(buffer[filled], n, m, rng)
+            filled += 1
+            if filled == len(buffer) or done + filled == total:
+                c, l, _ = _clustering_and_paths(_symmetric(buffer[:filled], n))
+                clustering[done:done + filled] = c
+                aspl[done:done + filled] = l
+                done += filled
+                filled = 0
+                buffer[:] = False
+    return (np.cumsum(clustering.reshape(-1, n_ref), axis=1)[:, -1] / n_ref,
+            np.cumsum(aspl.reshape(-1, n_ref), axis=1)[:, -1] / n_ref)
+
+
+def _index(c_g: float, l_g: float, c_r: float, l_r: float) -> float | None:
+    if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
+        return None
+    return (c_g / c_r) / (l_g / l_r)
 
 
 def small_world_index(snap: NetworkSnapshot, rng: RngStream,
@@ -196,31 +263,33 @@ def small_world_index(snap: NetworkSnapshot, rng: RngStream,
     Returns (C_G/C_R) / (L_G/L_R), or None whenever a ratio is undefined
     (C_R = 0, L_R = 0, or L_G = 0). An edgeless snapshot samples nothing.
     """
-    if n_ref < 1:
+    return metrics_rows([snap], [0], rng, n_ref=n_ref)[0].small_world
+
+
+def metrics_rows(snaps: Sequence[NetworkSnapshot], timesteps: Sequence[int],
+                 rng: RngStream, n_ref: int = DEFAULT_N_REF,
+                 small_world: bool = True) -> list[MetricsRow]:
+    """All six measures for each of a run of same-size snapshots.
+
+    The snapshots' clustering and path statistics come from one kernel
+    call, so pass at most `chunk_size(n)` of them. Their small-world
+    references are then sampled in snapshot order, so the rows and the
+    generator's state afterwards are exactly those of calling
+    `metrics_snapshot` on each snapshot in turn.
+    """
+    if small_world and n_ref < 1:
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
-    n, m = snap.n, snap.edge_count
-    if m == 0:
-        return None
-    c_g = snap._clustering
-    l_g = snap._path_stats[0]
-    c_total = 0.0
-    l_total = 0.0
-    per_chunk = max(1, _BATCH_ELEMENTS // (n * n))
-    for start in range(0, n_ref, per_chunk):
-        # sampling draws in reference order; the computation draws nothing
-        refs = np.stack([sample_gnm(n, m, rng).adj
-                         for _ in range(min(per_chunk, n_ref - start))])
-        local = _local_clustering(refs)
-        hops, pairs, _ = _hop_distances(refs)
-        # one reference at a time, so the sums round as they always have
-        for k in range(len(refs)):
-            c_total += float(local[k].mean())
-            l_total += _aspl(hops[k], pairs[k])
-    c_r = c_total / n_ref
-    l_r = l_total / n_ref
-    if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
-        return None
-    return (c_g / c_r) / (l_g / l_r)
+    _measure(snaps)
+    index: list[float | None] = [None] * len(snaps)
+    if small_world:
+        linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
+        c_r, l_r = _reference_means(snaps[0].n, [snaps[k].edge_count for k in linked],
+                                    n_ref, rng)
+        for k, c, l in zip(linked, c_r.tolist(), l_r.tolist()):
+            index[k] = _index(*snaps[k]._stats[:2], c, l)
+    # `_stats` holds the four measures between degree and small_world
+    return [MetricsRow(average_degree(snap), *snap._stats, small_world=sw, timestep=t)
+            for snap, t, sw in zip(snaps, timesteps, index)]
 
 
 def metrics_snapshot(snap: NetworkSnapshot, rng: RngStream, timestep: int = 0,
@@ -236,15 +305,4 @@ def metrics_snapshot(snap: NetworkSnapshot, rng: RngStream, timestep: int = 0,
     small-world index reuses the snapshot's clustering and path length;
     the results are identical to calling the individual operations.
     """
-    aspl, count, largest = snap._path_stats
-    clustering = average_clustering(snap)
-    sw = small_world_index(snap, rng, n_ref=n_ref) if small_world else None
-    return MetricsRow(
-        avg_degree=average_degree(snap),
-        clustering=clustering,
-        aspl=aspl,
-        n_components=count,
-        largest_component=largest,
-        small_world=sw,
-        timestep=timestep,
-    )
+    return metrics_rows([snap], [timestep], rng, n_ref=n_ref, small_world=small_world)[0]

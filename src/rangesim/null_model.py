@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ConfigError, RngStream, SimConfig
-from .metrics import NetworkSnapshot, _pair_indices
+from .metrics import NetworkSnapshot, _symmetric, _upper_flat
 
 
 @dataclass
@@ -28,11 +28,9 @@ class NullState:
         return cls(n=n, link_vector=np.zeros(n * (n - 1) // 2, dtype=bool))
 
     def snapshot(self) -> NetworkSnapshot:
-        iu, ju = _pair_indices(self.n)
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        adj[iu[self.link_vector], ju[self.link_vector]] = True
-        adj |= adj.T
-        return NetworkSnapshot(adj)
+        row = np.zeros(self.n * self.n, dtype=bool)
+        row[_upper_flat(self.n)[self.link_vector]] = True
+        return NetworkSnapshot(_symmetric(row, self.n)[0])
 
 
 def step_null(state: NullState, p_connect: float, rng: RngStream) -> NetworkSnapshot:

@@ -7,20 +7,41 @@ range r and drops links to agents beyond r.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from bisect import bisect_right
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .core import Coordinate, RngStream, SimConfig, WorldState, candidate_moves, init_population
+from .core import RngStream, SimConfig, WorldState, candidate_moves, init_population
 from .metrics import NetworkSnapshot
 
 
-def range_links(positions: Sequence[Coordinate], r: float) -> np.ndarray:
-    """Boolean link matrix: pair (i, j) linked iff their distance is <= r."""
-    pos = np.asarray(positions, dtype=np.int64)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    linked = dist <= r
+@lru_cache(maxsize=None)
+def max_sq_distance(r: float, g: int) -> int:
+    """Largest squared tile distance d2 on a g-by-g grid with sqrt(d2) <= r.
+
+    `math.sqrt` is correctly rounded and so monotone: the d2 that pass
+    form a prefix, and `d2 <= max_sq_distance(r, g)` is exactly the test
+    `sqrt(d2) <= r` for every squared distance two tiles can have.
+    """
+    return bisect_right(range(2 * (g - 1) ** 2 + 1), r, key=math.sqrt) - 1
+
+
+def range_links(coordinates: np.ndarray, d2_max: int) -> np.ndarray:
+    """Boolean link matrix over (n, 2) integer tile coordinates.
+
+    Pair (i, j) is linked iff its squared distance is at most d2_max.
+    """
+    # int32 holds every squared distance up to g = 32768, beyond any grid
+    # whose occupancy list fits in memory, and halves int64's memory traffic
+    x, y = np.asarray(coordinates, dtype=np.int32).T
+    d2 = np.subtract.outer(x, x)
+    d2 *= d2
+    dy = np.subtract.outer(y, y)
+    d2 += dy * dy
+    linked = d2 <= d2_max
     np.fill_diagonal(linked, False)
     return linked
 
@@ -34,20 +55,13 @@ def step_range(world: WorldState, config: SimConfig, rng: RngStream) -> NetworkS
     graph on the final positions, so links are evaluated once at the end
     of the sweep; the draw sequence is identical to the interleaved form.
     """
-    order = rng.permutation(world.n)
-    positions = world.positions
-    occupancy = world.occupancy
-    for agent in order:
-        agent = int(agent)
+    for agent in rng.permutation(world.n).tolist():
         moves = candidate_moves(world, agent)
-        target = moves[int(rng.integers(len(moves)))]
-        current = positions[agent]
-        if target != current:
-            del occupancy[current]
-            occupancy[target] = agent
-            positions[agent] = target
-    world.link_matrix = range_links(positions, config.r)
-    return NetworkSnapshot(world.link_matrix.copy())
+        target = moves[rng.integers(len(moves))]
+        if target != world.positions[agent]:
+            world.move(agent, target)
+    world.link_matrix = range_links(world.coordinates(), max_sq_distance(config.r, config.g))
+    return NetworkSnapshot(world.link_matrix)
 
 
 def range_stepper(config: SimConfig, rng: RngStream) -> Callable[[], NetworkSnapshot]:

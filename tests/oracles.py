@@ -4,7 +4,8 @@ Everything here is deliberately brute force (triple enumeration,
 Floyd-Warshall over dicts, exhaustive labelling) and shares no code with
 the package's metric implementations. `edge_set` and `snapshot_from_edges`
 convert between the oracles' edge sets and the package's adjacency
-matrices.
+matrices. `RangeOracle` is the range model on (x, y) tuples and a dict of
+occupied tiles, the reference for the package's padded int grid.
 """
 
 from __future__ import annotations
@@ -131,6 +132,60 @@ def in_range_links_oracle(positions, r):
             if math.sqrt(dx * dx + dy * dy) <= r:
                 links.add((i, j))
     return links
+
+
+def agent_xy(world):
+    """Every agent's (x, y) tile of a WorldState, as tuples."""
+    return [tuple(xy) for xy in world.coordinates().tolist()]
+
+
+def tile_xy(world, tile):
+    """(x, y) of a flat index into a WorldState's padded grid."""
+    x, y = divmod(tile, world.g + 2)
+    return x - 1, y - 1
+
+
+class RangeOracle:
+    """Range model on (x, y) tuples with a dict from tile to agent.
+
+    Draws from `rng` exactly as the model does: the placement shuffle,
+    then per step one agent-order permutation and one bounded integer
+    per agent.
+    """
+
+    def __init__(self, g, n, r, rng):
+        self.g, self.r, self.rng = g, r, rng
+        self.positions = [divmod(int(t), g) for t in rng.permutation(g * g)[:n]]
+        self.occupancy = {pos: agent for agent, pos in enumerate(self.positions)}
+
+    def candidate_moves(self, agent):
+        x, y = self.positions[agent]
+        moves = []
+        for dx in (-1, 0, 1):
+            nx = x + dx
+            if not 0 <= nx < self.g:
+                continue
+            for dy in (-1, 0, 1):
+                ny = y + dy
+                if not 0 <= ny < self.g:
+                    continue
+                holder = self.occupancy.get((nx, ny))
+                if holder is None or holder == agent:
+                    moves.append((nx, ny))
+        return moves
+
+    def step(self):
+        """Move every agent once; returns the in-range link set."""
+        for agent in self.rng.permutation(len(self.positions)):
+            agent = int(agent)
+            moves = self.candidate_moves(agent)
+            target = moves[int(self.rng.integers(len(moves)))]
+            current = self.positions[agent]
+            if target != current:
+                del self.occupancy[current]
+                self.occupancy[target] = agent
+                self.positions[agent] = target
+        return in_range_links_oracle(self.positions, self.r)
 
 
 def random_graph(n, rng, p=None):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rangesim.core import (
+    FREE,
     ConfigError,
-    Coordinate,
     ModelKind,
     SimConfig,
     WorldState,
@@ -12,7 +12,7 @@ from rangesim.core import (
     make_rng,
 )
 
-from oracles import edge_set
+from oracles import agent_xy, edge_set, tile_xy
 
 
 def range_config(**kwargs):
@@ -22,11 +22,7 @@ def range_config(**kwargs):
 
 
 def world_with(positions, g=10):
-    coords = [Coordinate(*p) for p in positions]
-    n = len(coords)
-    return WorldState(g=g, positions=coords,
-                      occupancy={c: i for i, c in enumerate(coords)},
-                      link_matrix=np.zeros((n, n), dtype=bool))
+    return WorldState.place(g, positions)
 
 
 class TestSimConfig:
@@ -64,8 +60,8 @@ class TestInitPopulation:
         # N = g*g = 49: every tile taken exactly once
         cfg = range_config(n=49, g=7)
         world = init_population(cfg, make_rng(cfg.seed, 0))
-        assert len(set(world.positions)) == 49
-        assert set(world.positions) == {Coordinate(x, y) for x in range(7) for y in range(7)}
+        assert len(set(agent_xy(world))) == 49
+        assert set(agent_xy(world)) == {(x, y) for x in range(7) for y in range(7)}
 
     def test_single_agent_no_links(self):
         cfg = range_config(n=1, g=4)
@@ -82,14 +78,16 @@ class TestInitPopulation:
     def test_occupancy_is_bijection(self):
         cfg = range_config(n=30, g=8)
         world = init_population(cfg, make_rng(cfg.seed, 0))
-        assert len(world.occupancy) == 30
-        for pos, agent in world.occupancy.items():
-            assert world.positions[agent] == pos
+        occupied = {tile: agent for tile, agent in enumerate(world.grid) if agent >= 0}
+        assert len(occupied) == 30
+        assert world.grid.count(FREE) == 8 * 8 - 30
+        for tile, agent in occupied.items():
+            assert world.positions[agent] == tile
 
     def test_positions_in_bounds(self):
         cfg = range_config(n=40, g=7)
         world = init_population(cfg, make_rng(cfg.seed, 0))
-        for x, y in world.positions:
+        for x, y in agent_xy(world):
             assert 0 <= x < 7 and 0 <= y < 7
 
 
@@ -97,7 +95,7 @@ class TestCandidateMoves:
     def test_corner_on_empty_grid(self):
         world = world_with([(0, 0)], g=4)
         moves = candidate_moves(world, 0)
-        assert set(moves) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert {tile_xy(world, mv) for mv in moves} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_interior_full_neighborhood(self):
         world = world_with([(2, 2)], g=5)
@@ -107,7 +105,7 @@ class TestCandidateMoves:
         center = (2, 2)
         ring = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
         world = world_with([center] + ring, g=5)
-        assert candidate_moves(world, 0) == [Coordinate(2, 2)]
+        assert [tile_xy(world, mv) for mv in candidate_moves(world, 0)] == [(2, 2)]
 
     def test_current_tile_always_included(self):
         rng = np.random.default_rng(3)
@@ -120,15 +118,16 @@ class TestCandidateMoves:
             moves = candidate_moves(world, agent)
             current = world.positions[agent]
             assert current in moves
+            cx, cy = tile_xy(world, current)
             for mv in moves:
-                assert 0 <= mv.x < g and 0 <= mv.y < g
-                assert max(abs(mv.x - current.x), abs(mv.y - current.y)) <= 1
-                holder = world.occupancy.get(mv)
-                assert holder is None or holder == agent
+                x, y = tile_xy(world, mv)
+                assert 0 <= x < g and 0 <= y < g
+                assert max(abs(x - cx), abs(y - cy)) <= 1
+                assert world.grid[mv] in (FREE, agent)
 
     def test_order_is_row_major(self):
         world = world_with([(1, 1)], g=4)
-        moves = candidate_moves(world, 0)
+        moves = [tile_xy(world, mv) for mv in candidate_moves(world, 0)]
         assert moves == sorted(moves)
 
 

@@ -8,9 +8,11 @@ why, in CHANGES.md.
 
 The cases cover `run` for both models with the small-world index on, a
 paired `sweep` with burn-in (r = 0 gives edgeless snapshots, where the
-index is undefined), `diffusion` for each process, and two N = 130 runs:
-a sparse one, whose breadth-first searches run many levels, and a dense
-one with small-world references.
+index is undefined), `diffusion` for each process, two N = 130 runs (a
+sparse one, whose breadth-first searches run many levels, and a dense
+one with small-world references) and two 45-step N = 20 runs, whose
+snapshots span more than one metric chunk. The 45-step hashes were
+recorded from the code that measured each snapshot on its own.
 """
 
 import hashlib
@@ -59,6 +61,13 @@ CASES = {
         ["run", "--model", "null", "--n", "130", "--g", "20", "--p-connect", "0.1",
          "--steps", "4", "--seed", "3", "--n-ref", "3"],
         "ff7b5f9a4edb6ab5efadec0d1abeecd0c1607dfcb6d033ac8bdf0b74d08022dc"),
+    # 45 steps cross the 40-graph metric chunk at N = 20
+    "run-range-45": (
+        ["run", "--model", "range", "--r", "3", "--steps", "45", *SMALL],
+        "d3c55c6dea560948bf5485e6e8310c20be0dfc3cc4c0de341d2b8cb044471154"),
+    "run-null-45": (
+        ["run", "--model", "null", "--p-connect", "0.3", "--steps", "45", *SMALL],
+        "ea0b50eae818686f15e91f3a4fee186c6f5d9fd5e3835702180b67b3301a74f4"),
 }
 # a worker pool must reproduce the serial bytes
 for _name in ("run-range", "diffusion-si"):

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from rangesim import harness
+from rangesim import harness, metrics
 from rangesim.cli import main, parse_values
-from rangesim.core import ConfigError, ModelKind, SimConfig, make_rng
+from rangesim.core import STREAM_METRICS, STREAM_MODEL, ConfigError, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import SIConfig
 from rangesim.harness import (
+    MetricsCollector,
     MetricsOptions,
     SweepConfig,
     aggregate_rounds,
@@ -21,6 +22,7 @@ from rangesim.harness import (
     write_timeseries_csv,
     write_trajectories_csv,
 )
+from rangesim.metrics import NetworkSnapshot, metrics_snapshot
 
 
 def range_config(**kwargs):
@@ -117,6 +119,61 @@ class TestRunRound:
         rows, traj = run_round(cfg, 0, metrics=None, diffusion=SIConfig(p_infect=1.0))
         assert rows == []
         assert len(traj.frequencies) == 30  # padded after early fixation
+
+
+def snapshot_stream(n, steps, seed):
+    """Adjacency matrices of G(n, p) graphs at random densities, with runs
+    of edgeless graphs at the start, partway through and at the end."""
+    rng = np.random.default_rng(seed)
+    adjs = []
+    for t in range(steps):
+        edgeless = t < 2 or steps // 2 <= t < steps // 2 + 3 or t == steps - 1
+        p = 0.0 if edgeless else rng.uniform(0.02, 0.5)
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        adjs.append(upper | upper.T)
+    return adjs
+
+
+def collected_rows(adjs, rng, options):
+    collector = MetricsCollector(rng, options)
+    for t, adj in enumerate(adjs, start=1):
+        collector(t, NetworkSnapshot(adj.copy()))
+        assert len(collector._held) < metrics.chunk_size(len(adj))
+    return collector.flush()
+
+
+class TestMetricsCollector:
+    @pytest.mark.parametrize("n,steps,n_ref", [(20, 97, 1), (20, 97, 20), (130, 9, 3)])
+    def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, monkeypatch):
+        # 97 steps are two full 40-graph chunks at n = 20 and a partial
+        # one; from n = 128 up a chunk is a single graph
+        assert metrics.chunk_size(20) == 40 and metrics.chunk_size(130) == 1
+        adjs = snapshot_stream(n, steps, seed=n + n_ref)
+        expected_rng = make_rng(7, 0, STREAM_METRICS)
+        expected = [metrics_snapshot(NetworkSnapshot(adj.copy()), expected_rng, timestep=t,
+                                     n_ref=n_ref)
+                    for t, adj in enumerate(adjs, start=1)]
+        batches = []
+        kernel = metrics._hop_distances
+        monkeypatch.setattr(metrics, "_hop_distances",
+                            lambda stack: batches.append(len(stack)) or kernel(stack))
+        rng = make_rng(7, 0, STREAM_METRICS)
+        rows = collected_rows(adjs, rng, MetricsOptions(n_ref=n_ref))
+        assert rows == expected
+        assert rng.random() == expected_rng.random()
+        assert sum(row.small_world is not None for row in rows) > 0
+        assert max(batches) <= metrics.chunk_size(n)
+
+    def test_round_matches_per_snapshot_loop(self):
+        cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)
+        snaps = []
+        run_model(cfg, make_rng(cfg.seed, 0, STREAM_MODEL),
+                  [lambda t, snap: snaps.append(snap.adj)])
+        rng = make_rng(cfg.seed, 0, STREAM_METRICS)
+        expected = [metrics_snapshot(NetworkSnapshot(adj), rng, timestep=t, n_ref=4)
+                    for t, adj in enumerate(snaps, start=1)]
+        rows, _ = run_round(cfg, 0, metrics=MetricsOptions(n_ref=4))
+        assert rows == expected
 
 
 class TestAggregateRounds:
@@ -258,6 +315,18 @@ class TestCsvOutput:
         assert [line.split(",")[5:7] for line in lines[1:]] == [
             ["0", str(t)] for t in range(1, 5)]
 
+    def test_interrupted_diffusion_keeps_finished_rounds(self, tmp_path, monkeypatch):
+        count_round_calls(monkeypatch, fail_at=1)
+        cfg = range_config(steps=4, rounds=3)
+        path = tmp_path / "traj.csv"
+        with pytest.raises(RuntimeError, match="round 1 interrupted"):
+            write_trajectories_csv(run_diffusion_rounds(cfg, SIConfig(p_infect=0.5)),
+                                   str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "round,timestep,frequency,fixation_time,crossover_time"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["0", str(t)] for t in range(1, 5)]
+
     def test_trajectory_dump(self, tmp_path):
         cfg = range_config(steps=10, rounds=2)
         trajs = run_diffusion_rounds(cfg, SIConfig(p_infect=0.5))
@@ -300,6 +369,22 @@ class TestCli:
                      "--rounds", "2", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 16
+
+    def test_sweep_config_error_writes_no_file(self, tmp_path):
+        # g = 1 has one tile for 20 agents; no header may be left behind
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--r", "1", "--vary", "g", "--values", "1,10",
+                     "--n", "20", "--steps", "5", "--rounds", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_diffusion_n_init_error_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(["diffusion", "--process", "si", "--r", "2", "--n", "20", "--n-init", "50",
+                     "--out", str(out)])
+        assert code == 2
+        assert "n_init=50 exceeds population 20" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         code = main(["run", "--model", "range", "--n", "50", "--g", "5", "--r", "1",

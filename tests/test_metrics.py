@@ -15,7 +15,7 @@ from rangesim.metrics import (
     sample_gnm,
     small_world_index,
 )
-from rangesim.range_model import range_links
+from rangesim.range_model import max_sq_distance, range_links
 
 from oracles import (
     aspl_oracle,
@@ -138,7 +138,7 @@ def kernel_cases(n, rng):
     for r in (1.0, 1.5, 2.0, 3.0):
         tiles = rng.choice(g * g, size=n, replace=False)
         graphs.append(NetworkSnapshot(range_links(
-            [(int(t // g), int(t % g)) for t in tiles], r)))
+            [(int(t // g), int(t % g)) for t in tiles], max_sq_distance(r, g))))
     for mean_degree in (1, 2, 3.5, 4, 8):
         p = min(1.0, mean_degree / (n - 1))
         upper = np.triu(rng.random((n, n)) < p, k=1)
