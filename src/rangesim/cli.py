@@ -2,7 +2,8 @@
 
 Subcommands: `run` (per-timestep metric dump), `sweep` (aggregate CSV
 over a varied parameter), `diffusion` (transmission-process trajectory
-CSV). Flags may also come from a JSON config file; explicit flags win.
+CSV). Flags may also come from a JSON config file; explicit flags win,
+and file values are checked as the flags are.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -32,14 +33,19 @@ from .harness import (
     write_timeseries_csv,
     write_trajectories_csv,
 )
+from .metrics import DEFAULT_N_REF
 
 VARY_ALIASES = {"r": "r", "n": "n", "g": "g", "p": "p_connect", "p_connect": "p_connect"}
+# flags each command needs, which may come from the config file instead
+REQUIRED = {"sweep": ("vary", "values"), "diffusion": ("process",)}
 
 
 def parse_values(text) -> tuple[float, ...]:
     """Parse a sweep value list: "1,2,3", "min:max:step" (inclusive), or a
     JSON array when supplied via a config file."""
     if isinstance(text, (list, tuple)):
+        if not all(type(v) in (int, float) for v in text):
+            raise ConfigError(f"sweep values must be numbers, got {text!r}")
         return tuple(float(v) for v in text)
     try:
         if ":" in text:
@@ -69,7 +75,7 @@ def _add_common(parser: argparse.ArgumentParser, model_choices) -> None:
 
 
 def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-ref", type=int, default=20,
+    parser.add_argument("--n-ref", type=int, default=DEFAULT_N_REF,
                         help="reference graphs per small-world evaluation")
     parser.add_argument("--no-small-world", action="store_true",
                         help="skip small-world sampling (column left empty)")
@@ -90,9 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="aggregate CSV over a varied parameter")
     _add_common(sweep, ("range", "null", "both"))
     _add_metrics_flags(sweep)
-    sweep.add_argument("--vary", choices=sorted(VARY_ALIASES), required=True)
-    sweep.add_argument("--values", required=True,
-                       help="comma list or min:max:step, e.g. 0:10:1")
+    sweep.add_argument("--vary", choices=sorted(VARY_ALIASES), help="required")
+    sweep.add_argument("--values", help="required: comma list or min:max:step, e.g. 0:10:1")
     sweep.add_argument("--burn-in", type=int, default=0,
                        help="timesteps dropped from each round's time-average")
     sweep.set_defaults(handler=_cmd_sweep)
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser("diffusion", help="transmission-process trajectory CSV")
     _add_common(diff, ("range", "null"))
     diff.add_argument("--process", choices=("si", "complex", "cultural", "potion"),
-                      required=True)
+                      help="required")
     diff.add_argument("--p-infect", type=float, default=0.1)
     diff.add_argument("--n-init", type=int, default=1)
     diff.add_argument("--exposure", choices=("per_neighbor", "per_agent"),
@@ -117,38 +122,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: Sequence[str]) -> None:
-    """Fill unset flags from the JSON config file named by --config."""
-    with open(args.config, encoding="utf-8") as fh:
+def _apply_config_file(path: str, parser: argparse.ArgumentParser) -> None:
+    """Make the values of the JSON config file the command's defaults."""
+    with open(path, encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
-        raise ConfigError(f"config file {args.config} must hold a JSON object")
-    explicit: set[str] = set()
-    for action in parser._actions:
-        for opt in action.option_strings:
-            if any(arg == opt or arg.startswith(opt + "=") for arg in argv):
-                explicit.add(action.dest)
-    known = {action.dest for action in parser._actions}
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    actions = {action.dest: action for action in parser._actions}
+    defaults = {}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ConfigError(f"unknown config key {key!r} in {args.config}")
-        if dest not in explicit:
-            setattr(args, dest, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+        defaults[action.dest] = _config_value(parser, action, key, value)
+    parser.set_defaults(**defaults)
+
+
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):
+    """A config-file value, accepted only where its flag accepts its text.
+
+    Switches take a JSON bool, string flags a string (`values` also a
+    list of numbers), numeric flags a number.
+    """
+    if action.dest == "values" and type(value) is list:
+        return value  # parse_values checks each element
+    # exact types, so that JSON true is not taken for the number 1
+    kinds = (bool,) if action.nargs == 0 else (str,) if action.type is None else (int, float)
+    try:
+        if type(value) not in kinds:
+            raise argparse.ArgumentError(action, f"invalid JSON {type(value).__name__} {value!r}")
+        if kinds != (bool,):
+            value = parser._get_value(action, str(value))
+            parser._check_value(action, value)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+    return value
 
 
 def _sim_config(args, model: ModelKind, placeholder: bool = False) -> SimConfig:
-    r = args.r
-    p = args.p_connect
-    if placeholder:
-        if model is ModelKind.RANGE and r is None:
-            r = 0.0
-        if model is ModelKind.NULL and p is None:
-            p = 0.0
+    r, p = args.r, args.p_connect
+    if placeholder:  # each sweep cell sets the swept parameter
+        r, p = (0.0 if r is None else r), (0.0 if p is None else p)
     if model is ModelKind.RANGE and r is None:
         raise ConfigError("--r is required for the range model")
     if model is ModelKind.NULL and p is None:
@@ -210,9 +227,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            command_parser = next(
-                p for name, p in _subparsers(parser).items() if name == args.command)
-            _apply_config_file(args, command_parser, argv)
+            _apply_config_file(args.config, _subparsers(parser)[args.command])
+            args = parser.parse_args(argv)  # explicit flags override the file
+        for dest in REQUIRED.get(args.command, ()):
+            if getattr(args, dest) is None:
+                raise ConfigError(f"--{dest} is required, as a flag or a config key")
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return args.handler(args)

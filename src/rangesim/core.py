@@ -93,20 +93,18 @@ BORDER = -2
 
 @dataclass
 class WorldState:
-    """Agent positions on the grid plus the current undirected link set.
+    """Agent positions on the grid.
 
     The grid is stored with a one-tile BORDER frame, as a flat row-major
     list of (g+2)*(g+2) ints: tile (x, y) is `grid[(x+1)*(g+2) + y+1]` and
     holds the agent on it or FREE. `positions[agent]` is the flat index of
     the agent's tile, and `grid` is kept its inverse on the occupied tiles:
-    no two agents ever share a tile. Links are stored as a symmetric
-    boolean matrix with a False diagonal.
+    no two agents ever share a tile.
     """
 
     g: int
     grid: list[int] = field(repr=False)
     positions: list[int]
-    link_matrix: np.ndarray = field(repr=False)
     # flat offsets of the Moore neighborhood and the tile itself, row-major
     moore: tuple[int, ...] = field(init=False, repr=False)
 
@@ -116,7 +114,7 @@ class WorldState:
 
     @classmethod
     def place(cls, g: int, coordinates) -> "WorldState":
-        """A world with agent i on tile coordinates[i] and no links."""
+        """A world with agent i on tile coordinates[i]."""
         width = g + 2
         grid = [BORDER] * (width * width)
         for x in range(1, g + 1):
@@ -124,9 +122,7 @@ class WorldState:
         positions = [(x + 1) * width + y + 1 for x, y in coordinates]
         for agent, tile in enumerate(positions):
             grid[tile] = agent
-        n = len(positions)
-        return cls(g=g, grid=grid, positions=positions,
-                   link_matrix=np.zeros((n, n), dtype=bool))
+        return cls(g=g, grid=grid, positions=positions)
 
     @property
     def n(self) -> int:
@@ -145,7 +141,7 @@ class WorldState:
 
 
 def init_population(config: SimConfig, rng: RngStream) -> WorldState:
-    """Place N agents on distinct uniformly random tiles with no links.
+    """Place N agents on distinct uniformly random tiles.
 
     Placement shuffles the g*g tile indices and takes the first N, which
     is uniform without replacement and consumes a fixed amount of

@@ -60,8 +60,8 @@ class MetricsCollector:
     """Observer that turns each snapshot into a MetricsRow.
 
     Consecutive snapshots are held until they fill one `chunk_size`
-    chunk and are then measured together; `flush` measures the rest.
-    The rows are those of measuring each snapshot as it arrives.
+    chunk and are then measured by one `metrics_rows` call; `flush`
+    measures the rest. Where the chunks fall does not change the rows.
     """
 
     def __init__(self, rng, options: MetricsOptions = MetricsOptions()):
@@ -305,10 +305,6 @@ def iter_sweep(sweep: SweepConfig, workers: int = 1) -> Iterator[AggregateRow]:
         )
 
 
-def run_sweep(sweep: SweepConfig, workers: int = 1) -> list[AggregateRow]:
-    return list(iter_sweep(sweep, workers=workers))
-
-
 def run_diffusion_rounds(config: SimConfig, process: ProcessConfig,
                          workers: int = 1) -> Iterator[DiffusionTrajectory]:
     """Each round's trajectory of one diffusion experiment, lazily and in
@@ -327,10 +323,8 @@ def _fmt(value) -> str:
     """CSV field: empty for missing, 9 significant digits for floats."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, int):  # bools as 0 and 1
         return str(int(value))
-    if isinstance(value, (int,)):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)

@@ -3,7 +3,7 @@
 Six measures per snapshot: average degree, average clustering, average
 shortest path length, number of connected components, size of the
 largest component, and the small-world index against sampled same-size
-random graphs.
+random graphs. `metrics_rows` computes all six for a chunk of snapshots.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class NetworkSnapshot:
     """Simple undirected graph for one timestep.
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only; degrees and the clustering, path-length and
-    component statistics are derived lazily, each once.
+    Instances are read-only and cache their degrees; the other measures
+    come from `metrics_rows`.
     """
 
     adj: np.ndarray
@@ -51,14 +51,6 @@ class NetworkSnapshot:
     def neighbors(self, node: int) -> np.ndarray:
         return np.flatnonzero(self.adj[node])
 
-    @cached_property
-    def _stats(self) -> tuple[float, float, int, int]:
-        """(clustering, ASPL, component count, largest component).
-
-        `_measure` fills this for many snapshots with one kernel call.
-        """
-        return _snapshot_stats(self.adj[None])[0]
-
 
 @dataclass(frozen=True)
 class MetricsRow:
@@ -74,11 +66,6 @@ class MetricsRow:
 
 METRIC_NAMES = ("avg_degree", "clustering", "aspl", "n_components",
                 "largest_component", "small_world")
-
-
-def average_degree(snap: NetworkSnapshot) -> float:
-    """Population mean of node degrees, 2m/n."""
-    return 2.0 * snap.edge_count / snap.n
 
 
 # Snapshots and reference graphs are evaluated in chunks of at most this
@@ -158,34 +145,6 @@ def _snapshot_stats(stack: np.ndarray) -> list[tuple[float, float, int, int]]:
     return stats
 
 
-def _measure(snaps: Sequence[NetworkSnapshot]) -> None:
-    """Fill the statistics of every snapshot that lacks them, in one call."""
-    todo = [snap for snap in snaps if "_stats" not in snap.__dict__]
-    if todo:
-        stats = _snapshot_stats(np.stack([snap.adj for snap in todo]))
-        for snap, values in zip(todo, stats):
-            snap.__dict__["_stats"] = values
-
-
-def average_clustering(snap: NetworkSnapshot) -> float:
-    """Mean local clustering coefficient.
-
-    Per node: linked neighbor pairs over possible neighbor pairs; nodes
-    with fewer than two neighbors contribute 0.
-    """
-    return snap._stats[0]
-
-
-def average_shortest_path_length(snap: NetworkSnapshot) -> float:
-    """Mean shortest path length over connected node pairs; 0 if none are."""
-    return snap._stats[1]
-
-
-def components(snap: NetworkSnapshot) -> tuple[int, int]:
-    """(number of connected components, size of the largest one)."""
-    return snap._stats[2:]
-
-
 @lru_cache(maxsize=None)
 def _upper_flat(n: int) -> np.ndarray:
     """Flat indices i*n + j of the pairs i < j of an n-by-n matrix, row-major."""
@@ -208,15 +167,6 @@ def _draw_gnm(row: np.ndarray, n: int, m: int, rng: RngStream) -> None:
 def _symmetric(rows: np.ndarray, n: int) -> np.ndarray:
     upper = rows.reshape(-1, n, n)
     return upper | upper.transpose(0, 2, 1)
-
-
-def sample_gnm(n: int, m: int, rng: RngStream) -> NetworkSnapshot:
-    """One uniform sample from the simple graphs with n nodes and m edges."""
-    if m > n * (n - 1) // 2:
-        raise ValueError(f"cannot place {m} edges on {n} nodes")
-    row = np.zeros(n * n, dtype=bool)
-    _draw_gnm(row, n, m, rng)
-    return NetworkSnapshot(_symmetric(row, n)[0])
 
 
 def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
@@ -248,61 +198,35 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
             np.cumsum(aspl.reshape(-1, n_ref), axis=1)[:, -1] / n_ref)
 
 
-def _index(c_g: float, l_g: float, c_r: float, l_r: float) -> float | None:
-    if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
-        return None
-    return (c_g / c_r) / (l_g / l_r)
-
-
-def small_world_index(snap: NetworkSnapshot, rng: RngStream,
-                      n_ref: int = DEFAULT_N_REF) -> float | None:
-    """Clustering and path-length ratios against same-size random graphs.
-
-    The reference clustering C_R and path length L_R are means over n_ref
-    graphs sampled uniformly with the snapshot's node and edge counts.
-    Returns (C_G/C_R) / (L_G/L_R), or None whenever a ratio is undefined
-    (C_R = 0, L_R = 0, or L_G = 0). An edgeless snapshot samples nothing.
-    """
-    return metrics_rows([snap], [0], rng, n_ref=n_ref)[0].small_world
-
-
 def metrics_rows(snaps: Sequence[NetworkSnapshot], timesteps: Sequence[int],
                  rng: RngStream, n_ref: int = DEFAULT_N_REF,
                  small_world: bool = True) -> list[MetricsRow]:
     """All six measures for each of a run of same-size snapshots.
 
-    The snapshots' clustering and path statistics come from one kernel
-    call, so pass at most `chunk_size(n)` of them. Their small-world
-    references are then sampled in snapshot order, so the rows and the
-    generator's state afterwards are exactly those of calling
-    `metrics_snapshot` on each snapshot in turn.
+    Clustering is the mean local coefficient, nodes with fewer than two
+    neighbors counting 0; ASPL is the mean hop count over connected
+    pairs, 0 if none are. The small-world index is (C_G/C_R) / (L_G/L_R)
+    against the means C_R and L_R over n_ref uniform graphs with the
+    snapshot's node and edge counts, and None when C_R, L_R or L_G is 0;
+    small_world=False leaves it None and draws nothing.
+
+    The snapshots' statistics come from one kernel call, so pass at most
+    `chunk_size(n)` of them. References are drawn in snapshot order, and
+    none for an edgeless snapshot, so the rows and the generator's state
+    afterwards do not depend on how a run is split into calls.
     """
     if small_world and n_ref < 1:
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
-    _measure(snaps)
+    stats = _snapshot_stats(np.stack([snap.adj for snap in snaps]))
     index: list[float | None] = [None] * len(snaps)
     if small_world:
         linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
         c_r, l_r = _reference_means(snaps[0].n, [snaps[k].edge_count for k in linked],
                                     n_ref, rng)
         for k, c, l in zip(linked, c_r.tolist(), l_r.tolist()):
-            index[k] = _index(*snaps[k]._stats[:2], c, l)
-    # `_stats` holds the four measures between degree and small_world
-    return [MetricsRow(average_degree(snap), *snap._stats, small_world=sw, timestep=t)
-            for snap, t, sw in zip(snaps, timesteps, index)]
-
-
-def metrics_snapshot(snap: NetworkSnapshot, rng: RngStream, timestep: int = 0,
-                     n_ref: int = DEFAULT_N_REF,
-                     small_world: bool = True) -> MetricsRow:
-    """All six measures for one snapshot.
-
-    Small-world reference sampling is the only randomized part and
-    consumes the generator deterministically; pass small_world=False to
-    skip it (the column is then None).
-
-    Path lengths and components share one distance computation, and the
-    small-world index reuses the snapshot's clustering and path length;
-    the results are identical to calling the individual operations.
-    """
-    return metrics_rows([snap], [timestep], rng, n_ref=n_ref, small_world=small_world)[0]
+            c_g, l_g = stats[k][:2]
+            if c != 0.0 and l != 0.0 and l_g != 0.0:
+                index[k] = (c_g / c) / (l_g / l)
+    # `stats` holds the four measures between degree and small_world
+    return [MetricsRow(2.0 * snap.edge_count / snap.n, *values, small_world=sw, timestep=t)
+            for snap, values, t, sw in zip(snaps, stats, timesteps, index)]

@@ -60,8 +60,8 @@ def step_range(world: WorldState, config: SimConfig, rng: RngStream) -> NetworkS
         target = moves[rng.integers(len(moves))]
         if target != world.positions[agent]:
             world.move(agent, target)
-    world.link_matrix = range_links(world.coordinates(), max_sq_distance(config.r, config.g))
-    return NetworkSnapshot(world.link_matrix)
+    return NetworkSnapshot(range_links(world.coordinates(),
+                                       max_sq_distance(config.r, config.g)))
 
 
 def range_stepper(config: SimConfig, rng: RngStream) -> Callable[[], NetworkSnapshot]:

@@ -23,21 +23,21 @@ from rangesim.harness import (
     SweepConfig,
     run_diffusion_rounds,
     run_round,
-    run_sweep,
     write_csv,
 )
-from rangesim.metrics import (
+from rangesim.null_model import NullState, step_null
+from rangesim.range_model import step_range
+
+from measures import (
     average_clustering,
     average_degree,
     average_shortest_path_length,
     components,
     metrics_snapshot,
+    run_sweep,
     sample_gnm,
     small_world_index,
 )
-from rangesim.null_model import NullState, step_null
-from rangesim.range_model import step_range
-
 from oracles import (
     aspl_oracle,
     clustering_oracle,

@@ -11,6 +11,7 @@ from rangesim.core import (
     init_population,
     make_rng,
 )
+from rangesim.range_model import step_range
 
 from oracles import agent_xy, edge_set, tile_xy
 
@@ -65,9 +66,10 @@ class TestInitPopulation:
 
     def test_single_agent_no_links(self):
         cfg = range_config(n=1, g=4)
-        world = init_population(cfg, make_rng(cfg.seed, 0))
+        rng = make_rng(cfg.seed, 0)
+        world = init_population(cfg, rng)
         assert len(world.positions) == 1
-        assert edge_set(world.link_matrix) == set()
+        assert edge_set(step_range(world, cfg, rng).adj) == set()
 
     def test_same_seed_same_positions(self):
         cfg = range_config(n=10, g=10, seed=77)

@@ -17,12 +17,13 @@ from rangesim.harness import (
     run_diffusion_rounds,
     run_model,
     run_round,
-    run_sweep,
     write_csv,
     write_timeseries_csv,
     write_trajectories_csv,
 )
-from rangesim.metrics import NetworkSnapshot, metrics_snapshot
+from rangesim.metrics import NetworkSnapshot
+
+from measures import metrics_snapshot, run_sweep
 
 
 def range_config(**kwargs):
@@ -347,6 +348,13 @@ class TestCli:
         with pytest.raises(ConfigError):
             parse_values("5:1:1")
 
+    def test_parse_values_list_needs_numbers(self):
+        # the list form is reachable from a config file's "values"
+        assert parse_values([0, 2.5]) == (0.0, 2.5)
+        for bad in (["1", 2], [None], [True]):
+            with pytest.raises(ConfigError):
+                parse_values(bad)
+
     def test_sweep_command(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--model", "both", "--vary", "r", "--values", "0,2",
@@ -430,6 +438,18 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # flag --steps 2 overrides the file's 4
 
+    def test_abbreviated_flag_overrides_config_file(self, tmp_path):
+        import json
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"r": 1.0, "n": 6, "g": 5, "steps": 4,
+                                        "no_small_world": True}))
+        out = tmp_path / "out.csv"
+        # argparse takes "--step" for "--steps", so the flag must win here too
+        code = main(["run", "--config", str(cfg_file), "--step", "2", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text('{"bogus": 1}')
@@ -437,3 +457,44 @@ class TestCli:
                      "--n", "4", "--g", "4", "--r", "1", "--steps", "1",
                      "--out", "-"])
         assert code == 2
+
+    @pytest.mark.parametrize("entry", [{"n": "20"}, {"workers": "2"}, {"n": 2.5},
+                                       {"model": "bogus"}, {"no_small_world": "yes"}],
+                             ids=["n-string", "workers-string", "n-fraction", "model-unknown",
+                                  "switch-string"])
+    def test_config_file_values_checked_like_flags(self, tmp_path, capsys, entry):
+        import json
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"r": 1.0, "n": 6, "g": 5, "steps": 2, **entry}))
+        out = tmp_path / "out.csv"
+        code = main(["run", "--config", str(cfg_file), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("rangesim: config error") and "Traceback" not in err
+        assert repr(next(iter(entry))) in err
+        assert not out.exists()
+
+    def test_readme_config_example_runs(self, tmp_path):
+        import json
+
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"model": "both", "vary": "r", "values": "0:10:1", "n": 20, "g": 10}))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(cfg_file), "--steps", "2", "--rounds", "1",
+                     "--no-small-world", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 11
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "range", "--r", "1"],
+        ["sweep", "--model", "range", "--vary", "r"],
+        ["diffusion", "--r", "1"],
+    ], ids=["sweep-no-vary-values", "sweep-no-values", "diffusion-no-process"])
+    def test_missing_required_flag_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        code = main(argv + ["--n", "6", "--g", "5", "--steps", "2", "--out", str(out)])
+        assert code == 2
+        assert "is required, as a flag or a config key" in capsys.readouterr().err
+        assert not out.exists()

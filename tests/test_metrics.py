@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from rangesim import metrics
 from rangesim.core import make_rng
-from rangesim.metrics import (
-    NetworkSnapshot,
+from rangesim.metrics import NetworkSnapshot
+from rangesim.range_model import max_sq_distance, range_links
+
+from measures import (
     average_clustering,
     average_degree,
     average_shortest_path_length,
@@ -15,8 +19,6 @@ from rangesim.metrics import (
     sample_gnm,
     small_world_index,
 )
-from rangesim.range_model import max_sq_distance, range_links
-
 from oracles import (
     aspl_oracle,
     clustering_oracle,
@@ -203,8 +205,8 @@ class TestOracleEquivalence:
         monkeypatch.setattr(metrics, "_hop_distances",
                             lambda stack: batches.append(len(stack)) or kernel(stack))
         g = snap(20, random_graph(20, np.random.default_rng(8), p=0.2))
-        metrics_snapshot(g, make_rng(6, 0), n_ref=20)
-        assert average_shortest_path_length(g) > 0 and components(g)[0] >= 1
+        row = metrics_snapshot(g, make_rng(6, 0), n_ref=20)
+        assert row.aspl > 0 and row.n_components >= 1
         # the snapshot once, then its 20 references in one batch
         assert batches == [1, 20]
 
@@ -234,6 +236,47 @@ class TestOracleEquivalence:
                 assert value is None
             else:
                 assert value == pytest.approx(expected, abs=1e-12)
+
+
+def networkx_graph(nx, g):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(edge_set(g.adj))
+    return graph
+
+
+def networkx_aspl(nx, graph):
+    """Mean hop count over connected pairs, across components; 0 if none."""
+    hops = [d for _, dists in nx.all_pairs_shortest_path_length(graph)
+            for d in dists.values() if d > 0]
+    return sum(hops) / len(hops) if hops else 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), density=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_random_graphs_match_networkx(n, density, seed):
+    nx = pytest.importorskip("networkx")
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
+    g = NetworkSnapshot(upper | upper.T)
+    row = metrics_snapshot(g, make_rng(seed, 0), n_ref=3)
+    graph = networkx_graph(nx, g)
+    c_g, l_g = nx.average_clustering(graph), networkx_aspl(nx, graph)
+    assert row.clustering == pytest.approx(c_g, abs=1e-12)
+    assert row.aspl == l_g  # both are exact integer sums over the same pairs
+    sizes = [len(part) for part in nx.connected_components(graph)]
+    assert (row.n_components, row.largest_component) == (len(sizes), max(sizes))
+    if g.edge_count == 0:
+        assert row.small_world is None
+        return
+    # the index by its direct formula, over the references the row drew
+    refs_rng = make_rng(seed, 0)
+    refs = [networkx_graph(nx, sample_gnm(n, g.edge_count, refs_rng)) for _ in range(3)]
+    c_r = sum(nx.average_clustering(ref) for ref in refs) / 3
+    l_r = sum(networkx_aspl(nx, ref) for ref in refs) / 3
+    if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
+        assert row.small_world is None
+    else:
+        assert row.small_world == pytest.approx((c_g / c_r) / (l_g / l_r), rel=1e-9)
 
 
 class TestInvariants:
