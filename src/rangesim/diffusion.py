@@ -8,8 +8,10 @@ and the diffusion RNG stream, never on agent processing order.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -111,18 +113,15 @@ class PotionConfig:
                 raise ConfigError("recipe scores must strictly increase with tier")
         if sum(rec.tier == max(tiers) for rec in self.recipes) != 1:
             raise ConfigError("exactly one top-tier crossover recipe is required")
-        for item in set().union(*(rec.inputs for rec in self.recipes)):
+        used = set(self.starting_inventory).union(
+            *(rec.inputs | {rec.product} for rec in self.recipes))
+        for item in sorted(used):
             if item not in self.item_scores:
                 raise ConfigError(f"no score known for item {item!r}")
-
-    @property
-    def crossover_item(self) -> str:
-        top_tier = max(rec.tier for rec in self.recipes)
-        return next(rec.product for rec in self.recipes if rec.tier == top_tier)
-
-    @property
-    def recipe_index(self) -> dict[frozenset[str], str]:
-        return {rec.inputs: rec.product for rec in self.recipes}
+        for item, score in self.item_scores.items():
+            if not (math.isfinite(score) and score >= 0):
+                raise ConfigError(f"score of {item!r} must be finite and non-negative, "
+                                  f"got {score}")
 
 
 def default_potion_config(p_diff: float = 0.5) -> PotionConfig:
@@ -147,16 +146,36 @@ def default_potion_config(p_diff: float = 0.5) -> PotionConfig:
                         item_scores=scores, p_diff=p_diff)
 
 
+def _typed(value, kinds, rule: str):
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{rule}, got {value!r}")
+    return value
+
+
+def _inputs(value) -> frozenset[str]:
+    if not (isinstance(value, list) and len(value) == 3):
+        raise TypeError(f"inputs must be a list of 3 item names, got {value!r}")
+    return frozenset(value)
+
+
 def load_potion_config(path: str, p_diff: float = 0.5) -> PotionConfig:
     """Read a recipe table from a JSON file (format documented in README)."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"recipe table {path} is not valid JSON: {exc}") from exc
     try:
-        base = tuple(entry["item"] for entry in data["starting_inventory"])
-        scores = {entry["item"]: float(entry["score"]) for entry in data["starting_inventory"]}
+        base = tuple(_typed(entry["item"], str, "item must be a string")
+                     for entry in data["starting_inventory"])
+        scores = {entry["item"]: float(_typed(entry["score"], (int, float),
+                                              "score must be a number"))
+                  for entry in data["starting_inventory"]}
         recipes = tuple(
-            Recipe(frozenset(entry["inputs"]), entry["product"],
-                   int(entry["tier"]), float(entry["score"]))
+            Recipe(_inputs(entry["inputs"]),
+                   _typed(entry["product"], str, "product must be a string"),
+                   _typed(entry["tier"], int, "tier must be an integer"),
+                   float(_typed(entry["score"], (int, float), "score must be a number")))
             for entry in data["recipes"]
         )
     except (KeyError, TypeError) as exc:
@@ -234,70 +253,96 @@ def cultural_step(snap: NetworkSnapshot, traits: np.ndarray, cfg: CulturalConfig
     sequence without affecting the outcome distribution.
     """
     new = traits.copy()
-    for i in range(snap.n):
-        nbrs = snap.neighbors(i)
-        if nbrs.size == 0:
+    old = traits.tolist()
+    for i, nbrs in enumerate(snap.neighbor_lists):
+        if not nbrs:
             continue
-        j = int(nbrs[rng.integers(nbrs.size)])
-        if traits[j] == traits[i]:
+        j = nbrs[rng.integers(len(nbrs))]
+        if old[j] == old[i]:
             continue
-        p = cfg.p_a if traits[j] == TRAIT_A else cfg.p_b
-        if rng.random() < p:
-            new[i] = traits[j]
+        if rng.random() < (cfg.p_a if old[j] == TRAIT_A else cfg.p_b):
+            new[i] = old[j]
     return new
 
 
-def _weighted_pick(items: Sequence[str], count: int, scores: dict[str, float],
-                   rng: RngStream) -> list[str] | None:
-    """Sample `count` distinct items with probability proportional to score.
+class PotionTable:
+    """A PotionConfig compiled for inventories held as int bitmasks.
 
-    Items are considered in sorted-name order so draws are reproducible.
-    Returns None when fewer than `count` distinct items are available.
-    One uniform draw per picked item.
+    Bit i stands for the i-th item name in sorted order, so ascending
+    bits visit a pool in the sorted-name order that makes weighted picks
+    reproducible. Recipes are keyed by the mask of their three inputs.
+    Each inventory mask's pool is built once, on first use.
     """
-    if len(items) < count:
-        return None
-    pool = sorted(items)
-    weights = [scores[item] for item in pool]
-    total = sum(weights)
-    picked = []
-    for _ in range(count):
-        u = rng.random() * total
-        acc = 0.0
-        idx = len(pool) - 1
-        for pos, wgt in enumerate(weights):
-            acc += wgt
-            if u < acc:
-                idx = pos
-                break
-        picked.append(pool.pop(idx))
-        total -= weights.pop(idx)
-    return picked
+
+    def __init__(self, cfg: PotionConfig):
+        names = sorted(cfg.item_scores)
+        self.bit = {name: 1 << i for i, name in enumerate(names)}
+        self.scores = [cfg.item_scores[name] for name in names]
+        self.recipes = {self.mask(rec.inputs): self.bit[rec.product] for rec in cfg.recipes}
+        top = max(rec.tier for rec in cfg.recipes)
+        self.crossover = next(self.bit[rec.product] for rec in cfg.recipes if rec.tier == top)
+        self.start = self.mask(cfg.starting_inventory)
+        self.p_diff = cfg.p_diff
+        self._pools: dict[int, tuple[list[int], list[float], list[float], float]] = {}
+
+    def mask(self, items) -> int:
+        """The mask of a collection of item names."""
+        return sum(self.bit[item] for item in set(items))
+
+    def _pool(self, mask: int) -> tuple[list[int], list[float], list[float], float]:
+        """A mask's item bits, their scores, the running sums of the scores
+        (added left to right from 0.0, the last one replaced by infinity)
+        and their total (builtin `sum`)."""
+        items = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        weights = [self.scores[i] for i in items]
+        running = [*accumulate(weights[:-1], initial=0.0)][1:] + [math.inf]
+        pool = self._pools[mask] = ([1 << i for i in items], weights, running, sum(weights))
+        return pool
+
+    def pick(self, mask: int, count: int, rng: RngStream) -> int | None:
+        """Mask of `count` (at least 1) distinct items of `mask`, drawn with
+        probability proportional to score; None when `mask` holds fewer.
+
+        One uniform per pick, scaled by the total, selects the first item
+        whose running sum exceeds it, or the last item if none does.
+        After each pick the total drops by the picked score.
+        """
+        pools = self._pools
+        bits, weights, running, total = pools.get(mask) or self._pool(mask)
+        if len(bits) < count:
+            return None
+        idx = bisect_right(running, rng.random() * total)
+        picked = bits[idx]
+        for _ in range(count - 1):
+            total -= weights[idx]
+            rest = mask ^ picked
+            bits, weights, running, _ = pools.get(rest) or self._pool(rest)
+            idx = bisect_right(running, rng.random() * total)
+            picked |= bits[idx]
+        return picked
 
 
-def try_combine(inv_i: set[str], inv_j: set[str], cfg: PotionConfig,
-                rng: RngStream) -> str | None:
-    """Draw a 3-item triple from two inventories and look it up.
+def try_combine(inv_i: int, inv_j: int, table: PotionTable, rng: RngStream) -> int | None:
+    """Draw a 3-item triple from two inventory masks and look it up.
 
     A fair coin decides whether the first agent contributes 1 or 2 items;
     the second contributes the remainder, excluding items already picked
     so the triple is always distinct. Higher-scored items are more likely
-    to be chosen. Returns the recipe product, or None for an invalid
+    to be chosen. Returns the product's bit, or None for an invalid
     triple or when a contributor runs out of distinct items.
     """
     count_i = int(rng.integers(1, 3))
-    picks_i = _weighted_pick(list(inv_i), count_i, cfg.item_scores, rng)
-    if picks_i is None:
+    picked = table.pick(inv_i, count_i, rng)
+    if picked is None:
         return None
-    remaining = [item for item in inv_j if item not in picks_i]
-    picks_j = _weighted_pick(remaining, 3 - count_i, cfg.item_scores, rng)
-    if picks_j is None:
+    rest = table.pick(inv_j & ~picked, 3 - count_i, rng)
+    if rest is None:
         return None
-    return cfg.recipe_index.get(frozenset(picks_i + picks_j))
+    return table.recipes.get(picked | rest)
 
 
-def potion_step(snap: NetworkSnapshot, inventories: list[set[str]],
-                cfg: PotionConfig, rng: RngStream) -> tuple[list[set[str]], list[str]]:
+def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTable,
+                rng: RngStream) -> tuple[list[int], list[int]]:
     """One synchronous potion-task step.
 
     Agents are visited in a fresh random order; each with a neighbor
@@ -305,27 +350,28 @@ def potion_step(snap: NetworkSnapshot, inventories: list[set[str]],
     inventories. Products new to either participant are additionally
     offered to each participant's neighbors with probability p_diff.
     All additions land together at the end of the step. Returns the new
-    inventories and the products created this step, in creation order.
+    inventory masks and the bits of the products created this step, in
+    creation order.
     """
-    additions: list[set[str]] = [set() for _ in range(snap.n)]
-    created: list[str] = []
-    for agent in rng.permutation(snap.n):
-        i = int(agent)
-        nbrs = snap.neighbors(i)
-        if nbrs.size == 0:
+    neighbor_lists = snap.neighbor_lists
+    additions = [0] * snap.n
+    created: list[int] = []
+    for i in rng.permutation(snap.n).tolist():
+        nbrs = neighbor_lists[i]
+        if not nbrs:
             continue
-        j = int(nbrs[rng.integers(nbrs.size)])
-        product = try_combine(inventories[i], inventories[j], cfg, rng)
+        j = nbrs[rng.integers(len(nbrs))]
+        product = try_combine(inventories[i], inventories[j], table, rng)
         if product is None:
             continue
         created.append(product)
-        additions[i].add(product)
-        additions[j].add(product)
-        if product not in inventories[i] or product not in inventories[j]:
+        additions[i] |= product
+        additions[j] |= product
+        if not inventories[i] & inventories[j] & product:
             for participant in (i, j):
-                for k in snap.neighbors(participant):
-                    if rng.random() < cfg.p_diff:
-                        additions[int(k)].add(product)
+                for k in neighbor_lists[participant]:
+                    if rng.random() < table.p_diff:
+                        additions[k] |= product
     return [inv | add for inv, add in zip(inventories, additions)], created
 
 
@@ -391,17 +437,18 @@ class PotionObserver:
     """Tracks the potion task; frequency is the crossover-item holder fraction."""
 
     def __init__(self, cfg: PotionConfig, n: int, rng: RngStream):
-        self.cfg = cfg
+        self.table = PotionTable(cfg)
         self.rng = rng
-        self.inventories = [set(cfg.starting_inventory) for _ in range(n)]
+        self.inventories = [self.table.start] * n
         self.trajectory = DiffusionTrajectory()
         self.done = False
 
     def __call__(self, t: int, snap: NetworkSnapshot) -> None:
-        self.inventories, created = potion_step(snap, self.inventories, self.cfg, self.rng)
-        if self.cfg.crossover_item in created and self.trajectory.crossover_time is None:
+        self.inventories, created = potion_step(snap, self.inventories, self.table, self.rng)
+        crossover = self.table.crossover
+        if crossover in created and self.trajectory.crossover_time is None:
             self.trajectory.crossover_time = t
-        holders = sum(self.cfg.crossover_item in inv for inv in self.inventories)
+        holders = sum(1 for inv in self.inventories if inv & crossover)
         self.trajectory.frequencies.append(holders / len(self.inventories))
 
 

@@ -24,8 +24,8 @@ class NetworkSnapshot:
     """Simple undirected graph for one timestep.
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only and cache their degrees; the other measures
-    come from `metrics_rows`.
+    Instances are read-only and cache their degrees and neighbor lists;
+    the measures come from `metrics_rows`.
     """
 
     adj: np.ndarray
@@ -48,8 +48,12 @@ class NetworkSnapshot:
     def edge_count(self) -> int:
         return int(self.degrees.sum()) // 2
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[node])
+    @cached_property
+    def neighbor_lists(self) -> list[list[int]]:
+        """Each node's neighbors in ascending order, as Python ints."""
+        cols = np.nonzero(self.adj)[1].tolist()
+        ends = np.cumsum(self.degrees).tolist()
+        return [cols[start:end] for start, end in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)

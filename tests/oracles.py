@@ -5,7 +5,10 @@ Floyd-Warshall over dicts, exhaustive labelling) and shares no code with
 the package's metric implementations. `edge_set` and `snapshot_from_edges`
 convert between the oracles' edge sets and the package's adjacency
 matrices. `RangeOracle` is the range model on (x, y) tuples and a dict of
-occupied tiles, the reference for the package's padded int grid.
+occupied tiles, the reference for the package's padded int grid. The
+`*_oracle` diffusion steps hold potion inventories as sets of item names
+and find neighbors with one `flatnonzero` per agent, the reference for
+the package's int-bitmask inventories and per-snapshot neighbor lists.
 """
 
 from __future__ import annotations
@@ -198,3 +201,81 @@ def random_graph(n, rng, p=None):
             if rng.random() < p:
                 edges.add((i, j))
     return edges
+
+
+def cultural_step_oracle(snap, traits, cfg, rng):
+    """Cultural transmission, drawing as the package does: per agent with a
+    neighbor, one bounded integer, then one uniform if the traits differ."""
+    new = traits.copy()
+    for i in range(snap.n):
+        nbrs = np.flatnonzero(snap.adj[i])
+        if nbrs.size == 0:
+            continue
+        j = int(nbrs[rng.integers(nbrs.size)])
+        if traits[j] == traits[i]:
+            continue
+        p = cfg.p_a if traits[j] == 0 else cfg.p_b
+        if rng.random() < p:
+            new[i] = traits[j]
+    return new
+
+
+def weighted_pick_oracle(items, count, scores, rng):
+    """`count` distinct items by score-weighted draws over the sorted names,
+    in pick order; None when fewer than `count` items are given."""
+    if len(items) < count:
+        return None
+    pool = sorted(items)
+    weights = [scores[item] for item in pool]
+    total = sum(weights)
+    picked = []
+    for _ in range(count):
+        u = rng.random() * total
+        acc = 0.0
+        idx = len(pool) - 1
+        for pos, wgt in enumerate(weights):
+            acc += wgt
+            if u < acc:
+                idx = pos
+                break
+        picked.append(pool.pop(idx))
+        total -= weights.pop(idx)
+    return picked
+
+
+def try_combine_oracle(inv_i, inv_j, cfg, rng):
+    """One combination attempt on sets of names; the product name or None."""
+    count_i = int(rng.integers(1, 3))
+    picks_i = weighted_pick_oracle(list(inv_i), count_i, cfg.item_scores, rng)
+    if picks_i is None:
+        return None
+    remaining = [item for item in inv_j if item not in picks_i]
+    picks_j = weighted_pick_oracle(remaining, 3 - count_i, cfg.item_scores, rng)
+    if picks_j is None:
+        return None
+    recipes = {rec.inputs: rec.product for rec in cfg.recipes}
+    return recipes.get(frozenset(picks_i + picks_j))
+
+
+def potion_step_oracle(snap, inventories, cfg, rng):
+    """One potion step on sets of names; (new inventories, created names)."""
+    additions = [set() for _ in range(snap.n)]
+    created = []
+    for agent in rng.permutation(snap.n):
+        i = int(agent)
+        nbrs = np.flatnonzero(snap.adj[i])
+        if nbrs.size == 0:
+            continue
+        j = int(nbrs[rng.integers(nbrs.size)])
+        product = try_combine_oracle(inventories[i], inventories[j], cfg, rng)
+        if product is None:
+            continue
+        created.append(product)
+        additions[i].add(product)
+        additions[j].add(product)
+        if product not in inventories[i] or product not in inventories[j]:
+            for participant in (i, j):
+                for k in np.flatnonzero(snap.adj[participant]):
+                    if rng.random() < cfg.p_diff:
+                        additions[int(k)].add(product)
+    return [inv | add for inv, add in zip(inventories, additions)], created

@@ -1,8 +1,15 @@
 import dataclasses
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rangesim import diffusion
+from rangesim.cli import main
 from rangesim.core import ConfigError, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import (
     TRAIT_A,
@@ -10,20 +17,29 @@ from rangesim.diffusion import (
     ComplexContagionConfig,
     CulturalConfig,
     CulturalObserver,
+    PotionConfig,
     PotionObserver,
+    PotionTable,
+    Recipe,
     SIConfig,
     SIObserver,
     complex_contagion_step,
     cultural_step,
     default_potion_config,
     load_potion_config,
-    potion_step,
     si_step,
-    try_combine,
 )
 from rangesim.harness import run_model
 
-from oracles import snapshot_from_edges
+from oracles import (
+    cultural_step_oracle,
+    potion_step_oracle,
+    random_graph,
+    snapshot_from_edges,
+    try_combine_oracle,
+    weighted_pick_oracle,
+)
+from potion_names import names, potion_step, try_combine, weighted_pick
 
 
 def snap(n, edges):
@@ -241,13 +257,11 @@ class TestTryCombine:
             assert try_combine({"a1"}, {"a1"}, cfg, make_rng(seed, 0)) is None
 
     def test_higher_scores_picked_more_often(self):
-        from rangesim.diffusion import _weighted_pick
-
         cfg = default_potion_config()
         inv = ["A3", "a1"]  # scores 64 and 1
         rng = make_rng(7, 0)
         trials = 2000
-        a3_picked = sum(_weighted_pick(inv, 1, cfg.item_scores, rng) == ["A3"]
+        a3_picked = sum(weighted_pick(inv, 1, cfg, rng) == ["A3"]
                         for _ in range(trials))
         share = a3_picked / trials  # expected 64/65
         assert abs(share - 64 / 65) < 3 * np.sqrt((64 / 65) * (1 / 65) / trials)
@@ -301,7 +315,7 @@ class TestPotionStep:
         obs(1, g)
         assert obs.trajectory.crossover_time == 1
         assert obs.trajectory.frequencies[0] == 1.0
-        assert all("X" in inv for inv in obs.inventories)
+        assert all("X" in names(obs.table, inv) for inv in obs.inventories)
 
 
 class TestObservers:
@@ -366,8 +380,6 @@ class TestRecipeIO:
             load_potion_config(str(path))
 
     def test_scores_must_increase_with_tier(self):
-        from rangesim.diffusion import PotionConfig, Recipe
-
         with pytest.raises(ConfigError):
             PotionConfig(
                 recipes=(
@@ -377,3 +389,166 @@ class TestRecipeIO:
                 starting_inventory=("a", "b", "c"),
                 item_scores={"a": 1, "b": 1, "c": 1, "P1": 10.0, "P2": 5.0},
             )
+
+
+# Scores that are not integers, so a running total that drops by each
+# picked score drifts from the sum of what is left.
+FRACTIONS = (0.1, 0.7, 3.3, 0.3, 0.2, 1.3, 0.9)
+ITEM_NAMES = ("a1", "a2", "b1", "b2", "c", "A1", "B1", "X", "p", "Q", "z3", "m")
+
+
+@st.composite
+def recipe_tables(draw):
+    """A `load_potion_config` payload: 3-6 base items and 1-3 tiers of
+    recipes over items known so far, scored inside separate bands."""
+    pool = list(draw(st.permutations(ITEM_NAMES)))
+    base = [pool.pop() for _ in range(draw(st.integers(3, 6)))]
+    inventory = [{"item": item, "score": draw(st.sampled_from(FRACTIONS))} for item in base]
+    known, recipes = list(base), []
+    top = draw(st.integers(1, 3))
+    for tier in range(1, top + 1):
+        products = [pool.pop() for _ in range(1 if tier == top else draw(st.integers(1, 2)))]
+        for product in products:
+            inputs = draw(st.lists(st.sampled_from(known), min_size=3, max_size=3, unique=True))
+            recipes.append({"inputs": inputs, "product": product, "tier": tier,
+                            "score": 4.0 ** tier + draw(st.sampled_from(FRACTIONS))})
+        known += products
+    return {"starting_inventory": inventory, "recipes": recipes}
+
+
+def load_payload(payload, p_diff=0.5):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "recipes.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return load_potion_config(path, p_diff=p_diff)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(payload=recipe_tables(), n=st.integers(1, 30), density=st.floats(0, 1),
+       p_diff=st.floats(0, 1), seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 3),
+       data=st.data())
+def test_potion_step_matches_name_set_oracle(payload, n, density, p_diff, seed, steps, data):
+    cfg = load_payload(payload, p_diff)
+    table = PotionTable(cfg)
+    items = sorted(cfg.item_scores)
+    g = snapshot_from_edges(n, random_graph(n, np.random.default_rng(seed), density))
+    # most inventories hold some recipe's inputs, so combinations succeed
+    triples = [frozenset(), *(rec.inputs for rec in cfg.recipes)]
+    inventory = st.builds(frozenset.union, st.sampled_from(triples),
+                          st.frozensets(st.sampled_from(items), max_size=3))
+    start = data.draw(st.lists(inventory, min_size=n, max_size=n), label="inventories")
+    ours, theirs = [table.mask(inv) for inv in start], [set(inv) for inv in start]
+    rng_ours, rng_theirs = make_rng(seed, 1), make_rng(seed, 1)
+    for _ in range(steps):
+        ours, created = diffusion.potion_step(g, ours, table, rng_ours)
+        theirs, created_oracle = potion_step_oracle(g, theirs, cfg, rng_theirs)
+        assert [names(table, mask) for mask in ours] == theirs
+        assert [name for bit in created for name in names(table, bit)] == created_oracle
+    assert rng_ours.random() == rng_theirs.random()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30), density=st.floats(0, 1), p_a=st.floats(0, 1),
+       p_b=st.floats(0, 1), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cultural_step_matches_oracle(n, density, p_a, p_b, seed, data):
+    cfg = CulturalConfig(p_a=p_a, p_b=p_b)
+    g = snapshot_from_edges(n, random_graph(n, np.random.default_rng(seed), density))
+    traits = np.array(data.draw(st.lists(st.sampled_from((TRAIT_A, TRAIT_B)),
+                                         min_size=n, max_size=n), label="traits"),
+                      dtype=np.int8)
+    rng_ours, rng_theirs = make_rng(seed, 1), make_rng(seed, 1)
+    ours = cultural_step(g, traits, cfg, rng_ours)
+    theirs = cultural_step_oracle(g, traits, cfg, rng_theirs)
+    assert ours.dtype == theirs.dtype
+    assert (ours == theirs).all()
+    assert rng_ours.random() == rng_theirs.random()
+
+
+ALMOST_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+
+
+class ScriptedRng:
+    """Returns the given uniforms, then ALMOST_ONE; integers are the
+    largest legal value."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0) if self.uniforms else ALMOST_ONE
+
+    def integers(self, low, high=None):
+        return (low if high is None else high) - 1
+
+
+SCORES = {"a": 0.1, "b": 0.7, "c": 0.2}
+ABC = PotionConfig(recipes=(Recipe(frozenset("abc"), "P", 1, 5.5),),
+                   starting_inventory=("a", "b", "c"), item_scores={**SCORES, "P": 5.5})
+
+
+def test_pick_past_the_running_sums_takes_the_last_item():
+    # the first pick takes c; the second draw, scaled by the total less
+    # 0.2, lies at or past 0.1 + 0.7, so no running sum exceeds it and
+    # both implementations fall back to the last item left, b
+    assert (0.1 + 0.7 + 0.2 - 0.2) * ALMOST_ONE >= 0.1 + 0.7
+    assert weighted_pick_oracle(["a", "b", "c"], 2, SCORES, ScriptedRng()) == ["c", "b"]
+    assert weighted_pick(["a", "b", "c"], 2, ABC, ScriptedRng()) == ["b", "c"]
+    # the first agent gives two items (c, then b), the second gives a
+    assert try_combine_oracle({"a", "b", "c"}, {"a", "b", "c"}, ABC, ScriptedRng()) == "P"
+    assert try_combine({"a", "b", "c"}, {"a", "b", "c"}, ABC, ScriptedRng()) == "P"
+
+
+def test_second_pick_scales_by_total_less_first_score():
+    # after c is picked, 0.125 times (total - 0.2) reaches a's running sum
+    # 0.1 and selects b; 0.125 times the sum of what is left, a and b,
+    # would fall short of it and select a
+    total = 0.1 + 0.7 + 0.2
+    assert 0.125 * (total - 0.2) >= 0.1 > 0.125 * (0.1 + 0.7)
+    assert weighted_pick_oracle(["a", "b", "c"], 2, SCORES,
+                                ScriptedRng(ALMOST_ONE, 0.125)) == ["c", "b"]
+    assert weighted_pick(["a", "b", "c"], 2, ABC, ScriptedRng(ALMOST_ONE, 0.125)) == ["b", "c"]
+
+
+BASE_TABLE = {
+    "starting_inventory": [{"item": "a", "score": 0.1}, {"item": "b", "score": 0.7},
+                           {"item": "c", "score": 3.3}],
+    "recipes": [{"inputs": ["a", "b", "c"], "product": "P", "tier": 1, "score": 4.5}],
+}
+
+
+def _with_recipe(**changes):
+    return {**BASE_TABLE, "recipes": [{**BASE_TABLE["recipes"][0], **changes}]}
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{not json", id="not-json"),
+    pytest.param(json.dumps({**BASE_TABLE, "starting_inventory": [
+        {"item": "a", "score": "high"}, {"item": "b", "score": 0.7},
+        {"item": "c", "score": 3.3}]}), id="score-not-numeric"),
+    pytest.param(json.dumps(_with_recipe(score="4.5")), id="recipe-score-string"),
+    pytest.param(json.dumps(_with_recipe(tier="one")), id="tier-not-numeric"),
+    pytest.param(json.dumps(_with_recipe(inputs="abc")), id="inputs-string"),
+    pytest.param(json.dumps(_with_recipe(inputs=["a", "a", "b"])), id="inputs-repeated"),
+    pytest.param(json.dumps(_with_recipe(product=7)), id="product-not-string"),
+    pytest.param(json.dumps({**BASE_TABLE, "starting_inventory": [
+        {"item": 1, "score": 0.1}, {"item": "b", "score": 0.7},
+        {"item": "c", "score": 3.3}]}), id="item-not-string"),
+])
+def test_bad_recipe_table_is_config_error(text, tmp_path, capsys):
+    path = tmp_path / "recipes.json"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    code = main(["diffusion", "--process", "potion", "--r", "2", "--n", "5", "--g", "4",
+                 "--steps", "3", "--recipes", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("rangesim: config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("score", [-0.1, float("nan"), float("inf")])
+def test_recipe_scores_must_be_finite_and_non_negative(score):
+    table = {**BASE_TABLE, "starting_inventory": [
+        {"item": "a", "score": score}, {"item": "b", "score": 0.7}, {"item": "c", "score": 3.3}]}
+    with pytest.raises(ConfigError, match="non-negative"):
+        load_payload(table)

@@ -13,15 +13,24 @@ sparse one, whose breadth-first searches run many levels, and a dense
 one with small-world references) and two 45-step N = 20 runs, whose
 snapshots span more than one metric chunk. The 45-step hashes were
 recorded from the code that measured each snapshot on its own.
+
+The N = 20 potion case never creates the crossover item, so its rows are
+all zeros. The three N = 40 diffusion cases (potion and cultural on the
+null model, potion on `recipes_fractional.json`, whose scores are not
+integers) reach crossover or fixation; they were recorded from the code
+that held inventories as sets of item names.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from rangesim.cli import main
 
 SMALL = ["--n", "20", "--g", "10", "--seed", "3"]
+MID = ["--n", "40", "--g", "8", "--steps", "60", "--rounds", "3", "--seed", "3"]
+FRACTIONAL_RECIPES = str(Path(__file__).with_name("recipes_fractional.json"))
 
 CASES = {
     "run-range": (
@@ -68,6 +77,16 @@ CASES = {
     "run-null-45": (
         ["run", "--model", "null", "--p-connect", "0.3", "--steps", "45", *SMALL],
         "ea0b50eae818686f15e91f3a4fee186c6f5d9fd5e3835702180b67b3301a74f4"),
+    "diffusion-potion-null": (
+        ["diffusion", "--process", "potion", "--model", "null", "--p-connect", "0.15", *MID],
+        "dd5bd43e12425996839113ce4460146085fd282f219a2a7bbf7c365b48bcc094"),
+    "diffusion-cultural-null": (
+        ["diffusion", "--process", "cultural", "--model", "null", "--p-connect", "0.1", *MID],
+        "69ba8f9dddd21c84d705efaeed908d523869777ffa971554c4c3a752f412f918"),
+    "diffusion-potion-recipes": (
+        ["diffusion", "--process", "potion", "--model", "range", "--r", "2",
+         "--recipes", FRACTIONAL_RECIPES, *MID],
+        "ead706fd2ee0dea824c86bd9fd4f9616b110df0a1389ac28272a0b58a35fd3af"),
 }
 # a worker pool must reproduce the serial bytes
 for _name in ("run-range", "diffusion-si"):
