@@ -104,9 +104,14 @@ class PotionConfig:
         if not self.starting_inventory or not self.recipes:
             raise ConfigError("starting inventory and recipe table must not be empty")
         tiers: dict[int, list[float]] = {}
+        products: dict[frozenset[str], str] = {}
         for rec in self.recipes:
             if len(rec.inputs) != 3:
                 raise ConfigError(f"recipe for {rec.product} must take 3 distinct items")
+            if rec.inputs in products:  # the recipe lookup could reach only one of them
+                raise ConfigError(f"recipes for {products[rec.inputs]} and {rec.product} "
+                                  f"take the same inputs {sorted(rec.inputs)}")
+            products[rec.inputs] = rec.product
             tiers.setdefault(rec.tier, []).append(rec.score)
         for low, high in zip(sorted(tiers), sorted(tiers)[1:]):
             if max(tiers[low]) >= min(tiers[high]):

@@ -11,7 +11,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import islice, repeat, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -254,14 +254,18 @@ class SweepConfig:
 def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
     """`map(fn, *iterables)`, on a pool of `workers` processes when above 1.
 
-    Results come lazily and in input order, so a caller can reduce or
-    write each one as soon as it and every earlier one have finished.
+    The pool starts no more processes than there are tasks, and none for
+    a single task. Results come lazily and in input order, so a caller
+    can reduce or write each one as soon as it and every earlier one
+    have finished.
     """
+    tasks = list(zip(*iterables))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, *iterables)
+            yield from pool.map(fn, *zip(*tasks))
     else:
-        yield from map(fn, *iterables)
+        yield from starmap(fn, tasks)
 
 
 def _round_averages(config: SimConfig, round_idx: int, metrics: MetricsOptions,

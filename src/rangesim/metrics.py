@@ -83,70 +83,70 @@ def chunk_size(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // (n * n))
 
 
-def _local_clustering(stack: np.ndarray) -> np.ndarray:
-    """Local clustering coefficient of every node of a (b, n, n) stack."""
-    a = stack.astype(np.float64)
-    k = a.sum(axis=2)
-    # ((A@A) * A) row-sums count each edge among a node's neighbors twice
-    closed = (np.matmul(a, a) * a).sum(axis=2)
-    possible = k * (k - 1.0)
-    return np.divide(closed, possible, out=np.zeros_like(closed),
-                     where=possible > 0)
+def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clustering and hop counts of a (b, n, n) stack of graphs, in one pass.
 
-
-def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest-path hop counts of a (b, n, n) stack of graphs.
-
-    Returns (hops, pairs, reps): per graph, the sum of hop counts over
-    ordered connected pairs and the number of those pairs; per node, the
-    lowest-indexed node it reaches, which labels its component.
-
-    Level-synchronous BFS from every source of every graph at once: one
-    float32 `frontier @ A` product per level.
+    Returns (clustering, hops, pairs, reps): per graph, the mean local
+    clustering, the hop sum over ordered connected pairs and their
+    count; per node, the lowest-indexed node it reaches (its component
+    label). Level-synchronous BFS from every source of every graph at
+    once, one float32 `frontier @ A` product per level into reused
+    buffers; the first, A @ A, also counts closed triangles, and the
+    loop stops once no graph can reach another pair. Every count is an
+    integer below 2^24, so float32 holds it exactly.
     """
     n = stack.shape[1]
-    frontier = stack.astype(np.float32)
-    a = frontier.copy()
+    a = stack.astype(np.float32)
+    product = np.matmul(a, a)
+    # (A² ∘ A) row sums count each edge among a node's neighbors twice;
+    # their buffer holds the frontier from level 2 on
+    frontier = np.multiply(product, a)
+    closed = frontier.sum(axis=2, dtype=np.float64)
+    k = stack.sum(axis=2, dtype=np.float64)
+    possible = k * (k - 1.0)
+    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
     unreached = ~stack
     unreached[:, np.arange(n), np.arange(n)] = False
     found = np.count_nonzero(stack, axis=(1, 2))
-    hops = found.copy()
-    pairs = found.copy()
+    hops, pairs = found.copy(), found.copy()
     nxt = np.empty_like(stack)
     level = 1
-    while found.any():
+    # a graph is done once a level finds nothing or no pair is left unreached
+    while np.any((found > 0) & (pairs < n * (n - 1))):
+        if level > 1:
+            np.matmul(frontier, a, out=product)
         level += 1
-        np.greater(np.matmul(frontier, a), 0, out=nxt)
+        np.greater(product, 0, out=nxt)
         nxt &= unreached
         found = np.count_nonzero(nxt, axis=(1, 2))
         unreached ^= nxt
         hops += level * found
         pairs += found
         frontier[...] = nxt
-    return hops, pairs, np.argmin(unreached, axis=2)
+    return local.mean(axis=1), hops, pairs, np.argmin(unreached, axis=2)
 
 
 def _clustering_and_paths(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean clustering, ASPL and component labels of each graph of a stack.
 
-    Each graph's mean is taken over its own row, and its ASPL is 0 when
-    no pair is connected. Both hop counts are exact integers in float64
-    and twice the unordered ones, so the rounded quotient is
-    bit-identical to the mean over unordered pairs.
+    Each graph's ASPL is 0 when no pair is connected. Both hop counts
+    are exact integers in float64 and twice the unordered ones, so the
+    rounded quotient is bit-identical to the mean over unordered pairs.
     """
-    hops, pairs, reps = _hop_distances(stack)
+    clustering, hops, pairs, reps = _hop_distances(stack)
     aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
-    return _local_clustering(stack).mean(axis=1), aspl, reps
+    return clustering, aspl, reps
 
 
 def _snapshot_stats(stack: np.ndarray) -> list[tuple[float, float, int, int]]:
     """(clustering, ASPL, component count, largest component) per graph."""
     clustering, aspl, reps = _clustering_and_paths(stack)
-    stats = []
-    for c, l, labels in zip(clustering.tolist(), aspl.tolist(), reps):
-        _, sizes = np.unique(labels, return_counts=True)
-        stats.append((c, l, int(sizes.size), int(sizes.max())))
-    return stats
+    b, n = reps.shape
+    # component sizes of every graph from one count over offset labels
+    sizes = np.bincount((reps + n * np.arange(b)[:, None]).ravel(),
+                        minlength=b * n).reshape(b, n)
+    return list(zip(clustering.tolist(), aspl.tolist(),
+                    np.count_nonzero(sizes, axis=1).tolist(), sizes.max(axis=1).tolist()))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,10 @@ occupied tiles, the reference for the package's padded int grid. The
 `*_oracle` diffusion steps hold potion inventories as sets of item names
 and find neighbors with one `flatnonzero` per agent, the reference for
 the package's int-bitmask inventories and per-snapshot neighbor lists.
+`two_pass_kernel_oracle` is the batched metrics kernel as two separate
+passes, float64 clustering and a BFS that runs every level, the
+reference for the package's single pass with its shared first product
+and early stop.
 """
 
 from __future__ import annotations
@@ -123,6 +127,39 @@ def small_world_oracle(n, edges, reference_graphs):
     if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
         return None
     return (c_g / c_r) / (l_g / l_r)
+
+
+def two_pass_kernel_oracle(stack):
+    """(mean clustering, hop sums, pair counts, component labels) of a
+    (b, n, n) boolean stack, as `metrics._hop_distances` returns them.
+
+    Clustering takes its own float64 A @ A; the float32 BFS then runs
+    until a level finds no new pair in any graph, so a connected graph
+    pays for one empty level.
+    """
+    a = stack.astype(np.float64)
+    k = a.sum(axis=2)
+    closed = (np.matmul(a, a) * a).sum(axis=2)
+    possible = k * (k - 1.0)
+    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
+    n = stack.shape[1]
+    adj = stack.astype(np.float32)
+    frontier = adj.copy()
+    unreached = ~stack
+    unreached[:, np.arange(n), np.arange(n)] = False
+    found = np.count_nonzero(stack, axis=(1, 2))
+    hops = found.copy()
+    pairs = found.copy()
+    level = 1
+    while found.any():
+        level += 1
+        nxt = (np.matmul(frontier, adj) > 0) & unreached
+        found = np.count_nonzero(nxt, axis=(1, 2))
+        unreached ^= nxt
+        hops += level * found
+        pairs += found
+        frontier = nxt.astype(np.float32)
+    return local.mean(axis=1), hops, pairs, np.argmin(unreached, axis=2)
 
 
 def in_range_links_oracle(positions, r):

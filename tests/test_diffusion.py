@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -407,9 +408,14 @@ def recipe_tables(draw):
     known, recipes = list(base), []
     top = draw(st.integers(1, 3))
     for tier in range(1, top + 1):
-        products = [pool.pop() for _ in range(1 if tier == top else draw(st.integers(1, 2)))]
+        # each recipe takes a triple no earlier one takes; three items have one
+        free = [list(ins) for ins in combinations(known, 3)
+                if all(set(ins) != set(rec["inputs"]) for rec in recipes)]
+        count = 1 if tier == top else draw(st.integers(1, min(2, len(free))))
+        products = [pool.pop() for _ in range(count)]
         for product in products:
-            inputs = draw(st.lists(st.sampled_from(known), min_size=3, max_size=3, unique=True))
+            inputs = draw(st.sampled_from(free))
+            free.remove(inputs)
             recipes.append({"inputs": inputs, "product": product, "tier": tier,
                             "score": 4.0 ** tier + draw(st.sampled_from(FRACTIONS))})
         known += products
@@ -517,6 +523,13 @@ BASE_TABLE = {
 }
 
 
+# abc makes both P and Q, so a lookup by inputs could reach only one of them
+DUPLICATE_INPUTS_TABLE = {**BASE_TABLE, "recipes": [
+    {"inputs": ["a", "b", "c"], "product": "P", "tier": 1, "score": 4.0},
+    {"inputs": ["a", "b", "c"], "product": "Q", "tier": 1, "score": 4.5},
+    {"inputs": ["a", "b", "P"], "product": "X", "tier": 2, "score": 16.0}]}
+
+
 def _with_recipe(**changes):
     return {**BASE_TABLE, "recipes": [{**BASE_TABLE["recipes"][0], **changes}]}
 
@@ -531,6 +544,7 @@ def _with_recipe(**changes):
     pytest.param(json.dumps(_with_recipe(inputs="abc")), id="inputs-string"),
     pytest.param(json.dumps(_with_recipe(inputs=["a", "a", "b"])), id="inputs-repeated"),
     pytest.param(json.dumps(_with_recipe(product=7)), id="product-not-string"),
+    pytest.param(json.dumps(DUPLICATE_INPUTS_TABLE), id="inputs-duplicated"),
     pytest.param(json.dumps({**BASE_TABLE, "starting_inventory": [
         {"item": 1, "score": 0.1}, {"item": "b", "score": 0.7},
         {"item": "c", "score": 3.3}]}), id="item-not-string"),
@@ -552,3 +566,8 @@ def test_recipe_scores_must_be_finite_and_non_negative(score):
         {"item": "a", "score": score}, {"item": "b", "score": 0.7}, {"item": "c", "score": 3.3}]}
     with pytest.raises(ConfigError, match="non-negative"):
         load_payload(table)
+
+
+def test_recipes_with_the_same_inputs_are_rejected():
+    with pytest.raises(ConfigError, match=r"recipes for P and Q take the same inputs"):
+        load_payload(DUPLICATE_INPUTS_TABLE)

@@ -261,6 +261,62 @@ class TestSweep:
         assert abs(row_few.mean - row_many.mean) < 4 * se + 1e-9
 
 
+def in_process_pool(monkeypatch):
+    """Replace the harness's process pool with an in-process stand-in;
+    returns the list of `max_workers` each pool was opened with."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class TestWorkerPool:
+    RUN = ["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1.5",
+           "--steps", "4", "--n-ref", "2"]
+
+    @pytest.mark.parametrize("rounds,workers,pools", [
+        (1, 64, []), (3, 64, [3]), (3, 2, [2])])
+    def test_run_opens_no_more_processes_than_rounds(self, rounds, workers, pools,
+                                                     tmp_path, monkeypatch):
+        argv = [*self.RUN, "--rounds", str(rounds)]
+        serial = tmp_path / "serial.csv"
+        assert main([*argv, "--out", str(serial)]) == 0
+        sizes = in_process_pool(monkeypatch)
+        pooled = tmp_path / "pooled.csv"
+        assert main([*argv, "--workers", str(workers), "--out", str(pooled)]) == 0
+        assert sizes == pools
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_sweep_pool_capped_by_its_rounds_over_all_cells(self, monkeypatch):
+        sweep = SweepConfig(base=range_config(steps=3, rounds=2), vary="r",
+                            values=(1.0, 2.0), paired=True, metrics=FAST)
+        serial = run_sweep(sweep)
+        sizes = in_process_pool(monkeypatch)
+        assert run_sweep(sweep, workers=64) == serial
+        assert sizes == [8]  # 2 values x 2 models x 2 rounds
+
+    def test_diffusion_pool_capped_by_its_rounds(self, monkeypatch):
+        cfg = range_config(steps=5, rounds=2)
+        process = SIConfig(p_infect=0.5)
+        serial = list(run_diffusion_rounds(cfg, process))
+        sizes = in_process_pool(monkeypatch)
+        assert list(run_diffusion_rounds(cfg, process, workers=64)) == serial
+        assert sizes == [2]
+
+
 class TestCsvOutput:
     def test_header_plus_data_lines(self, tmp_path):
         sweep = SweepConfig(base=range_config(steps=4, rounds=2), vary="r",

@@ -28,6 +28,7 @@ from oracles import (
     random_graph,
     small_world_oracle,
     snapshot_from_edges,
+    two_pass_kernel_oracle,
 )
 
 
@@ -236,6 +237,77 @@ class TestOracleEquivalence:
                 assert value is None
             else:
                 assert value == pytest.approx(expected, abs=1e-12)
+
+
+GRAPH_KINDS = ("connected", "disconnected", "edgeless", "complete", "path", "random")
+
+
+def kernel_graph(kind, n, rng):
+    """A boolean adjacency matrix of one kind, on shuffled node labels.
+
+    "connected" is a random tree plus random chords; "disconnected" is
+    two of those on a random split of the nodes.
+    """
+    adj = np.zeros((n, n), dtype=bool)
+    order = rng.permutation(n)
+    if kind == "complete":
+        adj[:] = True
+    elif kind == "path":
+        adj[order[:-1], order[1:]] = True
+    elif kind == "random":
+        adj = rng.random((n, n)) < rng.random() ** 2
+    elif kind != "edgeless":
+        cut = int(rng.integers(1, n)) if kind == "disconnected" else n
+        for part in (order[:cut], order[cut:]):
+            for t in range(1, len(part)):
+                adj[part[t], part[rng.integers(t)]] = True
+            chords = rng.random((len(part), len(part))) < rng.random() * 3 / n
+            adj[np.ix_(part, part)] |= chords
+    adj = np.triu(adj | adj.T, k=1)
+    return adj | adj.T
+
+
+class TestFusedKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([5, 20, 127, 128, 200]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_two_pass_kernel(self, n, seed, data):
+        # up to 40 graphs per stack, as in a chunk at n = 20; from n = 127
+        # up a few, which keeps a 200-node path's 199 levels cheap
+        kinds = data.draw(st.lists(st.sampled_from(GRAPH_KINDS), min_size=1,
+                                   max_size=40 if n <= 20 else 3), label="kinds")
+        rng = np.random.default_rng(seed)
+        stack = np.stack([kernel_graph(kind, n, rng) for kind in kinds])
+        clustering, hops, pairs, reps = metrics._hop_distances(stack)
+        expected = two_pass_kernel_oracle(stack)
+        assert clustering.tolist() == expected[0].tolist()
+        assert hops.tolist() == expected[1].tolist()
+        assert pairs.tolist() == expected[2].tolist()
+        assert reps.tolist() == expected[3].tolist()
+        sizes = [np.unique(labels, return_counts=True)[1] for labels in expected[3]]
+        assert [stats[2:] for stats in metrics._snapshot_stats(stack)] == [
+            (int(s.size), int(s.max())) for s in sizes]
+
+    @staticmethod
+    def products(monkeypatch, g):
+        """np.matmul calls made to measure one snapshot without the index."""
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs:
+                            calls.append(None) or matmul(*args, **kwargs))
+        metrics.metrics_rows([g], [1], make_rng(0, 0), small_world=False)
+        monkeypatch.undo()
+        return len(calls)
+
+    @pytest.mark.parametrize("n", [2, 3, 20, 128])
+    def test_complete_graph_takes_the_shared_square_only(self, n, monkeypatch):
+        assert self.products(monkeypatch, complete(n)) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 20, 60])
+    def test_path_takes_one_product_per_level_past_the_first(self, n, monkeypatch):
+        # levels 2 to n - 1, the first of them the square clustering reuses;
+        # a separate clustering product and an empty level n would make n
+        assert self.products(monkeypatch, path(n)) == n - 2
 
 
 def networkx_graph(nx, g):
