@@ -49,8 +49,8 @@ def parse_values(text) -> tuple[float, ...]:
         return tuple(float(v) for v in text)
     try:
         if ":" in text:
-            lo, hi, step = (float(part) for part in text.split(":"))
-            if step <= 0 or hi < lo:
+            lo, hi, step = bounds = [float(part) for part in text.split(":")]
+            if not all(map(math.isfinite, bounds)) or step <= 0 or hi < lo:
                 raise ConfigError(f"bad value range {text!r}")
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return tuple(round(lo + k * step, 12) for k in range(count))

@@ -6,6 +6,7 @@ g-by-g grid: both components live in [0, g-1], giving exactly g*g tiles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,6 +40,88 @@ def make_rng(seed: int, round_idx: int = 0, stream: int = STREAM_MODEL) -> RngSt
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(round_idx, stream))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+class ExactDraws:
+    """Scalar draws of a PCG64 Generator, served from bulk words.
+
+    `integers(k)`, `random()` and `permutation(n)` return what the
+    wrapped Generator's calls of the same names would, and leave its
+    stream where they would, at a fraction of a scalar call's cost. The
+    wrapper owns the Generator: nothing else may draw from it.
+
+    Words come from `random_raw` in blocks. `random()` takes a word's top
+    53 bits. `integers(k)` is numpy's bounded draw, Lemire's
+    multiply-and-reject method on 32-bit outputs, which take a word's low
+    half and then its high half, like PCG64's own 32-bit buffer; that
+    buffer survives the `random()` calls in between. `permutation` puts
+    the Generator back at the exact position, lets numpy shuffle, and
+    refills.
+    """
+
+    def __init__(self, rng: RngStream, block: int = 64):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(f"ExactDraws needs a PCG64 stream, got "
+                            f"{type(rng.bit_generator).__name__}")
+        self._rng = rng
+        self._block = block
+        self._restart()
+
+    def _restart(self) -> None:
+        """Take over the stream where the Generator stands, half word included."""
+        self._fill()
+        self._half = self._state["uinteger"] if self._state["has_uint32"] else None
+
+    def _fill(self) -> None:
+        bits = self._rng.bit_generator
+        self._state = bits.state  # where the block starts, for `permutation`
+        self._words = iter(bits.random_raw(self._block).tolist())
+        self._next = self._words.__next__
+
+    def _word(self) -> int:
+        self._fill()
+        return self._next()
+
+    def integers(self, k: int) -> int:
+        """Uniform int in [0, k), for 1 <= k < 2**32; k = 1 draws nothing."""
+        if not 1 <= k < 0x100000000:
+            raise ValueError(f"ExactDraws.integers needs 1 <= k < 2**32, got {k}")
+        if k == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is None:
+                try:
+                    word = self._next()
+                except StopIteration:
+                    word = self._word()
+                self._half = word >> 32
+                half = word & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * k
+            low = m & 0xFFFFFFFF
+            if low >= k or low >= 0x100000000 % k:
+                return m >> 32
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) with 53 random bits."""
+        try:
+            word = self._next()
+        except StopIteration:
+            word = self._word()
+        return (word >> 11) * 2.0 ** -53
+
+    def permutation(self, n: int) -> list[int]:
+        """A shuffled `list(range(n))`, drawn by the Generator itself."""
+        bits = self._rng.bit_generator
+        half = self._half
+        bits.state = {**self._state, "has_uint32": int(half is not None),
+                      "uinteger": half or 0}
+        bits.random_raw(self._block - operator.length_hint(self._words))
+        order = self._rng.permutation(n).tolist()
+        self._restart()
+        return order
 
 
 @dataclass(frozen=True)
@@ -128,12 +211,6 @@ class WorldState:
     def n(self) -> int:
         return len(self.positions)
 
-    def move(self, agent: int, tile: int) -> None:
-        """Put `agent` on the flat grid index `tile`, freeing its old tile."""
-        self.grid[self.positions[agent]] = FREE
-        self.grid[tile] = agent
-        self.positions[agent] = tile
-
     def coordinates(self) -> np.ndarray:
         """(n, 2) int array of every agent's (x, y) tile."""
         x, y = np.divmod(np.array(self.positions, dtype=np.int64), self.g + 2)
@@ -150,16 +227,3 @@ def init_population(config: SimConfig, rng: RngStream) -> WorldState:
     g = config.g
     tiles = rng.permutation(g * g)[:config.n].tolist()
     return WorldState.place(g, [divmod(t, g) for t in tiles])
-
-
-def candidate_moves(world: WorldState, agent: int) -> list[int]:
-    """Legal move targets for one agent: its tile plus free in-bounds Moore neighbors.
-
-    Targets are flat grid indices. The current tile is always included,
-    so the list is never empty -- an agent boxed in by the border and
-    other agents stays in place. Order is row-major over the 3x3
-    neighborhood, making index selection by RNG reproducible.
-    """
-    here = world.positions[agent]
-    grid = world.grid
-    return [here + d for d in world.moore if d == 0 or grid[here + d] == FREE]

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import ConfigError, RngStream
+from .core import ConfigError, ExactDraws, RngStream
 from .metrics import NetworkSnapshot
 
 TRAIT_A = 0
@@ -55,7 +55,7 @@ class ComplexContagionConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_base <= 1.0:
             raise ConfigError(f"p_base must be in [0, 1], got {self.p_base}")
-        if self.w < 0:
+        if not self.w >= 0:  # also rejects NaN, which would make every p_eff NaN
             raise ConfigError(f"social weight must be non-negative, got {self.w}")
         if self.n_init < 1:
             raise ConfigError("n_init must be positive")
@@ -249,7 +249,7 @@ def complex_contagion_step(snap: NetworkSnapshot, states: np.ndarray,
 
 
 def cultural_step(snap: NetworkSnapshot, traits: np.ndarray, cfg: CulturalConfig,
-                  rng: RngStream) -> np.ndarray:
+                  draws: ExactDraws) -> np.ndarray:
     """One synchronous cultural-transmission update.
 
     Each agent with at least one neighbor picks one uniformly (pre-step
@@ -262,10 +262,10 @@ def cultural_step(snap: NetworkSnapshot, traits: np.ndarray, cfg: CulturalConfig
     for i, nbrs in enumerate(snap.neighbor_lists):
         if not nbrs:
             continue
-        j = nbrs[rng.integers(len(nbrs))]
+        j = nbrs[draws.integers(len(nbrs))]
         if old[j] == old[i]:
             continue
-        if rng.random() < (cfg.p_a if old[j] == TRAIT_A else cfg.p_b):
+        if draws.random() < (cfg.p_a if old[j] == TRAIT_A else cfg.p_b):
             new[i] = old[j]
     return new
 
@@ -304,7 +304,7 @@ class PotionTable:
         pool = self._pools[mask] = ([1 << i for i in items], weights, running, sum(weights))
         return pool
 
-    def pick(self, mask: int, count: int, rng: RngStream) -> int | None:
+    def pick(self, mask: int, count: int, draws: ExactDraws) -> int | None:
         """Mask of `count` (at least 1) distinct items of `mask`, drawn with
         probability proportional to score; None when `mask` holds fewer.
 
@@ -316,18 +316,18 @@ class PotionTable:
         bits, weights, running, total = pools.get(mask) or self._pool(mask)
         if len(bits) < count:
             return None
-        idx = bisect_right(running, rng.random() * total)
+        idx = bisect_right(running, draws.random() * total)
         picked = bits[idx]
         for _ in range(count - 1):
             total -= weights[idx]
             rest = mask ^ picked
             bits, weights, running, _ = pools.get(rest) or self._pool(rest)
-            idx = bisect_right(running, rng.random() * total)
+            idx = bisect_right(running, draws.random() * total)
             picked |= bits[idx]
         return picked
 
 
-def try_combine(inv_i: int, inv_j: int, table: PotionTable, rng: RngStream) -> int | None:
+def try_combine(inv_i: int, inv_j: int, table: PotionTable, draws: ExactDraws) -> int | None:
     """Draw a 3-item triple from two inventory masks and look it up.
 
     A fair coin decides whether the first agent contributes 1 or 2 items;
@@ -336,18 +336,18 @@ def try_combine(inv_i: int, inv_j: int, table: PotionTable, rng: RngStream) -> i
     to be chosen. Returns the product's bit, or None for an invalid
     triple or when a contributor runs out of distinct items.
     """
-    count_i = int(rng.integers(1, 3))
-    picked = table.pick(inv_i, count_i, rng)
+    count_i = 1 + draws.integers(2)
+    picked = table.pick(inv_i, count_i, draws)
     if picked is None:
         return None
-    rest = table.pick(inv_j & ~picked, 3 - count_i, rng)
+    rest = table.pick(inv_j & ~picked, 3 - count_i, draws)
     if rest is None:
         return None
     return table.recipes.get(picked | rest)
 
 
 def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTable,
-                rng: RngStream) -> tuple[list[int], list[int]]:
+                draws: ExactDraws) -> tuple[list[int], list[int]]:
     """One synchronous potion-task step.
 
     Agents are visited in a fresh random order; each with a neighbor
@@ -361,12 +361,12 @@ def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTabl
     neighbor_lists = snap.neighbor_lists
     additions = [0] * snap.n
     created: list[int] = []
-    for i in rng.permutation(snap.n).tolist():
+    for i in draws.permutation(snap.n):
         nbrs = neighbor_lists[i]
         if not nbrs:
             continue
-        j = nbrs[rng.integers(len(nbrs))]
-        product = try_combine(inventories[i], inventories[j], table, rng)
+        j = nbrs[draws.integers(len(nbrs))]
+        product = try_combine(inventories[i], inventories[j], table, draws)
         if product is None:
             continue
         created.append(product)
@@ -375,7 +375,7 @@ def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTabl
         if not inventories[i] & inventories[j] & product:
             for participant in (i, j):
                 for k in neighbor_lists[participant]:
-                    if rng.random() < table.p_diff:
+                    if draws.random() < table.p_diff:
                         additions[k] |= product
     return [inv | add for inv, add in zip(inventories, additions)], created
 
@@ -420,16 +420,16 @@ class CulturalObserver:
 
     def __init__(self, cfg: CulturalConfig, n: int, rng: RngStream):
         self.cfg = cfg
-        self.rng = rng
         n_a = round(cfg.init_split * n)
         self.traits = np.full(n, TRAIT_B, dtype=np.int8)
         self.traits[rng.choice(n, size=n_a, replace=False)] = TRAIT_A
+        self.draws = ExactDraws(rng)
         self.trajectory = DiffusionTrajectory()
         self.done = bool(n_a in (0, n))
 
     def __call__(self, t: int, snap: NetworkSnapshot) -> None:
         if not self.done:
-            self.traits = cultural_step(snap, self.traits, self.cfg, self.rng)
+            self.traits = cultural_step(snap, self.traits, self.cfg, self.draws)
         n_a = int((self.traits == TRAIT_A).sum())
         signed = (2 * n_a - self.traits.size) / self.traits.size
         self.trajectory.frequencies.append(signed)
@@ -443,13 +443,13 @@ class PotionObserver:
 
     def __init__(self, cfg: PotionConfig, n: int, rng: RngStream):
         self.table = PotionTable(cfg)
-        self.rng = rng
+        self.draws = ExactDraws(rng)
         self.inventories = [self.table.start] * n
         self.trajectory = DiffusionTrajectory()
         self.done = False
 
     def __call__(self, t: int, snap: NetworkSnapshot) -> None:
-        self.inventories, created = potion_step(snap, self.inventories, self.table, self.rng)
+        self.inventories, created = potion_step(snap, self.inventories, self.table, self.draws)
         crossover = self.table.crossover
         if crossover in created and self.trajectory.crossover_time is None:
             self.trajectory.crossover_time = t

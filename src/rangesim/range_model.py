@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, SimConfig, WorldState, candidate_moves, init_population
+from .core import FREE, ExactDraws, RngStream, SimConfig, WorldState, init_population
 from .metrics import NetworkSnapshot
 
 
@@ -46,25 +46,37 @@ def range_links(coordinates: np.ndarray, d2_max: int) -> np.ndarray:
     return linked
 
 
-def step_range(world: WorldState, config: SimConfig, rng: RngStream) -> NetworkSnapshot:
+def step_range(world: WorldState, config: SimConfig, draws: ExactDraws) -> NetworkSnapshot:
     """Advance the world one timestep and return the resulting network.
 
     Movement is applied agent by agent in the drawn order, since occupancy
-    makes move legality order-dependent. The per-agent connect/disconnect
-    passes consume no randomness and always converge to the distance<=r
-    graph on the final positions, so links are evaluated once at the end
-    of the sweep; the draw sequence is identical to the interleaved form.
+    makes move legality order-dependent. An agent's legal moves are its
+    own tile and the free in-bounds tiles of its Moore neighborhood, in
+    row-major order; one bounded draw picks among them, so an agent boxed
+    in by the border and other agents stays put. The per-agent
+    connect/disconnect passes consume no randomness and always converge to
+    the distance<=r graph on the final positions, so links are evaluated
+    once at the end of the sweep; the draw sequence is identical to the
+    interleaved form.
     """
-    for agent in rng.permutation(world.n).tolist():
-        moves = candidate_moves(world, agent)
-        target = moves[rng.integers(len(moves))]
-        if target != world.positions[agent]:
-            world.move(agent, target)
+    grid, positions, moore = world.grid, world.positions, world.moore
+    integers = draws.integers
+    for agent in draws.permutation(world.n):
+        here = positions[agent]
+        grid[here] = FREE  # so the scan keeps the agent's own tile
+        moves = [here + d for d in moore if grid[here + d] == FREE]
+        target = moves[integers(len(moves))]
+        grid[target] = agent
+        positions[agent] = target
     return NetworkSnapshot(range_links(world.coordinates(),
                                        max_sq_distance(config.r, config.g)))
 
 
 def range_stepper(config: SimConfig, rng: RngStream) -> Callable[[], NetworkSnapshot]:
-    """Place a fresh population and return a function that advances it one timestep."""
+    """Place a fresh population and return a function that advances it one timestep.
+
+    After placement the stream's scalar draws are served by ExactDraws.
+    """
     world = init_population(config, rng)
-    return lambda: step_range(world, config, rng)
+    draws = ExactDraws(rng)
+    return lambda: step_range(world, config, draws)

@@ -179,12 +179,6 @@ def agent_xy(world):
     return [tuple(xy) for xy in world.coordinates().tolist()]
 
 
-def tile_xy(world, tile):
-    """(x, y) of a flat index into a WorldState's padded grid."""
-    x, y = divmod(tile, world.g + 2)
-    return x - 1, y - 1
-
-
 class RangeOracle:
     """Range model on (x, y) tuples with a dict from tile to agent.
 

@@ -22,23 +22,23 @@ def _name(table, bit):
     return name
 
 
-def weighted_pick(items, count, cfg, rng):
+def weighted_pick(items, count, cfg, draws):
     """`PotionTable.pick` on names; the picked names in sorted order, or None."""
     table = PotionTable(cfg)
-    picked = table.pick(table.mask(items), count, rng)
+    picked = table.pick(table.mask(items), count, draws)
     return None if picked is None else sorted(names(table, picked))
 
 
-def try_combine(inv_i, inv_j, cfg, rng):
+def try_combine(inv_i, inv_j, cfg, draws):
     """`diffusion.try_combine` on sets of names; the product name or None."""
     table = PotionTable(cfg)
-    product = diffusion.try_combine(table.mask(inv_i), table.mask(inv_j), table, rng)
+    product = diffusion.try_combine(table.mask(inv_i), table.mask(inv_j), table, draws)
     return None if product is None else _name(table, product)
 
 
-def potion_step(snap, inventories, cfg, rng):
+def potion_step(snap, inventories, cfg, draws):
     """`diffusion.potion_step` on sets of names; (inventories, created names)."""
     table = PotionTable(cfg)
     masks, created = diffusion.potion_step(
-        snap, [table.mask(inv) for inv in inventories], table, rng)
+        snap, [table.mask(inv) for inv in inventories], table, draws)
     return [names(table, mask) for mask in masks], [_name(table, bit) for bit in created]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from rangesim.core import ModelKind, SimConfig, init_population, make_rng
+from rangesim.core import ExactDraws, ModelKind, SimConfig, init_population, make_rng
 from rangesim.diffusion import (
     ComplexContagionConfig,
     CulturalConfig,
@@ -111,10 +111,11 @@ def test_03_saturation():
     cfg = range_cfg(n=25, g=5, r=2.0, steps=50, rounds=1)
     rng = make_rng(cfg.seed, 0)
     world = init_population(cfg, rng)
+    draws = ExactDraws(rng)
     initial = list(world.positions)
     stable_rows = set()
     for _ in range(cfg.steps):
-        snap = step_range(world, cfg, rng)
+        snap = step_range(world, cfg, draws)
         assert world.positions == initial, "positions moved on a saturated grid"
         row = metrics_snapshot(snap, make_rng(0, 0), small_world=False)
         stable_rows.add((row.avg_degree, row.clustering, row.aspl,

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangesim.core import (
     FREE,
     ConfigError,
+    ExactDraws,
     ModelKind,
     SimConfig,
     WorldState,
-    candidate_moves,
     init_population,
     make_rng,
 )
 from rangesim.range_model import step_range
 
-from oracles import agent_xy, edge_set, tile_xy
+from oracles import agent_xy, edge_set
 
 
 def range_config(**kwargs):
@@ -68,8 +70,9 @@ class TestInitPopulation:
         cfg = range_config(n=1, g=4)
         rng = make_rng(cfg.seed, 0)
         world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
         assert len(world.positions) == 1
-        assert edge_set(step_range(world, cfg, rng).adj) == set()
+        assert edge_set(step_range(world, cfg, draws).adj) == set()
 
     def test_same_seed_same_positions(self):
         cfg = range_config(n=10, g=10, seed=77)
@@ -93,21 +96,48 @@ class TestInitPopulation:
             assert 0 <= x < 7 and 0 <= y < 7
 
 
+class FirstMove:
+    """Draws for one `step_range` call: `agent` moves first and takes its
+    legal move number `choice`; the others take their first legal move.
+    `legal` records how many moves the first agent had."""
+
+    def __init__(self, agent, choice):
+        self.agent, self.choice, self.legal = agent, choice, None
+
+    def permutation(self, n):
+        return [self.agent] + [a for a in range(n) if a != self.agent]
+
+    def integers(self, k):
+        if self.legal is None:
+            self.legal = k
+            return self.choice
+        return 0
+
+
+def legal_moves(positions, agent, g):
+    """The tiles a step can move `agent` to from `positions`, in draw
+    order: where it lands moving first with each move number in turn."""
+    targets = []
+    while True:
+        world = world_with(positions, g)
+        draws = FirstMove(agent, len(targets))
+        step_range(world, range_config(n=len(positions), g=g), draws)
+        targets.append(agent_xy(world)[agent])
+        if len(targets) == draws.legal:
+            return targets
+
+
 class TestCandidateMoves:
     def test_corner_on_empty_grid(self):
-        world = world_with([(0, 0)], g=4)
-        moves = candidate_moves(world, 0)
-        assert {tile_xy(world, mv) for mv in moves} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert legal_moves([(0, 0)], 0, g=4) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_interior_full_neighborhood(self):
-        world = world_with([(2, 2)], g=5)
-        assert len(candidate_moves(world, 0)) == 9
+        assert len(set(legal_moves([(2, 2)], 0, g=5))) == 9
 
     def test_fully_surrounded_agent_stays(self):
         center = (2, 2)
         ring = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
-        world = world_with([center] + ring, g=5)
-        assert [tile_xy(world, mv) for mv in candidate_moves(world, 0)] == [(2, 2)]
+        assert legal_moves([center] + ring, 0, g=5) == [(2, 2)]
 
     def test_current_tile_always_included(self):
         rng = np.random.default_rng(3)
@@ -116,20 +146,19 @@ class TestCandidateMoves:
             n = int(rng.integers(1, g * g + 1))
             cfg = range_config(n=n, g=g, r=1.0)
             world = init_population(cfg, np.random.default_rng(int(rng.integers(1 << 30))))
+            positions = agent_xy(world)
             agent = int(rng.integers(n))
-            moves = candidate_moves(world, agent)
-            current = world.positions[agent]
-            assert current in moves
-            cx, cy = tile_xy(world, current)
-            for mv in moves:
-                x, y = tile_xy(world, mv)
+            moves = legal_moves(positions, agent, g)
+            cx, cy = positions[agent]
+            assert (cx, cy) in moves
+            assert len(set(moves)) == len(moves)
+            for x, y in moves:
                 assert 0 <= x < g and 0 <= y < g
                 assert max(abs(x - cx), abs(y - cy)) <= 1
-                assert world.grid[mv] in (FREE, agent)
+                assert (x, y) == (cx, cy) or (x, y) not in positions
 
     def test_order_is_row_major(self):
-        world = world_with([(1, 1)], g=4)
-        moves = [tile_xy(world, mv) for mv in candidate_moves(world, 0)]
+        moves = legal_moves([(1, 1)], 0, g=4)
         assert moves == sorted(moves)
 
 
@@ -143,3 +172,53 @@ class TestRngStreams:
         a = make_rng(9, 0)
         b = make_rng(9, 1)
         assert not np.array_equal(a.random(8), b.random(8))
+
+
+# k = 1 draws nothing; near 3 * 2**30, 2**32 % k is about k / 3, so Lemire's
+# method rejects about one 32-bit draw in four and the retry path runs
+BOUNDS = st.one_of(st.just(1), st.integers(2, 9), st.integers(3 * 2**30 - 4, 3 * 2**30 + 4),
+                   st.integers(1, 2**32 - 1))
+DRAWS = st.one_of(st.tuples(st.just("integers"), BOUNDS), st.tuples(st.just("one-two"), st.none()),
+                  st.tuples(st.just("random"), st.none()),
+                  st.tuples(st.just("permutation"), st.integers(0, 40)))
+
+
+class TestExactDraws:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), pending=st.booleans(),
+           block=st.sampled_from((1, 3, 256)), calls=st.lists(DRAWS, max_size=150))
+    def test_matches_generator(self, seed, pending, block, calls):
+        wrapped, plain = make_rng(seed), make_rng(seed)
+        if pending:  # leaves a word's high half in PCG64's 32-bit buffer
+            assert wrapped.integers(5) == plain.integers(5)
+        draws = ExactDraws(wrapped, block=block)
+        for call, arg in calls + [("permutation", 7)]:
+            if call == "integers":
+                assert draws.integers(arg) == plain.integers(arg)
+            elif call == "one-two":
+                assert 1 + draws.integers(2) == plain.integers(1, 3)
+            elif call == "random":
+                assert draws.random() == plain.random()
+            else:
+                assert draws.permutation(arg) == plain.permutation(arg).tolist()
+        assert draws.integers(3) == plain.integers(3)
+        assert draws.random() == plain.random()
+
+    def test_rejections_redraw(self):
+        draws, plain = ExactDraws(make_rng(5)), make_rng(5)
+        k = 3 * 2**30 + 1
+        assert [draws.integers(k) for _ in range(2000)] == plain.integers(k, size=2000).tolist()
+
+    def test_values_are_python_numbers(self):
+        draws = ExactDraws(make_rng(1))
+        assert type(draws.integers(9)) is int and type(draws.random()) is float
+        assert all(type(agent) is int for agent in draws.permutation(5))
+
+    @pytest.mark.parametrize("k", [0, -3, 2**32, 2**40])
+    def test_bound_outside_32_bits_rejected(self, k):
+        with pytest.raises(ValueError):
+            ExactDraws(make_rng(1)).integers(k)
+
+    def test_needs_pcg64(self):
+        with pytest.raises(TypeError):
+            ExactDraws(np.random.Generator(np.random.MT19937(1)))

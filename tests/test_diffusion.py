@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rangesim import diffusion
 from rangesim.cli import main
-from rangesim.core import ConfigError, ModelKind, SimConfig, make_rng
+from rangesim.core import ConfigError, ExactDraws, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import (
     TRAIT_A,
     TRAIT_B,
@@ -194,16 +194,16 @@ class TestCultural:
     def test_zero_probabilities_freeze_traits(self):
         g = star(4)
         traits = np.array([0, 1, 0, 1, 0], dtype=np.int8)
-        rng = make_rng(1, 0)
+        draws = ExactDraws(make_rng(1, 0))
         for _ in range(20):
-            assert (cultural_step(g, traits, CulturalConfig(p_a=0, p_b=0), rng) == traits).all()
+            assert (cultural_step(g, traits, CulturalConfig(p_a=0, p_b=0), draws) == traits).all()
 
     def test_consensus_is_absorbing(self):
         g = snap(4, [(0, 1), (1, 2), (2, 3)])
         traits = np.full(4, TRAIT_B, dtype=np.int8)
-        rng = make_rng(2, 0)
+        draws = ExactDraws(make_rng(2, 0))
         for _ in range(20):
-            traits = cultural_step(g, traits, CulturalConfig(p_a=0.9, p_b=0.9), rng)
+            traits = cultural_step(g, traits, CulturalConfig(p_a=0.9, p_b=0.9), draws)
             assert (traits == TRAIT_B).all()
 
     def test_unbiased_drift_fixation_probability(self):
@@ -215,11 +215,11 @@ class TestCultural:
         rounds = 1000
         a_wins = 0
         fixed = 0
-        rng = make_rng(11, 0)
+        draws = ExactDraws(make_rng(11, 0))
         for _ in range(rounds):
             traits = np.array([TRAIT_A] * (n // 2) + [TRAIT_B] * (n // 2), dtype=np.int8)
             for _ in range(10_000):
-                traits = cultural_step(g, traits, cfg, rng)
+                traits = cultural_step(g, traits, cfg, draws)
                 first = traits[0]
                 if (traits == first).all():
                     fixed += 1
@@ -232,9 +232,9 @@ class TestCultural:
     def test_isolated_agents_never_adopt(self):
         g = snap(3, [(0, 1)])
         traits = np.array([TRAIT_A, TRAIT_B, TRAIT_B], dtype=np.int8)
-        rng = make_rng(5, 0)
+        draws = ExactDraws(make_rng(5, 0))
         for _ in range(30):
-            traits = cultural_step(g, traits, CulturalConfig(p_a=1.0, p_b=1.0), rng)
+            traits = cultural_step(g, traits, CulturalConfig(p_a=1.0, p_b=1.0), draws)
             assert traits[2] == TRAIT_B
 
 
@@ -244,25 +244,25 @@ class TestTryCombine:
         inv = {"a1", "a3", "b2"}
         # both sides hold exactly the recipe items: every split yields the triple
         for seed in range(50):
-            assert try_combine(set(inv), set(inv), cfg, make_rng(seed, 0)) == "B1"
+            assert try_combine(set(inv), set(inv), cfg, ExactDraws(make_rng(seed, 0))) == "B1"
 
     def test_invalid_triple_gives_nothing(self):
         cfg = default_potion_config()
         inv = {"a1", "a2", "a3"}
         for seed in range(50):
-            assert try_combine(set(inv), set(inv), cfg, make_rng(seed, 0)) is None
+            assert try_combine(set(inv), set(inv), cfg, ExactDraws(make_rng(seed, 0))) is None
 
     def test_insufficient_distinct_items(self):
         cfg = default_potion_config()
         for seed in range(20):
-            assert try_combine({"a1"}, {"a1"}, cfg, make_rng(seed, 0)) is None
+            assert try_combine({"a1"}, {"a1"}, cfg, ExactDraws(make_rng(seed, 0))) is None
 
     def test_higher_scores_picked_more_often(self):
         cfg = default_potion_config()
         inv = ["A3", "a1"]  # scores 64 and 1
-        rng = make_rng(7, 0)
+        draws = ExactDraws(make_rng(7, 0))
         trials = 2000
-        a3_picked = sum(weighted_pick(inv, 1, cfg, rng) == ["A3"]
+        a3_picked = sum(weighted_pick(inv, 1, cfg, draws) == ["A3"]
                         for _ in range(trials))
         share = a3_picked / trials  # expected 64/65
         assert abs(share - 64 / 65) < 3 * np.sqrt((64 / 65) * (1 / 65) / trials)
@@ -273,9 +273,9 @@ class TestPotionStep:
         cfg = default_potion_config()
         g = snap(4, [])
         inventories = [set(cfg.starting_inventory) for _ in range(4)]
-        rng = make_rng(1, 0)
+        draws = ExactDraws(make_rng(1, 0))
         for _ in range(10):
-            inventories, created = potion_step(g, inventories, cfg, rng)
+            inventories, created = potion_step(g, inventories, cfg, draws)
             assert created == []
             assert all(inv == set(cfg.starting_inventory) for inv in inventories)
 
@@ -286,7 +286,7 @@ class TestPotionStep:
                                   starting_inventory=("a1", "a2", "b1"))
         g = star(3)
         inventories = [set(cfg.starting_inventory) for _ in range(4)]
-        inventories, created = potion_step(g, inventories, cfg, make_rng(2, 0))
+        inventories, created = potion_step(g, inventories, cfg, ExactDraws(make_rng(2, 0)))
         assert "A1" in created
         assert all("A1" in inv for inv in inventories)
 
@@ -297,12 +297,12 @@ class TestPotionStep:
         base = set(cfg.starting_inventory)
         sim = SimConfig(model=ModelKind.RANGE, n=20, g=5, r=2.0, steps=40, seed=3)
         snaps = run_snapshots(sim, make_rng(sim.seed, 0))
-        rng = make_rng(sim.seed, 0, 2)
+        draws = ExactDraws(make_rng(sim.seed, 0, 2))
         inventories = [set(base) for _ in range(sim.n)]
         created_so_far = set()
         for snapshot in snaps:
             before = [set(inv) for inv in inventories]
-            inventories, created = potion_step(snapshot, inventories, cfg, rng)
+            inventories, created = potion_step(snapshot, inventories, cfg, draws)
             created_so_far |= set(created)
             for prev, now in zip(before, inventories):
                 assert prev <= now
@@ -446,12 +446,13 @@ def test_potion_step_matches_name_set_oracle(payload, n, density, p_diff, seed, 
     start = data.draw(st.lists(inventory, min_size=n, max_size=n), label="inventories")
     ours, theirs = [table.mask(inv) for inv in start], [set(inv) for inv in start]
     rng_ours, rng_theirs = make_rng(seed, 1), make_rng(seed, 1)
+    draws = ExactDraws(rng_ours)
     for _ in range(steps):
-        ours, created = diffusion.potion_step(g, ours, table, rng_ours)
+        ours, created = diffusion.potion_step(g, ours, table, draws)
         theirs, created_oracle = potion_step_oracle(g, theirs, cfg, rng_theirs)
         assert [names(table, mask) for mask in ours] == theirs
         assert [name for bit in created for name in names(table, bit)] == created_oracle
-    assert rng_ours.random() == rng_theirs.random()
+    assert draws.random() == rng_theirs.random()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -464,11 +465,12 @@ def test_cultural_step_matches_oracle(n, density, p_a, p_b, seed, data):
                                          min_size=n, max_size=n), label="traits"),
                       dtype=np.int8)
     rng_ours, rng_theirs = make_rng(seed, 1), make_rng(seed, 1)
-    ours = cultural_step(g, traits, cfg, rng_ours)
+    draws = ExactDraws(rng_ours)
+    ours = cultural_step(g, traits, cfg, draws)
     theirs = cultural_step_oracle(g, traits, cfg, rng_theirs)
     assert ours.dtype == theirs.dtype
     assert (ours == theirs).all()
-    assert rng_ours.random() == rng_theirs.random()
+    assert draws.random() == rng_theirs.random()
 
 
 ALMOST_ONE = 1.0 - 2.0 ** -53  # the largest double below 1

@@ -450,6 +450,24 @@ class TestCli:
         assert "n_init=50 exceeds population 20" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["0:inf:1", "0:1:inf", "0:nan:1"])
+    def test_non_finite_value_range_is_config_error(self, tmp_path, capsys, values):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--vary", "r", "--values", values,
+                     "--n", "6", "--g", "5", "--steps", "2", "--rounds", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("rangesim: config error: ")
+        assert not out.exists()
+
+    def test_nan_social_weight_is_config_error(self, tmp_path, capsys):
+        # NaN passes `w < 0`, and then no exposed agent is ever infected
+        out = tmp_path / "traj.csv"
+        code = main(["diffusion", "--process", "complex", "--r", "2", "--n", "6", "--g", "5",
+                     "--w", "nan", "--out", str(out)])
+        assert code == 2
+        assert "social weight must be non-negative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         code = main(["run", "--model", "range", "--n", "50", "--g", "5", "--r", "1",
                      "--steps", "2", "--out", str(tmp_path / "x.csv")])

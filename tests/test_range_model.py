@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesim.core import FREE, ModelKind, SimConfig, init_population, make_rng
+from rangesim.core import FREE, ExactDraws, ModelKind, SimConfig, init_population, make_rng
 from rangesim.harness import run_model
 from rangesim.metrics import NetworkSnapshot
 from rangesim.range_model import max_sq_distance, range_links, step_range
@@ -100,8 +100,9 @@ class TestStepRange:
             cfg = config(n=15, g=6, r=1.8, seed=seed)
             rng = make_rng(cfg.seed, 0)
             world = init_population(cfg, rng)
+            draws = ExactDraws(rng)
             for _ in range(20):
-                snap = step_range(world, cfg, rng)
+                snap = step_range(world, cfg, draws)
                 expected = in_range_links_oracle(agent_xy(world), cfg.r)
                 assert edge_set(snap.adj) == expected
 
@@ -109,17 +110,19 @@ class TestStepRange:
         cfg = config(n=20, g=7, r=2.0)
         rng = make_rng(cfg.seed, 0)
         world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
         for _ in range(30):
             before = world.coordinates()
-            step_range(world, cfg, rng)
+            step_range(world, cfg, draws)
             assert np.abs(world.coordinates() - before).max() <= 1
 
     def test_occupancy_stays_bijective(self):
         cfg = config(n=24, g=5, r=1.0)
         rng = make_rng(cfg.seed, 0)
         world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
         for _ in range(30):
-            step_range(world, cfg, rng)
+            step_range(world, cfg, draws)
             assert len(set(world.positions)) == cfg.n
             assert all(world.grid[tile] == agent for agent, tile in enumerate(world.positions))
             assert world.grid.count(FREE) == cfg.g * cfg.g - cfg.n
@@ -128,16 +131,18 @@ class TestStepRange:
         cfg = config(n=12, g=4, r=0.0)
         rng = make_rng(cfg.seed, 0)
         world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
         for _ in range(10):
-            assert step_range(world, cfg, rng).edge_count == 0
+            assert step_range(world, cfg, draws).edge_count == 0
 
     def test_complete_beyond_diagonal(self):
         g = 5
         cfg = config(n=10, g=g, r=g * math.sqrt(2))
         rng = make_rng(cfg.seed, 0)
         world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
         for _ in range(10):
-            snap = step_range(world, cfg, rng)
+            snap = step_range(world, cfg, draws)
             assert snap.edge_count == cfg.n * (cfg.n - 1) // 2
 
 
@@ -153,9 +158,10 @@ def test_int_grid_matches_dict_reference(g, seed, steps, r, data):
     rng = make_rng(seed, 0)
     reference = RangeOracle(g, n, r, make_rng(seed, 0))
     world = init_population(cfg, rng)
+    draws = ExactDraws(rng)
     assert agent_xy(world) == reference.positions
     for _ in range(steps):
-        snap = step_range(world, cfg, rng)
+        snap = step_range(world, cfg, draws)
         expected = reference.step()
         assert agent_xy(world) == reference.positions
         assert edge_set(snap.adj) == expected
@@ -163,7 +169,7 @@ def test_int_grid_matches_dict_reference(g, seed, steps, r, data):
         held = {tile: agent for tile, agent in enumerate(world.grid) if agent >= 0}
         assert sorted(held.values()) == list(range(n))
         assert all(world.positions[agent] == tile for tile, agent in held.items())
-    assert rng.random() == reference.rng.random()
+    assert draws.random() == reference.rng.random()
 
 
 def collect_snapshots(cfg, rng):
@@ -177,9 +183,10 @@ class TestRunRange:
         cfg = config(n=16, g=4, r=1.0, steps=15)
         rng = make_rng(cfg.seed, 0)
         world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
         initial = list(world.positions)
         for _ in range(cfg.steps):
-            step_range(world, cfg, rng)
+            step_range(world, cfg, draws)
             assert world.positions == initial
 
     def test_deterministic_trajectory(self):
