@@ -60,8 +60,9 @@ class MetricsCollector:
     """Observer that turns each snapshot into a MetricsRow.
 
     Consecutive snapshots are held until they fill one `chunk_size`
-    chunk and are then measured by one `metrics_rows` call; `flush`
-    measures the rest. Where the chunks fall does not change the rows.
+    chunk and are then measured by one `metrics_rows` call, whose rows
+    join `rows`; `flush` measures the rest. Where the chunks fall does
+    not change the rows.
     """
 
     def __init__(self, rng, options: MetricsOptions = MetricsOptions()):
@@ -76,7 +77,7 @@ class MetricsCollector:
             self.flush()
 
     def flush(self) -> list[MetricsRow]:
-        """Measure every held snapshot; returns all rows so far."""
+        """Measure every held snapshot; returns `rows`."""
         if self._held:
             timesteps, snaps = zip(*self._held)
             self._held = []
@@ -85,13 +86,14 @@ class MetricsCollector:
         return self.rows
 
 
-def run_model(config: SimConfig, rng, observers: Sequence[Observer] = ()) -> None:
-    """Set up the configured model and run `config.steps` timesteps.
+def iter_model(config: SimConfig, rng, observers: Sequence[Observer] = ()) -> Iterator[int]:
+    """Set up the configured model and run `config.steps` timesteps, lazily.
 
     Observers are called after each step, in order, with (timestep,
-    snapshot); timesteps count from 1. A run stops early only when every
-    observer reports `done` (absorbing diffusion states); metric
-    collectors never do.
+    snapshot); timesteps count from 1. Each timestep is yielded once
+    every observer has seen it, so a caller can pass their output on
+    step by step. A run stops early only when every observer reports
+    `done` (absorbing diffusion states); metric collectors never do.
     """
     stepper = range_stepper if config.model is ModelKind.RANGE else null_stepper
     step = stepper(config, rng)
@@ -99,6 +101,7 @@ def run_model(config: SimConfig, rng, observers: Sequence[Observer] = ()) -> Non
         snap = step()
         for obs in observers:
             obs(t, snap)
+        yield t
         if observers and all(getattr(obs, "done", False) for obs in observers):
             break
 
@@ -123,12 +126,26 @@ def run_round(config: SimConfig, round_idx: int,
         diff_obs = make_observer(diffusion, config.n,
                                  make_rng(config.seed, round_idx, STREAM_DIFFUSION))
         observers.append(diff_obs)
-    run_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), observers)
+    for _ in iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), observers):
+        pass
     trajectory = None
     if diff_obs is not None:
         trajectory = diff_obs.trajectory
         trajectory.frequencies = padded_frequencies(trajectory, config.steps)
     return (collector.flush() if collector else []), trajectory
+
+
+def round_rows(config: SimConfig, round_idx: int,
+               metrics: MetricsOptions = MetricsOptions()) -> Iterator[list[MetricsRow]]:
+    """`run_round`'s metric rows without diffusion, lazily: one list per
+    measured chunk, each as soon as it is measured (the last may be empty).
+    """
+    collector = MetricsCollector(make_rng(config.seed, round_idx, STREAM_METRICS), metrics)
+    for _ in iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), [collector]):
+        if collector.rows:
+            yield collector.rows
+            collector.rows = []
+    yield collector.flush()
 
 
 @dataclass(frozen=True)
@@ -251,19 +268,28 @@ class SweepConfig:
         return value
 
 
+def _pool_task(fn: Callable, *args):
+    """`fn(*args)` in a pool worker, an iterator result collected into a
+    list so that it can be sent back whole."""
+    result = fn(*args)
+    return list(result) if isinstance(result, Iterator) else result
+
+
 def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
     """`map(fn, *iterables)`, on a pool of `workers` processes when above 1.
 
     The pool starts no more processes than there are tasks, and none for
     a single task. Results come lazily and in input order, so a caller
     can reduce or write each one as soon as it and every earlier one
-    have finished.
+    have finished. Serially an iterator result (`round_rows`) is handed
+    on unconsumed, so its items can be written as they are made; a pool
+    sends each one back as a list once its task has finished.
     """
     tasks = list(zip(*iterables))
     workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, *zip(*tasks))
+            yield from pool.map(_pool_task, repeat(fn), *zip(*tasks))
     else:
         yield from starmap(fn, tasks)
 
@@ -383,18 +409,19 @@ def write_timeseries_csv(config: SimConfig, path: str,
                          workers: int = 1) -> int:
     """Per-timestep dump: one line per (round, timestep); returns line count.
 
-    Each round's lines are flushed as soon as it and every earlier round
-    have finished.
+    A serial run flushes each chunk's lines as soon as `metrics_rows`
+    has measured it; a pooled run flushes each round's lines as soon as
+    it and every earlier round have finished.
     """
     header = ["model", "N", "g", "r", "p_connect", "round", "timestep", *METRIC_NAMES]
     prefix = [config.model.value, _fmt(config.n), _fmt(config.g),
               _fmt(config.r), _fmt(config.p_connect)]
-    rounds = _map_rounds(run_round, workers, repeat(config), range(config.rounds),
-                         repeat(None), repeat(metrics))
+    rounds = _map_rounds(round_rows, workers, repeat(config), range(config.rounds),
+                         repeat(metrics))
     return _write_csv(path, header, (
         [prefix + [str(round_idx), str(row.timestep)]
          + [_fmt(getattr(row, name)) for name in METRIC_NAMES] for row in rows]
-        for round_idx, (rows, _) in enumerate(rounds)))
+        for round_idx, chunks in enumerate(rounds) for rows in chunks))
 
 
 def write_trajectories_csv(trajectories: Iterable[DiffusionTrajectory],

@@ -83,6 +83,21 @@ def chunk_size(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // (n * n))
 
 
+# Pair counts are float32 sums, exact while n(n - 1) stays below 2^24.
+_MAX_NODES = 4096
+
+
+@lru_cache(maxsize=8)
+def _kernel_buffers(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_hop_distances`' three float32 (b, n, n) work arrays and n*n ones.
+
+    One set per recent shape, overwritten by every call: fresh arrays each
+    timestep cost page faults once the allocator returns their memory.
+    """
+    return (*(np.empty((b, n, n), dtype=np.float32) for _ in range(3)),
+            np.ones(n * n, dtype=np.float32))
+
+
 def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clustering and hop counts of a (b, n, n) stack of graphs, in one pass.
 
@@ -92,22 +107,27 @@ def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     label). Level-synchronous BFS from every source of every graph at
     once, one float32 `frontier @ A` product per level into reused
     buffers; the first, A @ A, also counts closed triangles, and the
-    loop stops once no graph can reach another pair. Every count is an
-    integer below 2^24, so float32 holds it exactly.
+    loop stops once no graph can reach another pair. Each level's pairs
+    are counted as a float32 dot product of the frontier with ones.
+    Every count is an integer below 2^24 for n up to 4096, so float32
+    holds it exactly; larger graphs are rejected.
     """
-    n = stack.shape[1]
-    a = stack.astype(np.float32)
-    product = np.matmul(a, a)
+    b, n = stack.shape[:2]
+    if n > _MAX_NODES:
+        raise ValueError(f"the distance kernel is exact up to {_MAX_NODES} nodes, got {n}")
+    a, product, frontier, ones = _kernel_buffers(b, n)
+    np.copyto(a, stack)
+    np.matmul(a, a, out=product)
     # (A² ∘ A) row sums count each edge among a node's neighbors twice;
     # their buffer holds the frontier from level 2 on
-    frontier = np.multiply(product, a)
+    np.multiply(product, a, out=frontier)
     closed = frontier.sum(axis=2, dtype=np.float64)
     k = stack.sum(axis=2, dtype=np.float64)
     possible = k * (k - 1.0)
     local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
     unreached = ~stack
     unreached[:, np.arange(n), np.arange(n)] = False
-    found = np.count_nonzero(stack, axis=(1, 2))
+    found = np.dot(a.reshape(b, -1), ones).astype(np.int64)
     hops, pairs = found.copy(), found.copy()
     nxt = np.empty_like(stack)
     level = 1
@@ -118,11 +138,11 @@ def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         level += 1
         np.greater(product, 0, out=nxt)
         nxt &= unreached
-        found = np.count_nonzero(nxt, axis=(1, 2))
         unreached ^= nxt
+        frontier[...] = nxt
+        found = np.dot(frontier.reshape(b, -1), ones).astype(np.int64)
         hops += level * found
         pairs += found
-        frontier[...] = nxt
     return local.mean(axis=1), hops, pairs, np.argmin(unreached, axis=2)
 
 

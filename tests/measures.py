@@ -3,15 +3,16 @@
 The package measures graphs only through `metrics.metrics_rows`, a chunk
 of snapshots at a time. These helpers call it on a single snapshot, so
 tests can name one measure at a time; `sample_gnm` and `run_sweep` wrap
-the reference sampler and the sweep iterator the same way. Unlike
-`oracles`, everything here is the package's own code.
+the reference sampler and the sweep iterator the same way, and
+`run_model` runs the lazy run loop to its end. Unlike `oracles`,
+everything here is the package's own code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rangesim.harness import iter_sweep
+from rangesim.harness import iter_model, iter_sweep
 from rangesim.metrics import DEFAULT_N_REF, NetworkSnapshot, _draw_gnm, metrics_rows
 
 
@@ -58,3 +59,9 @@ def sample_gnm(n, m, rng):
 
 def run_sweep(sweep, workers=1):
     return list(iter_sweep(sweep, workers=workers))
+
+
+def run_model(config, rng, observers=()):
+    """Run `iter_model` to its end."""
+    for _ in iter_model(config, rng, observers):
+        pass

@@ -30,8 +30,8 @@ from rangesim.diffusion import (
     load_potion_config,
     si_step,
 )
-from rangesim.harness import run_model
 
+from measures import run_model
 from oracles import (
     cultural_step_oracle,
     potion_step_oracle,

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ from rangesim.harness import (
     MetricsOptions,
     SweepConfig,
     aggregate_rounds,
+    iter_model,
     iter_sweep,
     run_diffusion_rounds,
-    run_model,
     run_round,
     write_csv,
     write_timeseries_csv,
@@ -23,7 +24,7 @@ from rangesim.harness import (
 )
 from rangesim.metrics import NetworkSnapshot
 
-from measures import metrics_snapshot, run_sweep
+from measures import metrics_snapshot, run_model, run_sweep
 
 
 def range_config(**kwargs):
@@ -42,10 +43,11 @@ def model_config(kind, **kwargs):
     return SimConfig(**defaults)
 
 
-def count_round_calls(monkeypatch, fail_at=None):
-    """Route harness.run_round through a counter; raise at round `fail_at`."""
+def count_round_calls(monkeypatch, fail_at=None, name="run_round"):
+    """Route harness.run_round (or another round function `name`) through
+    a counter; raise at round `fail_at`."""
     calls = []
-    real = harness.run_round
+    real = getattr(harness, name)
 
     def counted(config, round_idx, *args, **kwargs):
         calls.append(round_idx)
@@ -53,8 +55,25 @@ def count_round_calls(monkeypatch, fail_at=None):
             raise RuntimeError(f"round {round_idx} interrupted")
         return real(config, round_idx, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_round", counted)
+    monkeypatch.setattr(harness, name, counted)
     return calls
+
+
+def watch_steps(monkeypatch, before_step):
+    """Call `before_step(k)` before the k-th range model step, k counting
+    from 1 over every round run afterwards."""
+    real = harness.range_stepper
+    count = itertools.count(1)
+
+    def stepper(config, rng):
+        step = real(config, rng)
+
+        def watched():
+            before_step(next(count))
+            return step()
+        return watched
+
+    monkeypatch.setattr(harness, "range_stepper", stepper)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
@@ -70,6 +89,13 @@ class TestRunModel:
         obs_b = lambda t, snap: calls.append(("b", t))
         run_model(model_config(kind, steps=3), make_rng(1, 0), observers=[obs_a, obs_b])
         assert calls == [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
+
+    def test_each_timestep_yielded_once_its_observers_ran(self, kind):
+        seen = []
+        steps = iter_model(model_config(kind, steps=3), make_rng(1, 0),
+                           [lambda t, s: seen.append(t)])
+        assert seen == []  # nothing runs until the first timestep is asked for
+        assert [(t, list(seen)) for t in steps] == [(1, [1]), (2, [1, 2]), (3, [1, 2, 3])]
 
     def test_deterministic_trajectory(self, kind):
         cfg = model_config(kind)
@@ -250,6 +276,19 @@ class TestSweep:
         assert row.config.r == 1.0
         assert calls == [0, 1]
 
+    def test_n_sweep_serial_parallel_identical(self, tmp_path):
+        # n = 5, 20, 30 and 130 take chunks of 655, 40, 18 and 1 graphs, so
+        # the reused kernel and distance buffers change shape from cell to
+        # cell, and 7 steps end every n below 128 on a partial chunk
+        argv = ["sweep", "--model", "both", "--vary", "n", "--values", "5,20,30,130",
+                "--g", "12", "--r", "2", "--steps", "7", "--rounds", "2", "--n-ref", "3"]
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        assert main([*argv, "--out", str(serial)]) == 0
+        assert main([*argv, "--workers", "2", "--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert len(serial.read_text().splitlines()) == 1 + 2 * 4
+
     def test_doubling_rounds_moves_mean_within_tolerance(self):
         few = SweepConfig(base=range_config(steps=20, rounds=12), vary="r",
                           values=(2.0,), metrics=MetricsOptions(small_world=False))
@@ -361,12 +400,44 @@ class TestCsvOutput:
         assert count == 7 * 3
         assert len(lines) == 1 + 21
 
+    def test_serial_timeseries_writes_each_row_as_it_is_measured(self, tmp_path,
+                                                                 monkeypatch):
+        # from n = 128 up a chunk is one snapshot, measured right after its step
+        assert metrics.chunk_size(130) == 1
+        path = tmp_path / "dump.csv"
+        on_disk = []
+        watch_steps(monkeypatch, lambda k: on_disk.append(
+            len(path.read_text().splitlines()[1:])))
+        cfg = range_config(n=130, g=12, steps=4, rounds=2)
+        assert write_timeseries_csv(cfg, str(path), metrics=FAST) == 8
+        assert on_disk == list(range(8))  # k - 1 rows before the k-th step
+
+    def test_interrupted_serial_timeseries_keeps_measured_rows(self, tmp_path, monkeypatch):
+        # chunks of two snapshots: the 8th step (round 1, t = 4) fails while
+        # t = 3 is held unmeasured, so round 1 keeps t = 1 and 2
+        monkeypatch.setattr(harness, "chunk_size", lambda n: 2)
+
+        def fail_at_eighth(k):
+            if k == 8:
+                raise RuntimeError("step 8 interrupted")
+
+        watch_steps(monkeypatch, fail_at_eighth)
+        path = tmp_path / "dump.csv"
+        with pytest.raises(RuntimeError, match="step 8 interrupted"):
+            write_timeseries_csv(range_config(steps=4, rounds=3), str(path), metrics=FAST)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("model,N,g,r,p_connect,round,timestep,")
+        assert [line.split(",")[5:7] for line in lines[1:]] == [
+            *(["0", str(t)] for t in range(1, 5)), ["1", "1"], ["1", "2"]]
+
     def test_interrupted_timeseries_keeps_finished_rounds(self, tmp_path, monkeypatch):
-        count_round_calls(monkeypatch, fail_at=1)
+        # a pooled run writes whole rounds, in round order
+        count_round_calls(monkeypatch, fail_at=1, name="round_rows")
+        in_process_pool(monkeypatch)
         cfg = range_config(steps=4, rounds=3)
         path = tmp_path / "dump.csv"
         with pytest.raises(RuntimeError, match="round 1 interrupted"):
-            write_timeseries_csv(cfg, str(path), metrics=FAST)
+            write_timeseries_csv(cfg, str(path), metrics=FAST, workers=2)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("model,N,g,r,p_connect,round,timestep,")
         assert [line.split(",")[5:7] for line in lines[1:]] == [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,26 @@ class TestFusedKernel:
         sizes = [np.unique(labels, return_counts=True)[1] for labels in expected[3]]
         assert [stats[2:] for stats in metrics._snapshot_stats(stack)] == [
             (int(s.size), int(s.max())) for s in sizes]
+
+    @pytest.mark.parametrize("b,n", [(40, 20), (3, 5), (1, 200)])
+    def test_results_survive_the_next_call_of_the_same_shape(self, b, n):
+        # the float32 work arrays are reused per shape; the results are not
+        rng = np.random.default_rng(b * n)
+        first, second = (np.stack([kernel_graph(kind, n, rng) for kind in
+                                   itertools.islice(itertools.cycle(GRAPH_KINDS), b)])
+                         for _ in range(2))
+        results = metrics._hop_distances(first)
+        kept = [values.tolist() for values in results]
+        again = metrics._hop_distances(second)
+        assert [values.tolist() for values in results] == kept
+        assert [values.tolist() for values in again] == [
+            values.tolist() for values in two_pass_kernel_oracle(second)]
+
+    def test_graphs_above_4096_nodes_rejected(self):
+        # a level of a 4097-node graph can count 4097 * 4096 >= 2^24 pairs,
+        # beyond float32's exact integers; a broadcast view allocates nothing
+        with pytest.raises(ValueError, match="exact up to 4096 nodes, got 4097"):
+            metrics._hop_distances(np.broadcast_to(np.False_, (1, 4097, 4097)))
 
     @staticmethod
     def products(monkeypatch, g):

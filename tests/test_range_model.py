@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangesim.core import FREE, ExactDraws, ModelKind, SimConfig, init_population, make_rng
-from rangesim.harness import run_model
 from rangesim.metrics import NetworkSnapshot
 from rangesim.range_model import max_sq_distance, range_links, step_range
 
-from measures import average_clustering
+from measures import average_clustering, run_model
 from oracles import RangeOracle, agent_xy, edge_set, in_range_links_oracle
 
 
@@ -188,6 +187,19 @@ class TestRunRange:
         for _ in range(cfg.steps):
             step_range(world, cfg, draws)
             assert world.positions == initial
+
+    def test_snapshot_survives_the_next_step(self):
+        # range_links reuses its distance buffers; the link matrix is new
+        cfg = config(n=30, g=8, r=2.0)
+        rng = make_rng(cfg.seed, 0)
+        world = init_population(cfg, rng)
+        draws = ExactDraws(rng)
+        snap = step_range(world, cfg, draws)
+        adj, positions = snap.adj.copy(), agent_xy(world)
+        step_range(world, cfg, draws)
+        assert agent_xy(world) != positions
+        assert np.array_equal(snap.adj, adj)
+        assert edge_set(adj) == in_range_links_oracle(positions, cfg.r)
 
     def test_deterministic_trajectory(self):
         cfg = config(n=12, g=6, r=1.5, steps=12, seed=99)
