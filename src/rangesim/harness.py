@@ -213,9 +213,10 @@ class SweepConfig:
                 raise ConfigError(f"swept r must lie in [0, g], got {v}")
             if self.vary == "p_connect" and not 0 <= v <= 1:
                 raise ConfigError(f"swept p_connect must lie in [0, 1], got {v}")
-            if self.vary == "n" and (v != int(v) or not 1 <= v <= self.base.g ** 2):
+            whole = math.isfinite(v) and v == int(v)
+            if self.vary == "n" and not (whole and 1 <= v <= self.base.g ** 2):
                 raise ConfigError(f"swept N must be an integer in [1, g*g], got {v}")
-            if self.vary == "g" and (v != int(v) or v < 1):
+            if self.vary == "g" and not (whole and v >= 1):
                 raise ConfigError(f"swept g must be a positive integer, got {v}")
         # every cell resolves, so a sweep fails before it writes anything
         for value in self.values:

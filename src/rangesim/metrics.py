@@ -42,7 +42,7 @@ class NetworkSnapshot:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
+        return np.count_nonzero(self.adj, axis=1)
 
     @property
     def edge_count(self) -> int:
@@ -51,7 +51,7 @@ class NetworkSnapshot:
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
         """Each node's neighbors in ascending order, as Python ints."""
-        cols = np.nonzero(self.adj)[1].tolist()
+        cols = _neighbors(self.adj).tolist()
         ends = np.cumsum(self.degrees).tolist()
         return [cols[start:end] for start, end in zip([0, *ends], ends)]
 
@@ -83,13 +83,14 @@ def chunk_size(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // (n * n))
 
 
-# Pair counts are float32 sums, exact while n(n - 1) stays below 2^24.
-_MAX_NODES = 4096
+# The dense pass counts each level's pairs in float32, exactly while
+# n(n - 1) stays below 2^24.
+_DENSE_MAX_NODES = 4096
 
 
 @lru_cache(maxsize=8)
 def _kernel_buffers(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_hop_distances`' three float32 (b, n, n) work arrays and n*n ones.
+    """`_dense_pass`' three float32 (b, n, n) work arrays and n*n ones.
 
     One set per recent shape, overwritten by every call: fresh arrays each
     timestep cost page faults once the allocator returns their memory.
@@ -98,33 +99,70 @@ def _kernel_buffers(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             np.ones(n * n, dtype=np.float32))
 
 
+def _neighbors(adj: np.ndarray) -> np.ndarray:
+    """The column indices of a compressed sparse row (CSR) adjacency:
+    each node's neighbors in ascending order, node after node."""
+    return np.flatnonzero(adj) % adj.shape[1]
+
+
+def _mean_clustering(closed: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Mean local clustering per graph from (b, n) closed-pair counts,
+    each edge among a node's neighbors counted twice."""
+    k = degrees.astype(np.float64)
+    possible = k * (k - 1.0)
+    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
+    return local.mean(axis=1)
+
+
 def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clustering and hop counts of a (b, n, n) stack of graphs, in one pass.
 
     Returns (clustering, hops, pairs, reps): per graph, the mean local
     clustering, the hop sum over ordered connected pairs and their
     count; per node, the lowest-indexed node it reaches (its component
-    label). Level-synchronous BFS from every source of every graph at
-    once, one float32 `frontier @ A` product per level into reused
-    buffers; the first, A @ A, also counts closed triangles, and the
-    loop stops once no graph can reach another pair. Each level's pairs
-    are counted as a float32 dot product of the frontier with ones.
-    Every count is an integer below 2^24 for n up to 4096, so float32
-    holds it exactly; larger graphs are rejected.
+    label). A stack whose every graph `_bitsets_pay` for takes
+    `_bitset_pass` graph by graph, any other `_dense_pass`; both count
+    in integers, so their results are equal.
+    """
+    degrees = np.count_nonzero(stack, axis=2)
+    n = stack.shape[1]
+    if all(_bitsets_pay(n, int(k.sum()) // 2) for k in degrees):
+        results = [_bitset_pass(adj, k) for adj, k in zip(stack, degrees)]
+        return tuple(np.concatenate(parts) for parts in zip(*results))
+    return _dense_pass(stack, degrees)
+
+
+def _bitsets_pay(n: int, m: int) -> bool:
+    """Whether `_bitset_pass` beats `_dense_pass` on a graph of n nodes
+    and m edges, or is the only exact one.
+
+    A BFS level costs the dense pass n³ multiply-adds and the bitset pass
+    about 2m·n / 64 word operations, so the choice follows the density.
+    Measured on G(n, m), where levels are fewest and the bitsets' fixed
+    costs weigh most, the bitsets are at most about 10% slower and mostly
+    faster from n = 128 up while the mean degree 2m / n is at most n / 14.
+    """
+    return n > _DENSE_MAX_NODES or (n >= 128 and 28 * m <= n * n)
+
+
+def _dense_pass(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_hop_distances` by level-synchronous BFS on dense float32 products.
+
+    BFS from every source of every graph at once, one float32
+    `frontier @ A` product per level into reused buffers; the first,
+    A @ A, also counts closed triangles, and the loop stops once no
+    graph can reach another pair. Each level's pairs are counted as a
+    float32 dot product of the frontier with ones. Every count is an
+    integer below 2^24 for n up to 4096, so float32 holds it exactly.
     """
     b, n = stack.shape[:2]
-    if n > _MAX_NODES:
-        raise ValueError(f"the distance kernel is exact up to {_MAX_NODES} nodes, got {n}")
     a, product, frontier, ones = _kernel_buffers(b, n)
     np.copyto(a, stack)
     np.matmul(a, a, out=product)
     # (A² ∘ A) row sums count each edge among a node's neighbors twice;
     # their buffer holds the frontier from level 2 on
     np.multiply(product, a, out=frontier)
-    closed = frontier.sum(axis=2, dtype=np.float64)
-    k = stack.sum(axis=2, dtype=np.float64)
-    possible = k * (k - 1.0)
-    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
+    clustering = _mean_clustering(frontier.sum(axis=2, dtype=np.float64), degrees)
     unreached = ~stack
     unreached[:, np.arange(n), np.arange(n)] = False
     found = np.dot(a.reshape(b, -1), ones).astype(np.int64)
@@ -143,7 +181,90 @@ def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         found = np.dot(frontier.reshape(b, -1), ones).astype(np.int64)
         hops += level * found
         pairs += found
-    return local.mean(axis=1), hops, pairs, np.argmin(unreached, axis=2)
+    return clustering, hops, pairs, np.argmin(unreached, axis=2)
+
+
+# Words `_bitset_pass` gathers at once (at least one node's entries):
+# 512 KiB, a range graph of 400 nodes in one block.
+_GATHER_WORDS = 1 << 16
+
+_M1, _M2, _M4, _H01 = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
+                        np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(0x0101010101010101))
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, by SWAR arithmetic on uint64 only
+    (numpy 1.x turns uint64 mixed with int64 into float64)."""
+    one, two, four = np.uint64(1), np.uint64(2), np.uint64(4)
+    x = words - ((words >> one) & _M1)
+    x = (x & _M2) + ((x >> two) & _M2)
+    x = (x + (x >> four)) & _M4
+    return (x * _H01) >> np.uint64(56)
+
+
+def _bitset_pass(adj: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_hop_distances` of one graph by bit-parallel multi-source BFS.
+
+    Every node keeps the set of sources that have reached it as bits
+    over ceil(n / 64) uint64 words (Then et al., PVLDB 8(4), 2014). A
+    level gathers the frontier words of every neighbor entry in CSR
+    order and ORs them per node with one `reduceat`; the new bits are
+    those not yet seen. Clustering counts the bits that the packed rows
+    at the two ends of each entry share. Entries are gathered in blocks
+    of whole nodes of about `_GATHER_WORDS` words, so that memory stays
+    bounded on dense graphs.
+    """
+    n = len(adj)
+    words = -(-n // 64)
+    # an isolated node's one entry is node n, whose row stays all zero,
+    # so that no reduceat segment is empty
+    extended = np.zeros((n, n + 1), dtype=bool)
+    extended[:, :n] = adj
+    extended[:, n] = degrees == 0
+    cols = _neighbors(extended)
+    entries = np.maximum(degrees, 1)
+    bounds = np.concatenate(([0], np.cumsum(entries)))
+    # each block starts at the node holding every (_GATHER_WORDS / words)-th
+    # entry; per block: its nodes, their neighbor entries, segment starts
+    firsts = list(dict.fromkeys((np.searchsorted(
+        bounds, np.arange(0, len(cols), max(1, _GATHER_WORDS // words)), side="right") - 1).tolist()))
+    blocks = [(slice(v0, v1), cols[bounds[v0]:bounds[v1]], bounds[v0:v1] - bounds[v0])
+              for v0, v1 in zip(firsts, [*firsts[1:], n])]
+    # row v: bit s of word s // 64 is set when source s reached v at the
+    # last level; at level 1, when s is a neighbor of v
+    bits = np.zeros((n + 1, 8 * words), dtype=np.uint8)
+    bits[:n, :-(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    frontier = bits.view("<u8")
+    closed = np.empty(n, dtype=np.uint64)
+    for nodes, neighbors, segments in blocks:
+        shared = frontier.take(neighbors, axis=0) & frontier[nodes].repeat(entries[nodes], axis=0)
+        closed[nodes] = np.add.reduceat(_popcount(shared).ravel(), segments * words)
+    clustering = _mean_clustering(closed.astype(np.float64)[None], degrees[None])
+    node = np.arange(n)
+    unseen = ~frontier[:n]
+    unseen[node, node // 64] ^= np.uint64(1) << (node % 64).astype(np.uint64)
+    new = np.empty_like(unseen)
+    found = hops = pairs = int(degrees.sum())
+    level = 1
+    # done once a level finds nothing or no pair is left unreached
+    while found and pairs < n * (n - 1):
+        level += 1
+        for nodes, neighbors, segments in blocks:
+            np.bitwise_or.reduceat(frontier.take(neighbors, axis=0), segments, axis=0,
+                                   out=new[nodes])
+        new &= unseen
+        unseen ^= new
+        frontier[:n] = new
+        # two calls count a level's bits, faster than `_popcount` at this size
+        found = int(np.count_nonzero(np.unpackbits(new.view(np.uint8))))
+        hops += level * found
+        pairs += found
+    # the component label is the lowest set bit; every node sees itself
+    seen = ~unseen
+    first = np.argmax(seen != 0, axis=1)
+    word = seen[node, first]
+    reps = 64 * first + np.frexp((word & (~word + np.uint64(1))).astype(np.float64))[1] - 1
+    return clustering, np.array([hops]), np.array([pairs]), reps[None]
 
 
 def _clustering_and_paths(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -530,6 +530,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("rangesim: config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("vary,values", [("n", "nan"), ("n", "inf"), ("n", "1e400"),
+                                             ("g", "10,inf"), ("g", "nan")])
+    def test_non_finite_swept_n_or_g_is_config_error(self, tmp_path, capsys, vary, values):
+        # the integer check must not call int() on NaN or infinity
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--r", "1", "--vary", vary, "--values", values,
+                     "--n", "6", "--g", "5", "--steps", "2", "--rounds", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("rangesim: config error: ")
+        assert not out.exists()
+
     def test_nan_social_weight_is_config_error(self, tmp_path, capsys):
         # NaN passes `w < 0`, and then no exposed agent is ever infected
         out = tmp_path / "traj.csv"

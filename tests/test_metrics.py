@@ -8,6 +8,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from rangesim import metrics
+from rangesim.cli import main
 from rangesim.core import make_rng
 from rangesim.metrics import NetworkSnapshot
 from rangesim.range_model import max_sq_distance, range_links
@@ -304,11 +305,74 @@ class TestFusedKernel:
         assert [values.tolist() for values in again] == [
             values.tolist() for values in two_pass_kernel_oracle(second)]
 
-    def test_graphs_above_4096_nodes_rejected(self):
-        # a level of a 4097-node graph can count 4097 * 4096 >= 2^24 pairs,
-        # beyond float32's exact integers; a broadcast view allocates nothing
-        with pytest.raises(ValueError, match="exact up to 4096 nodes, got 4097"):
-            metrics._hop_distances(np.broadcast_to(np.False_, (1, 4097, 4097)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([63, 64, 65, 127, 128, 129, 200]), kind=st.sampled_from(GRAPH_KINDS),
+           isolated=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_bitset_pass_matches_two_pass_kernel(self, n, kind, isolated, seed):
+        # 63 to 65 and 127 to 129 nodes straddle the 64-bit word edges
+        rng = np.random.default_rng(seed)
+        adj = kernel_graph(kind, n, rng)
+        cut = rng.choice(n, size=isolated, replace=False)
+        adj[cut] = adj[:, cut] = False
+        results = metrics._bitset_pass(adj, np.count_nonzero(adj, axis=1))
+        assert [values.tolist() for values in results] == [
+            values.tolist() for values in two_pass_kernel_oracle(adj[None])]
+
+    @pytest.mark.parametrize("gather_words", [1, 8, 64])
+    def test_bitset_blocks_do_not_change_results(self, gather_words, monkeypatch):
+        # blocks of one node, of a few nodes and of a few dozen nodes
+        monkeypatch.setattr(metrics, "_GATHER_WORDS", gather_words)
+        rng = np.random.default_rng(gather_words)
+        for kind in GRAPH_KINDS:
+            adj = kernel_graph(kind, 130, rng)
+            adj[7] = adj[:, 7] = False
+            results = metrics._bitset_pass(adj, np.count_nonzero(adj, axis=1))
+            assert [values.tolist() for values in results] == [
+                values.tolist() for values in two_pass_kernel_oracle(adj[None])]
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([127, 128, 129, 200]), above=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_both_sides_of_the_switch_match(self, n, above, seed):
+        # the bitsets take G(n, m) from n = 128 up while 28 m <= n², so
+        # their graphs make no np.matmul call
+        m = n * n // 28 + above
+        g = sample_gnm(n, m, make_rng(seed, 0))
+        with pytest.MonkeyPatch.context() as patch:
+            assert (self.products(patch, g) == 0) == (n >= 128 and not above)
+        results = metrics._hop_distances(g.adj[None])
+        assert [values.tolist() for values in results] == [
+            values.tolist() for values in two_pass_kernel_oracle(g.adj[None])]
+
+    def test_graph_above_4096_nodes_has_closed_form_measures(self):
+        # a star with 4100 leaves, a triangle and two isolated nodes on
+        # shuffled labels; the dense pass's float32 pair counts would pass 2^24
+        leaves, n = 4100, 4106
+        order = np.random.default_rng(0).permutation(n)
+        hub, spokes, triangle = order[0], order[1:leaves + 1], order[leaves + 1:leaves + 4]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[hub, spokes] = adj[spokes, hub] = True
+        for i, j in itertools.combinations(triangle, 2):
+            adj[i, j] = adj[j, i] = True
+        row, = metrics.metrics_rows([NetworkSnapshot(adj)], [1], make_rng(0, 0),
+                                    small_world=False)
+        hops = 2 * leaves + 2 * leaves * (leaves - 1) + 6
+        pairs = 2 * leaves + leaves * (leaves - 1) + 6
+        assert row.aspl == hops / pairs
+        assert (row.n_components, row.largest_component) == (4, leaves + 1)
+        assert row.clustering == 3 / n
+        assert row.avg_degree == 2 * (leaves + 3) / n
+
+    def test_graphs_above_4096_nodes_never_take_the_dense_pass(self):
+        # its float32 pair counts are exact only while n(n - 1) < 2^24
+        assert metrics._bitsets_pay(4097, 4097 * 4096 // 2)
+        assert not metrics._bitsets_pay(4096, 4096 * 4095 // 2)
+
+    def test_run_above_4096_nodes_writes_its_rows(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["run", "--model", "null", "--n", "4100", "--p-connect", "0.0005",
+                     "--steps", "2", "--no-small-world", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2
 
     @staticmethod
     def products(monkeypatch, g):
@@ -323,7 +387,12 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 20, 128])
     def test_complete_graph_takes_the_shared_square_only(self, n, monkeypatch):
+        # dense graphs stay on the dense pass at any size
         assert self.products(monkeypatch, complete(n)) == 1
+
+    @pytest.mark.parametrize("n", [128, 200])
+    def test_sparse_graph_above_the_switch_takes_no_product(self, n, monkeypatch):
+        assert self.products(monkeypatch, path(n)) == 0
 
     @pytest.mark.parametrize("n", [3, 4, 20, 60])
     def test_path_takes_one_product_per_level_past_the_first(self, n, monkeypatch):
@@ -344,6 +413,17 @@ def networkx_aspl(nx, graph):
     hops = [d for _, dists in nx.all_pairs_shortest_path_length(graph)
             for d in dists.values() if d > 0]
     return sum(hops) / len(hops) if hops else 0.0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(1, 70), density=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_neighbor_lists_are_the_adjacency_rows(n, density, seed):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
+    g = NetworkSnapshot(upper | upper.T)
+    lists = g.neighbor_lists
+    assert lists == [np.flatnonzero(row).tolist() for row in g.adj]
+    assert all(type(v) is int for nbrs in lists for v in nbrs)
+    assert g.degrees.tolist() == [len(nbrs) for nbrs in lists]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
