@@ -15,8 +15,8 @@ import numpy as np
 RngStream = np.random.Generator
 
 # Substream labels. Each concern (model dynamics, metric reference
-# sampling, diffusion) gets an independent generator so that attaching or
-# detaching one observer cannot perturb the draws seen by another.
+# sampling, diffusion) gets an independent generator, so that the draws
+# of one can never change those seen by another.
 STREAM_MODEL = 0
 STREAM_METRICS = 1
 STREAM_DIFFUSION = 2

@@ -1,8 +1,11 @@
-"""Four transmission processes run as per-step observers on either model.
+"""Four transmission processes that observe either model's snapshots.
 
-All four read the pre-step network and pre-step agent states only
-(synchronous updates), so a trajectory depends on the snapshot sequence
-and the diffusion RNG stream, never on agent processing order.
+`make_observer` builds a process's observer for one round, and
+`harness.diffusion_round` calls it with each (timestep, snapshot) until
+it is `done` (absorbed) or the round ends. All four read the pre-step
+network and pre-step agent states only (synchronous updates), so a
+trajectory depends on the snapshot sequence and the diffusion RNG
+stream, never on agent processing order.
 """
 
 from __future__ import annotations
@@ -380,7 +383,7 @@ def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTabl
     return [inv | add for inv, add in zip(inventories, additions)], created
 
 
-class _ContagionObserver:
+class _ContagionProcess:
     """Shared infected-state tracking for the SI-style processes."""
 
     def __init__(self, cfg, n: int, rng: RngStream):
@@ -405,17 +408,17 @@ class _ContagionObserver:
             self.done = True
 
 
-class SIObserver(_ContagionObserver):
+class SIProcess(_ContagionProcess):
     def _advance(self, snap: NetworkSnapshot) -> None:
         self.states = si_step(snap, self.states, self.cfg, self.rng)
 
 
-class ComplexContagionObserver(_ContagionObserver):
+class ComplexContagionProcess(_ContagionProcess):
     def _advance(self, snap: NetworkSnapshot) -> None:
         self.states = complex_contagion_step(snap, self.states, self.cfg, self.rng)
 
 
-class CulturalObserver:
+class CulturalProcess:
     """Tracks two-trait transmission; frequency is signed, (n_A - n_B)/N."""
 
     def __init__(self, cfg: CulturalConfig, n: int, rng: RngStream):
@@ -438,7 +441,7 @@ class CulturalObserver:
             self.done = True
 
 
-class PotionObserver:
+class PotionProcess:
     """Tracks the potion task; frequency is the crossover-item holder fraction."""
 
     def __init__(self, cfg: PotionConfig, n: int, rng: RngStream):
@@ -459,11 +462,11 @@ class PotionObserver:
 
 ProcessConfig = SIConfig | ComplexContagionConfig | CulturalConfig | PotionConfig
 
-_OBSERVERS = {
-    SIConfig: SIObserver,
-    ComplexContagionConfig: ComplexContagionObserver,
-    CulturalConfig: CulturalObserver,
-    PotionConfig: PotionObserver,
+_PROCESSES = {
+    SIConfig: SIProcess,
+    ComplexContagionConfig: ComplexContagionProcess,
+    CulturalConfig: CulturalProcess,
+    PotionConfig: PotionProcess,
 }
 
 
@@ -474,8 +477,9 @@ def check_population(cfg: ProcessConfig, n: int) -> None:
 
 
 def make_observer(cfg: ProcessConfig, n: int, rng: RngStream):
-    """Observer instance for a process config; raises ConfigError on unknown types."""
-    cls = _OBSERVERS.get(type(cfg))
+    """The observer of a process config, called with each (timestep, snapshot)
+    of one round; raises ConfigError on unknown types."""
+    cls = _PROCESSES.get(type(cfg))
     if cls is None:
         raise ConfigError(f"unknown diffusion process config: {type(cfg).__name__}")
     return cls(cfg, n, rng)

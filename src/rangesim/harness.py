@@ -2,7 +2,10 @@
 
 A round is one independent trajectory with its own RNG streams derived
 from (seed, round index), so rounds may run across a worker pool and
-still aggregate to byte-identical output.
+still aggregate to byte-identical output. `iter_model` yields a round's
+snapshots, and each output has one driver over them: `round_rows`
+measures them, for `run` rows and sweep averages, and `diffusion_round`
+runs a diffusion process on them.
 """
 
 from __future__ import annotations
@@ -41,12 +44,10 @@ from .metrics import (
 from .null_model import null_stepper
 from .range_model import range_stepper
 
-Observer = Callable[[int, NetworkSnapshot], None]
-
 
 @dataclass(frozen=True)
 class MetricsOptions:
-    """What the per-step metrics collector computes."""
+    """What `round_rows` measures at each timestep."""
 
     n_ref: int = DEFAULT_N_REF
     small_world: bool = True
@@ -56,96 +57,55 @@ class MetricsOptions:
             raise ConfigError(f"n_ref must be at least 1, got {self.n_ref}")
 
 
-class MetricsCollector:
-    """Observer that turns each snapshot into a MetricsRow.
-
-    Consecutive snapshots are held until they fill one `chunk_size`
-    chunk and are then measured by one `metrics_rows` call, whose rows
-    join `rows`; `flush` measures the rest. Where the chunks fall does
-    not change the rows.
-    """
-
-    def __init__(self, rng, options: MetricsOptions = MetricsOptions()):
-        self.rng = rng
-        self.options = options
-        self.rows: list[MetricsRow] = []
-        self._held: list[tuple[int, NetworkSnapshot]] = []
-
-    def __call__(self, t: int, snap: NetworkSnapshot) -> None:
-        self._held.append((t, snap))
-        if len(self._held) >= chunk_size(snap.n):
-            self.flush()
-
-    def flush(self) -> list[MetricsRow]:
-        """Measure every held snapshot; returns `rows`."""
-        if self._held:
-            timesteps, snaps = zip(*self._held)
-            self._held = []
-            self.rows += metrics_rows(snaps, timesteps, self.rng, n_ref=self.options.n_ref,
-                                      small_world=self.options.small_world)
-        return self.rows
-
-
-def iter_model(config: SimConfig, rng, observers: Sequence[Observer] = ()) -> Iterator[int]:
-    """Set up the configured model and run `config.steps` timesteps, lazily.
-
-    Observers are called after each step, in order, with (timestep,
-    snapshot); timesteps count from 1. Each timestep is yielded once
-    every observer has seen it, so a caller can pass their output on
-    step by step. A run stops early only when every observer reports
-    `done` (absorbing diffusion states); metric collectors never do.
+def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
+    """Set up the configured model and yield the snapshot after each of
+    its `config.steps` timesteps, lazily: nothing runs until the first
+    snapshot is asked for, and the model stops when its caller does.
     """
     stepper = range_stepper if config.model is ModelKind.RANGE else null_stepper
     step = stepper(config, rng)
-    for t in range(1, config.steps + 1):
-        snap = step()
-        for obs in observers:
-            obs(t, snap)
-        yield t
-        if observers and all(getattr(obs, "done", False) for obs in observers):
-            break
+    for _ in range(config.steps):
+        yield step()
 
 
-def run_round(config: SimConfig, round_idx: int,
-              diffusion: ProcessConfig | None = None,
-              metrics: MetricsOptions | None = MetricsOptions(),
-              ) -> tuple[list[MetricsRow], DiffusionTrajectory | None]:
-    """One full trajectory: per-timestep metric rows plus an optional
-    diffusion trajectory.
-
-    Pass metrics=None to skip measurement entirely (diffusion-only runs,
-    which then stop as soon as the process is absorbed).
+def metric_chunks(snaps: Iterable[NetworkSnapshot], rng,
+                  metrics: MetricsOptions) -> Iterator[list[MetricsRow]]:
+    """The metric rows of a run of snapshots, timesteps counting from 1:
+    one list per chunk of `chunk_size` snapshots (the last may be
+    shorter), each as soon as `metrics_rows` has measured it. Where the
+    chunks fall does not change the rows.
     """
-    observers = []
-    collector = None
-    if metrics is not None:
-        collector = MetricsCollector(make_rng(config.seed, round_idx, STREAM_METRICS), metrics)
-        observers.append(collector)
-    diff_obs = None
-    if diffusion is not None:
-        diff_obs = make_observer(diffusion, config.n,
-                                 make_rng(config.seed, round_idx, STREAM_DIFFUSION))
-        observers.append(diff_obs)
-    for _ in iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), observers):
-        pass
-    trajectory = None
-    if diff_obs is not None:
-        trajectory = diff_obs.trajectory
-        trajectory.frequencies = padded_frequencies(trajectory, config.steps)
-    return (collector.flush() if collector else []), trajectory
+    steps = enumerate(snaps, start=1)
+    for first in steps:
+        timesteps, chunk = zip(first, *islice(steps, chunk_size(first[1].n) - 1))
+        yield metrics_rows(chunk, timesteps, rng, n_ref=metrics.n_ref,
+                           small_world=metrics.small_world)
 
 
 def round_rows(config: SimConfig, round_idx: int,
                metrics: MetricsOptions = MetricsOptions()) -> Iterator[list[MetricsRow]]:
-    """`run_round`'s metric rows without diffusion, lazily: one list per
-    measured chunk, each as soon as it is measured (the last may be empty).
+    """One round's metric rows, lazily, as `metric_chunks` yields them."""
+    return metric_chunks(iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL)),
+                         make_rng(config.seed, round_idx, STREAM_METRICS), metrics)
+
+
+def diffusion_round(config: SimConfig, round_idx: int,
+                    process: ProcessConfig) -> DiffusionTrajectory:
+    """One round's diffusion trajectory, padded to `config.steps` entries.
+
+    The process observes each snapshot in turn, and the model takes no
+    further step once the process is absorbed (its observer is `done`).
     """
-    collector = MetricsCollector(make_rng(config.seed, round_idx, STREAM_METRICS), metrics)
-    for _ in iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL), [collector]):
-        if collector.rows:
-            yield collector.rows
-            collector.rows = []
-    yield collector.flush()
+    observer = make_observer(process, config.n,
+                             make_rng(config.seed, round_idx, STREAM_DIFFUSION))
+    snaps = iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL))
+    for t, snap in enumerate(snaps, start=1):
+        observer(t, snap)
+        if observer.done:
+            break
+    trajectory = observer.trajectory
+    trajectory.frequencies = padded_frequencies(trajectory, config.steps)
+    return trajectory
 
 
 @dataclass(frozen=True)
@@ -270,8 +230,8 @@ class SweepConfig:
 
 
 def _pool_task(fn: Callable, *args):
-    """`fn(*args)` in a pool worker, an iterator result collected into a
-    list so that it can be sent back whole."""
+    """`fn(*args)` in a pool worker. An iterator result (`round_rows`'
+    chunks) is collected into a list, so that it can be sent back whole."""
     result = fn(*args)
     return list(result) if isinstance(result, Iterator) else result
 
@@ -282,9 +242,11 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
     The pool starts no more processes than there are tasks, and none for
     a single task. Results come lazily and in input order, so a caller
     can reduce or write each one as soon as it and every earlier one
-    have finished. Serially an iterator result (`round_rows`) is handed
-    on unconsumed, so its items can be written as they are made; a pool
-    sends each one back as a list once its task has finished.
+    have finished. `fn` is a round driver: `_round_averages`,
+    `round_rows` or `diffusion_round`. Serially an iterator result
+    (`round_rows`' chunks) is handed on unconsumed, so its items can be
+    written as they are made; a pool sends each one back as a list once
+    its task has finished.
     """
     tasks = list(zip(*iterables))
     workers = min(workers, len(tasks))
@@ -298,7 +260,7 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
 def _round_averages(config: SimConfig, round_idx: int, metrics: MetricsOptions,
                     burn_in: int) -> dict[str, float | None]:
     """Worker body: time-averages of one round's metric trajectory."""
-    rows, _ = run_round(config, round_idx, metrics=metrics)
+    rows = [row for chunk in round_rows(config, round_idx, metrics) for row in chunk]
     kept = rows[burn_in:]
     out: dict[str, float | None] = {}
     for name in METRIC_NAMES:
@@ -345,9 +307,8 @@ def run_diffusion_rounds(config: SimConfig, process: ProcessConfig,
     a bad config raises ConfigError before any round runs.
     """
     check_population(process, config.n)
-    rounds = _map_rounds(run_round, workers, repeat(config), range(config.rounds),
-                         repeat(process), repeat(None))
-    return (traj for _, traj in rounds)
+    return _map_rounds(diffusion_round, workers, repeat(config), range(config.rounds),
+                       repeat(process))
 
 
 def _fmt(value) -> str:

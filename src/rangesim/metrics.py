@@ -114,8 +114,9 @@ def _mean_clustering(closed: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return local.mean(axis=1)
 
 
-def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clustering and hop counts of a (b, n, n) stack of graphs, in one pass.
+def _hop_distances(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clustering and hop counts of a (b, n, n) stack of graphs with (b, n)
+    node degrees, in one pass.
 
     Returns (clustering, hops, pairs, reps): per graph, the mean local
     clustering, the hop sum over ordered connected pairs and their
@@ -124,7 +125,6 @@ def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     `_bitset_pass` graph by graph, any other `_dense_pass`; both count
     in integers, so their results are equal.
     """
-    degrees = np.count_nonzero(stack, axis=2)
     n = stack.shape[1]
     if all(_bitsets_pay(n, int(k.sum()) // 2) for k in degrees):
         results = [_bitset_pass(adj, k) for adj, k in zip(stack, degrees)]
@@ -267,21 +267,23 @@ def _bitset_pass(adj: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.n
     return clustering, np.array([hops]), np.array([pairs]), reps[None]
 
 
-def _clustering_and_paths(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean clustering, ASPL and component labels of each graph of a stack.
+def _clustering_and_paths(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean clustering, ASPL and component labels of each graph of a stack,
+    given its node degrees.
 
     Each graph's ASPL is 0 when no pair is connected. Both hop counts
     are exact integers in float64 and twice the unordered ones, so the
     rounded quotient is bit-identical to the mean over unordered pairs.
     """
-    clustering, hops, pairs, reps = _hop_distances(stack)
+    clustering, hops, pairs, reps = _hop_distances(stack, degrees)
     aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
     return clustering, aspl, reps
 
 
-def _snapshot_stats(stack: np.ndarray) -> list[tuple[float, float, int, int]]:
-    """(clustering, ASPL, component count, largest component) per graph."""
-    clustering, aspl, reps = _clustering_and_paths(stack)
+def _snapshot_stats(snaps: Sequence[NetworkSnapshot]) -> list[tuple[float, float, int, int]]:
+    """(clustering, ASPL, component count, largest component) per snapshot."""
+    clustering, aspl, reps = _clustering_and_paths(np.stack([snap.adj for snap in snaps]),
+                                                   np.stack([snap.degrees for snap in snaps]))
     b, n = reps.shape
     # component sizes of every graph from one count over offset labels
     sizes = np.bincount((reps + n * np.arange(b)[:, None]).ravel(),
@@ -333,7 +335,8 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
             _draw_gnm(buffer[filled], n, m, rng)
             filled += 1
             if filled == len(buffer) or done + filled == total:
-                c, l, _ = _clustering_and_paths(_symmetric(buffer[:filled], n))
+                stack = _symmetric(buffer[:filled], n)
+                c, l, _ = _clustering_and_paths(stack, np.count_nonzero(stack, axis=2))
                 clustering[done:done + filled] = c
                 aspl[done:done + filled] = l
                 done += filled
@@ -362,7 +365,7 @@ def metrics_rows(snaps: Sequence[NetworkSnapshot], timesteps: Sequence[int],
     """
     if small_world and n_ref < 1:
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
-    stats = _snapshot_stats(np.stack([snap.adj for snap in snaps]))
+    stats = _snapshot_stats(snaps)
     index: list[float | None] = [None] * len(snaps)
     if small_world:
         linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]

@@ -2,9 +2,10 @@
 
 The package measures graphs only through `metrics.metrics_rows`, a chunk
 of snapshots at a time. These helpers call it on a single snapshot, so
-tests can name one measure at a time; `sample_gnm` and `run_sweep` wrap
-the reference sampler and the sweep iterator the same way, and
-`run_model` runs the lazy run loop to its end. Unlike `oracles`,
+tests can name one measure at a time; `sample_gnm`, `run_sweep` and
+`round_metrics` wrap the reference sampler, the sweep iterator and a
+round's metric chunks the same way, and `run_model` runs the model to
+its end, calling observers on each snapshot. Unlike `oracles`,
 everything here is the package's own code.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rangesim.harness import iter_model, iter_sweep
+from rangesim.harness import MetricsOptions, iter_model, iter_sweep, round_rows
 from rangesim.metrics import DEFAULT_N_REF, NetworkSnapshot, _draw_gnm, metrics_rows
 
 
@@ -61,7 +62,14 @@ def run_sweep(sweep, workers=1):
     return list(iter_sweep(sweep, workers=workers))
 
 
+def round_metrics(config, round_idx, metrics=MetricsOptions()):
+    """One round's metric rows: `round_rows`' chunks joined."""
+    return [row for chunk in round_rows(config, round_idx, metrics) for row in chunk]
+
+
 def run_model(config, rng, observers=()):
-    """Run `iter_model` to its end."""
-    for _ in iter_model(config, rng, observers):
-        pass
+    """Run `iter_model` to its end, calling each observer in order with
+    (timestep, snapshot) after each step; timesteps count from 1."""
+    for t, snap in enumerate(iter_model(config, rng), start=1):
+        for obs in observers:
+            obs(t, snap)

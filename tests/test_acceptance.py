@@ -22,7 +22,6 @@ from rangesim.harness import (
     MetricsOptions,
     SweepConfig,
     run_diffusion_rounds,
-    run_round,
     write_csv,
 )
 from rangesim.null_model import NullState, step_null
@@ -34,6 +33,7 @@ from measures import (
     average_shortest_path_length,
     components,
     metrics_snapshot,
+    round_metrics,
     run_sweep,
     sample_gnm,
     small_world_index,
@@ -82,25 +82,22 @@ def test_01_degree_point_check():
 def test_02_boundary_identities():
     failures = []
     n, g = 12, 5
+    no_sw = MetricsOptions(small_world=False)
     # r = 0: every timestep empty, N singleton components
-    rows, _ = run_round(range_cfg(n=n, g=g, r=0.0, steps=40, rounds=1), 0,
-                        metrics=MetricsOptions(small_world=False))
+    rows = round_metrics(range_cfg(n=n, g=g, r=0.0, steps=40, rounds=1), 0, no_sw)
     for row in rows:
         if row.avg_degree != 0.0 or row.n_components != n:
             failures.append(f"r=0 step {row.timestep}: {row}")
     # r >= g*sqrt(2): complete graph every timestep
-    rows, _ = run_round(range_cfg(n=n, g=g, r=g * math.sqrt(2), steps=40, rounds=1), 0,
-                        metrics=MetricsOptions(small_world=False))
+    rows = round_metrics(range_cfg(n=n, g=g, r=g * math.sqrt(2), steps=40, rounds=1), 0, no_sw)
     for row in rows:
         if (row.avg_degree, row.clustering, row.aspl) != (n - 1.0, 1.0, 1.0) or \
                 (row.n_components, row.largest_component) != (1, n):
             failures.append(f"r=g*sqrt2 step {row.timestep}: {row}")
     # null: p=0 empty, p=1 complete from step 1 on
-    rows, _ = run_round(null_cfg(n=n, p_connect=0.0, steps=40, rounds=1), 0,
-                        metrics=MetricsOptions(small_world=False))
+    rows = round_metrics(null_cfg(n=n, p_connect=0.0, steps=40, rounds=1), 0, no_sw)
     failures += [f"null p=0 step {r.timestep}" for r in rows if r.avg_degree != 0.0]
-    rows, _ = run_round(null_cfg(n=n, p_connect=1.0, steps=40, rounds=1), 0,
-                        metrics=MetricsOptions(small_world=False))
+    rows = round_metrics(null_cfg(n=n, p_connect=1.0, steps=40, rounds=1), 0, no_sw)
     failures += [f"null p=1 step {r.timestep}" for r in rows
                  if (r.avg_degree, r.clustering, r.aspl) != (n - 1.0, 1.0, 1.0)]
     report("02 boundary identities", not failures, f"{len(failures)} violations (exact)")

@@ -17,13 +17,13 @@ from rangesim.diffusion import (
     TRAIT_B,
     ComplexContagionConfig,
     CulturalConfig,
-    CulturalObserver,
+    CulturalProcess,
     PotionConfig,
-    PotionObserver,
+    PotionProcess,
     PotionTable,
     Recipe,
     SIConfig,
-    SIObserver,
+    SIProcess,
     complex_contagion_step,
     cultural_step,
     default_potion_config,
@@ -312,7 +312,7 @@ class TestPotionStep:
         cfg = dataclasses.replace(default_potion_config(),
                                   starting_inventory=("A3", "B3", "a1"))
         g = snap(2, [(0, 1)])
-        obs = PotionObserver(cfg, 2, make_rng(1, 0))
+        obs = PotionProcess(cfg, 2, make_rng(1, 0))
         obs(1, g)
         assert obs.trajectory.crossover_time == 1
         assert obs.trajectory.frequencies[0] == 1.0
@@ -322,7 +322,7 @@ class TestPotionStep:
 class TestObservers:
     def test_si_frequency_never_decreases(self):
         sim = SimConfig(model=ModelKind.RANGE, n=15, g=6, r=2.0, steps=60, seed=6)
-        obs = SIObserver(SIConfig(p_infect=0.3), sim.n, make_rng(sim.seed, 0, 2))
+        obs = SIProcess(SIConfig(p_infect=0.3), sim.n, make_rng(sim.seed, 0, 2))
         run_model(sim, make_rng(sim.seed, 0), observers=[obs])
         freqs = obs.trajectory.frequencies
         assert all(b >= a for a, b in zip(freqs, freqs[1:]))
@@ -330,22 +330,22 @@ class TestObservers:
             assert freqs[obs.trajectory.fixation_time - 1] == 1.0
 
     def test_initial_infected_count(self):
-        obs = SIObserver(SIConfig(n_init=3), 10, make_rng(1, 0, 2))
+        obs = SIProcess(SIConfig(n_init=3), 10, make_rng(1, 0, 2))
         assert obs.states.sum() == 3
 
     def test_n_init_larger_than_population_rejected(self):
         with pytest.raises(ConfigError):
-            SIObserver(SIConfig(n_init=5), 3, make_rng(1, 0, 2))
+            SIProcess(SIConfig(n_init=5), 3, make_rng(1, 0, 2))
 
     def test_cultural_signed_frequency(self):
-        obs = CulturalObserver(CulturalConfig(init_split=0.5), 10, make_rng(2, 0, 2))
+        obs = CulturalProcess(CulturalConfig(init_split=0.5), 10, make_rng(2, 0, 2))
         assert int((obs.traits == TRAIT_A).sum()) == 5
         g = snap(10, [])
         obs(1, g)
         assert obs.trajectory.frequencies == [0.0]
 
     def test_fixation_sets_done_for_early_stop(self):
-        obs = SIObserver(SIConfig(p_infect=1.0), 4, make_rng(3, 0, 2))
+        obs = SIProcess(SIConfig(p_infect=1.0), 4, make_rng(3, 0, 2))
         g = snap(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         t = 0
         while not obs.done:

@@ -10,21 +10,21 @@ from rangesim.cli import main, parse_values
 from rangesim.core import STREAM_METRICS, STREAM_MODEL, ConfigError, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import SIConfig
 from rangesim.harness import (
-    MetricsCollector,
     MetricsOptions,
     SweepConfig,
     aggregate_rounds,
+    diffusion_round,
     iter_model,
     iter_sweep,
+    metric_chunks,
     run_diffusion_rounds,
-    run_round,
     write_csv,
     write_timeseries_csv,
     write_trajectories_csv,
 )
 from rangesim.metrics import NetworkSnapshot
 
-from measures import metrics_snapshot, run_model, run_sweep
+from measures import metrics_snapshot, round_metrics, run_model, run_sweep
 
 
 def range_config(**kwargs):
@@ -43,9 +43,9 @@ def model_config(kind, **kwargs):
     return SimConfig(**defaults)
 
 
-def count_round_calls(monkeypatch, fail_at=None, name="run_round"):
-    """Route harness.run_round (or another round function `name`) through
-    a counter; raise at round `fail_at`."""
+def count_round_calls(monkeypatch, name, fail_at=None):
+    """Route the round driver harness.`name` (`round_rows` or
+    `diffusion_round`) through a counter; raise at round `fail_at`."""
     calls = []
     real = getattr(harness, name)
 
@@ -90,12 +90,19 @@ class TestRunModel:
         run_model(model_config(kind, steps=3), make_rng(1, 0), observers=[obs_a, obs_b])
         assert calls == [("a", 1), ("b", 1), ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
 
-    def test_each_timestep_yielded_once_its_observers_ran(self, kind):
-        seen = []
-        steps = iter_model(model_config(kind, steps=3), make_rng(1, 0),
-                           [lambda t, s: seen.append(t)])
-        assert seen == []  # nothing runs until the first timestep is asked for
-        assert [(t, list(seen)) for t in steps] == [(1, [1]), (2, [1, 2]), (3, [1, 2, 3])]
+    def test_each_snapshot_yielded_right_after_its_step(self, kind, monkeypatch):
+        stepped = []
+        name = "range_stepper" if kind is ModelKind.RANGE else "null_stepper"
+        real = getattr(harness, name)
+
+        def stepper(config, rng):
+            step = real(config, rng)
+            return lambda: stepped.append(len(stepped) + 1) or step()
+
+        monkeypatch.setattr(harness, name, stepper)
+        snaps = iter_model(model_config(kind, steps=3), make_rng(1, 0))
+        assert stepped == []  # nothing runs until the first snapshot is asked for
+        assert [list(stepped) for _ in snaps] == [[1], [1, 2], [1, 2, 3]]
 
     def test_deterministic_trajectory(self, kind):
         cfg = model_config(kind)
@@ -116,13 +123,12 @@ class TestRunModel:
 
 class TestRunRound:
     def test_row_per_timestep(self):
-        rows, traj = run_round(range_config(steps=100), 0, metrics=FAST)
+        rows = round_metrics(range_config(steps=100), 0, FAST)
         assert len(rows) == 100
         assert [row.timestep for row in rows] == list(range(1, 101))
-        assert traj is None
 
     def test_single_agent_rows(self):
-        rows, _ = run_round(range_config(n=1, steps=5), 0, metrics=FAST)
+        rows = round_metrics(range_config(n=1, steps=5), 0, FAST)
         for row in rows:
             assert (row.avg_degree, row.clustering, row.aspl) == (0.0, 0.0, 0.0)
             assert (row.n_components, row.largest_component) == (1, 1)
@@ -130,66 +136,92 @@ class TestRunRound:
 
     def test_repeat_is_identical(self):
         cfg = range_config(steps=20, seed=42)
-        a, _ = run_round(cfg, 3, metrics=FAST)
-        b, _ = run_round(cfg, 3, metrics=FAST)
+        a = round_metrics(cfg, 3, FAST)
+        b = round_metrics(cfg, 3, FAST)
         assert a == b
 
-    def test_diffusion_does_not_disturb_metrics(self):
+    def test_diffusion_does_not_disturb_metrics(self, monkeypatch):
+        # model, metrics and diffusion draw from separate streams: a
+        # diffusion round sees the snapshots a metrics round measures, and
+        # measuring the snapshots it saw gives the metrics round's rows
+        seen = []
+        real = harness.iter_model
+
+        def recorded(config, rng):
+            seen.append([])
+            for snap in real(config, rng):
+                seen[-1].append(snap)
+                yield snap
+
+        monkeypatch.setattr(harness, "iter_model", recorded)
         cfg = range_config(steps=15)
-        plain, _ = run_round(cfg, 1, metrics=FAST)
-        with_diff, traj = run_round(cfg, 1, metrics=FAST, diffusion=SIConfig(p_infect=0.2))
-        assert plain == with_diff
+        plain = round_metrics(cfg, 1, FAST)
+        traj = diffusion_round(cfg, 1, SIConfig(p_infect=0.2))
+        assert round_metrics(cfg, 1, FAST) == plain
         assert len(traj.frequencies) == 15
+        measured, diffused, _ = seen
+        assert 1 <= len(diffused) <= len(measured) == 15
+        assert all(np.array_equal(a.adj, b.adj) for a, b in zip(measured, diffused))
+        rng = make_rng(cfg.seed, 1, STREAM_METRICS)
+        assert [row for chunk in metric_chunks(diffused, rng, FAST)
+                for row in chunk] == plain[:len(diffused)]
 
     def test_diffusion_only_run(self):
         cfg = range_config(steps=30)
-        rows, traj = run_round(cfg, 0, metrics=None, diffusion=SIConfig(p_infect=1.0))
-        assert rows == []
+        traj = diffusion_round(cfg, 0, SIConfig(p_infect=1.0))
         assert len(traj.frequencies) == 30  # padded after early fixation
+
+    @pytest.mark.parametrize("r", [6 * math.sqrt(2), 1.5], ids=["complete", "sparse"])
+    def test_model_stops_at_the_step_the_diffusion_fixes(self, r, monkeypatch):
+        # a complete graph fixes SI at p_infect = 1 in one step, a sparse one later
+        steps = []
+        watch_steps(monkeypatch, steps.append)
+        cfg = range_config(g=6, r=r, steps=60)
+        traj = diffusion_round(cfg, 0, SIConfig(p_infect=1.0))
+        assert traj.fixation_time is not None and traj.fixation_time < cfg.steps
+        assert steps == list(range(1, traj.fixation_time + 1))
+        assert len(traj.frequencies) == cfg.steps
+        assert traj.frequencies[traj.fixation_time - 1:] == [1.0] * (
+            cfg.steps - traj.fixation_time + 1)
 
 
 def snapshot_stream(n, steps, seed):
-    """Adjacency matrices of G(n, p) graphs at random densities, with runs
-    of edgeless graphs at the start, partway through and at the end."""
+    """G(n, p) snapshots at random densities, with runs of edgeless
+    graphs at the start, partway through and at the end."""
     rng = np.random.default_rng(seed)
-    adjs = []
+    snaps = []
     for t in range(steps):
         edgeless = t < 2 or steps // 2 <= t < steps // 2 + 3 or t == steps - 1
         p = 0.0 if edgeless else rng.uniform(0.02, 0.5)
         upper = np.triu(rng.random((n, n)) < p, k=1)
-        adjs.append(upper | upper.T)
-    return adjs
+        snaps.append(NetworkSnapshot(upper | upper.T))
+    return snaps
 
 
-def collected_rows(adjs, rng, options):
-    collector = MetricsCollector(rng, options)
-    for t, adj in enumerate(adjs, start=1):
-        collector(t, NetworkSnapshot(adj.copy()))
-        assert len(collector._held) < metrics.chunk_size(len(adj))
-    return collector.flush()
-
-
-class TestMetricsCollector:
+class TestMetricChunks:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 40])
     @pytest.mark.parametrize("n,steps,n_ref", [(20, 97, 1), (20, 97, 20), (130, 9, 3)])
-    def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, monkeypatch):
-        # 97 steps are two full 40-graph chunks at n = 20 and a partial
-        # one; from n = 128 up a chunk is a single graph
+    def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, chunk, monkeypatch):
+        # the real chunk is 40 graphs at n = 20 and one from n = 128 up;
+        # 97 steps end on a partial chunk at every size but 1
         assert metrics.chunk_size(20) == 40 and metrics.chunk_size(130) == 1
-        adjs = snapshot_stream(n, steps, seed=n + n_ref)
+        snaps = snapshot_stream(n, steps, seed=n + n_ref)
         expected_rng = make_rng(7, 0, STREAM_METRICS)
-        expected = [metrics_snapshot(NetworkSnapshot(adj.copy()), expected_rng, timestep=t,
-                                     n_ref=n_ref)
-                    for t, adj in enumerate(adjs, start=1)]
+        expected = [metrics_snapshot(snap, expected_rng, timestep=t, n_ref=n_ref)
+                    for t, snap in enumerate(snaps, start=1)]
         batches = []
         kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances",
-                            lambda stack: batches.append(len(stack)) or kernel(stack))
+        monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
+                            batches.append(len(stack)) or kernel(stack, degrees))
+        monkeypatch.setattr(harness, "chunk_size", lambda n: chunk)
         rng = make_rng(7, 0, STREAM_METRICS)
-        rows = collected_rows(adjs, rng, MetricsOptions(n_ref=n_ref))
-        assert rows == expected
+        chunks = list(metric_chunks(iter(snaps), rng, MetricsOptions(n_ref=n_ref)))
+        assert [len(rows) for rows in chunks] == [
+            min(chunk, steps - start) for start in range(0, steps, chunk)]
+        assert [row for rows in chunks for row in rows] == expected
         assert rng.random() == expected_rng.random()
-        assert sum(row.small_world is not None for row in rows) > 0
-        assert max(batches) <= metrics.chunk_size(n)
+        assert sum(row.small_world is not None for row in expected) > 0
+        assert max(batches) <= max(chunk, metrics.chunk_size(n))
 
     def test_round_matches_per_snapshot_loop(self):
         cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)
@@ -199,8 +231,7 @@ class TestMetricsCollector:
         rng = make_rng(cfg.seed, 0, STREAM_METRICS)
         expected = [metrics_snapshot(NetworkSnapshot(adj), rng, timestep=t, n_ref=4)
                     for t, adj in enumerate(snaps, start=1)]
-        rows, _ = run_round(cfg, 0, metrics=MetricsOptions(n_ref=4))
-        assert rows == expected
+        assert round_metrics(cfg, 0, MetricsOptions(n_ref=4)) == expected
 
 
 class TestAggregateRounds:
@@ -269,7 +300,7 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_first_cell_streams_before_later_cells_run(self, monkeypatch):
-        calls = count_round_calls(monkeypatch)
+        calls = count_round_calls(monkeypatch, "round_rows")
         sweep = SweepConfig(base=range_config(steps=3, rounds=2), vary="r",
                             values=(1.0, 2.0, 3.0), metrics=FAST)
         row = next(iter_sweep(sweep))
@@ -432,7 +463,7 @@ class TestCsvOutput:
 
     def test_interrupted_timeseries_keeps_finished_rounds(self, tmp_path, monkeypatch):
         # a pooled run writes whole rounds, in round order
-        count_round_calls(monkeypatch, fail_at=1, name="round_rows")
+        count_round_calls(monkeypatch, "round_rows", fail_at=1)
         in_process_pool(monkeypatch)
         cfg = range_config(steps=4, rounds=3)
         path = tmp_path / "dump.csv"
@@ -444,7 +475,7 @@ class TestCsvOutput:
             ["0", str(t)] for t in range(1, 5)]
 
     def test_interrupted_diffusion_keeps_finished_rounds(self, tmp_path, monkeypatch):
-        count_round_calls(monkeypatch, fail_at=1)
+        count_round_calls(monkeypatch, "diffusion_round", fail_at=1)
         cfg = range_config(steps=4, rounds=3)
         path = tmp_path / "traj.csv"
         with pytest.raises(RuntimeError, match="round 1 interrupted"):

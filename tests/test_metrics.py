@@ -206,8 +206,8 @@ class TestOracleEquivalence:
     def test_snapshot_distances_computed_once(self, monkeypatch):
         batches = []
         kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances",
-                            lambda stack: batches.append(len(stack)) or kernel(stack))
+        monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
+                            batches.append(len(stack)) or kernel(stack, degrees))
         g = snap(20, random_graph(20, np.random.default_rng(8), p=0.2))
         row = metrics_snapshot(g, make_rng(6, 0), n_ref=20)
         assert row.aspl > 0 and row.n_components >= 1
@@ -270,6 +270,11 @@ def kernel_graph(kind, n, rng):
     return adj | adj.T
 
 
+def hop_distances(stack):
+    """`metrics._hop_distances` of a stack, its degrees counted here."""
+    return metrics._hop_distances(stack, np.count_nonzero(stack, axis=2))
+
+
 class TestFusedKernel:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.sampled_from([5, 20, 127, 128, 200]), seed=st.integers(0, 2**32 - 1),
@@ -281,14 +286,15 @@ class TestFusedKernel:
                                    max_size=40 if n <= 20 else 3), label="kinds")
         rng = np.random.default_rng(seed)
         stack = np.stack([kernel_graph(kind, n, rng) for kind in kinds])
-        clustering, hops, pairs, reps = metrics._hop_distances(stack)
+        clustering, hops, pairs, reps = hop_distances(stack)
         expected = two_pass_kernel_oracle(stack)
         assert clustering.tolist() == expected[0].tolist()
         assert hops.tolist() == expected[1].tolist()
         assert pairs.tolist() == expected[2].tolist()
         assert reps.tolist() == expected[3].tolist()
         sizes = [np.unique(labels, return_counts=True)[1] for labels in expected[3]]
-        assert [stats[2:] for stats in metrics._snapshot_stats(stack)] == [
+        assert [stats[2:] for stats in metrics._snapshot_stats(
+            [NetworkSnapshot(adj) for adj in stack])] == [
             (int(s.size), int(s.max())) for s in sizes]
 
     @pytest.mark.parametrize("b,n", [(40, 20), (3, 5), (1, 200)])
@@ -298,9 +304,9 @@ class TestFusedKernel:
         first, second = (np.stack([kernel_graph(kind, n, rng) for kind in
                                    itertools.islice(itertools.cycle(GRAPH_KINDS), b)])
                          for _ in range(2))
-        results = metrics._hop_distances(first)
+        results = hop_distances(first)
         kept = [values.tolist() for values in results]
-        again = metrics._hop_distances(second)
+        again = hop_distances(second)
         assert [values.tolist() for values in results] == kept
         assert [values.tolist() for values in again] == [
             values.tolist() for values in two_pass_kernel_oracle(second)]
@@ -340,7 +346,7 @@ class TestFusedKernel:
         g = sample_gnm(n, m, make_rng(seed, 0))
         with pytest.MonkeyPatch.context() as patch:
             assert (self.products(patch, g) == 0) == (n >= 128 and not above)
-        results = metrics._hop_distances(g.adj[None])
+        results = hop_distances(g.adj[None])
         assert [values.tolist() for values in results] == [
             values.tolist() for values in two_pass_kernel_oracle(g.adj[None])]
 
