@@ -127,7 +127,7 @@ def _apply_config_file(path: str, parser: argparse.ArgumentParser) -> None:
     with open(path, encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a file that is not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

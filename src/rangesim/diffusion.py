@@ -1,11 +1,11 @@
-"""Four transmission processes that observe either model's snapshots.
+"""Four transmission processes over either model's snapshots.
 
-`make_observer` builds a process's observer for one round, and
-`harness.diffusion_round` calls it with each (timestep, snapshot) until
-it is `done` (absorbed) or the round ends. All four read the pre-step
-network and pre-step agent states only (synchronous updates), so a
-trajectory depends on the snapshot sequence and the diffusion RNG
-stream, never on agent processing order.
+`run_process` runs one round of a process: it takes the snapshots one
+at a time, steps the agents on each, and stops taking them once the
+process fixes. All four read the pre-step network and pre-step agent
+states only (synchronous updates), so a trajectory depends on the
+snapshot sequence and the diffusion RNG stream, never on agent
+processing order.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -163,7 +164,7 @@ def _typed(value, kinds, rule: str):
 def _inputs(value) -> frozenset[str]:
     if not (isinstance(value, list) and len(value) == 3):
         raise TypeError(f"inputs must be a list of 3 item names, got {value!r}")
-    return frozenset(value)
+    return frozenset(_typed(item, str, "inputs must be item names") for item in value)
 
 
 def load_potion_config(path: str, p_diff: float = 0.5) -> PotionConfig:
@@ -208,8 +209,17 @@ class DiffusionTrajectory:
     crossover_time: int | None = None
 
 
-def _infection_counts(snap: NetworkSnapshot, infected: np.ndarray) -> np.ndarray:
-    return (snap.adj & infected[None, :]).sum(axis=1)
+def _infect(snap: NetworkSnapshot, states: np.ndarray, p_eff,
+            rng: RngStream) -> np.ndarray:
+    """The new infected mask after one trial per exposed agent (one with
+    an infected neighbor before the step), in agent-index order.
+    `p_eff` maps the exposed agents' infected-neighbor counts to their
+    infection probabilities."""
+    counts = (snap.adj & states[None, :]).sum(axis=1)
+    exposed = np.flatnonzero(~states & (counts > 0))
+    new = states.copy()
+    new[exposed[rng.random(exposed.size) < p_eff(counts[exposed])]] = True
+    return new
 
 
 def si_step(snap: NetworkSnapshot, states: np.ndarray, cfg: SIConfig,
@@ -221,17 +231,9 @@ def si_step(snap: NetworkSnapshot, states: np.ndarray, cfg: SIConfig,
     per-neighbor trials, or p under the per-agent variant. One uniform is
     drawn per exposed agent, in agent-index order.
     """
-    counts = _infection_counts(snap, states)
-    exposed = np.flatnonzero(~states & (counts > 0))
-    new = states.copy()
-    if exposed.size == 0:
-        return new
     if cfg.exposure == "per_neighbor":
-        p_eff = 1.0 - (1.0 - cfg.p_infect) ** counts[exposed]
-    else:
-        p_eff = cfg.p_infect
-    new[exposed[rng.random(exposed.size) < p_eff]] = True
-    return new
+        return _infect(snap, states, lambda k: 1.0 - (1.0 - cfg.p_infect) ** k, rng)
+    return _infect(snap, states, lambda k: cfg.p_infect, rng)
 
 
 def complex_contagion_step(snap: NetworkSnapshot, states: np.ndarray,
@@ -241,14 +243,8 @@ def complex_contagion_step(snap: NetworkSnapshot, states: np.ndarray,
     An S-agent with k >= 1 infected neighbors (pre-step) is infected with
     probability clamp(p_base + (k/N) * w, 0, 1); one trial per agent.
     """
-    counts = _infection_counts(snap, states)
-    exposed = np.flatnonzero(~states & (counts > 0))
-    new = states.copy()
-    if exposed.size == 0:
-        return new
-    p_eff = np.clip(cfg.p_base + counts[exposed] / snap.n * cfg.w, 0.0, 1.0)
-    new[exposed[rng.random(exposed.size) < p_eff]] = True
-    return new
+    return _infect(snap, states,
+                   lambda k: np.clip(cfg.p_base + k / snap.n * cfg.w, 0.0, 1.0), rng)
 
 
 def cultural_step(snap: NetworkSnapshot, traits: np.ndarray, cfg: CulturalConfig,
@@ -383,91 +379,7 @@ def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTabl
     return [inv | add for inv, add in zip(inventories, additions)], created
 
 
-class _ContagionProcess:
-    """Shared infected-state tracking for the SI-style processes."""
-
-    def __init__(self, cfg, n: int, rng: RngStream):
-        check_population(cfg, n)
-        self.cfg = cfg
-        self.rng = rng
-        self.states = np.zeros(n, dtype=bool)
-        self.states[rng.choice(n, size=cfg.n_init, replace=False)] = True
-        self.trajectory = DiffusionTrajectory()
-        self.done = False
-
-    def _advance(self, snap: NetworkSnapshot) -> None:
-        raise NotImplementedError
-
-    def __call__(self, t: int, snap: NetworkSnapshot) -> None:
-        if not self.done:
-            self._advance(snap)
-        freq = self.states.mean()
-        self.trajectory.frequencies.append(float(freq))
-        if freq == 1.0 and self.trajectory.fixation_time is None:
-            self.trajectory.fixation_time = t
-            self.done = True
-
-
-class SIProcess(_ContagionProcess):
-    def _advance(self, snap: NetworkSnapshot) -> None:
-        self.states = si_step(snap, self.states, self.cfg, self.rng)
-
-
-class ComplexContagionProcess(_ContagionProcess):
-    def _advance(self, snap: NetworkSnapshot) -> None:
-        self.states = complex_contagion_step(snap, self.states, self.cfg, self.rng)
-
-
-class CulturalProcess:
-    """Tracks two-trait transmission; frequency is signed, (n_A - n_B)/N."""
-
-    def __init__(self, cfg: CulturalConfig, n: int, rng: RngStream):
-        self.cfg = cfg
-        n_a = round(cfg.init_split * n)
-        self.traits = np.full(n, TRAIT_B, dtype=np.int8)
-        self.traits[rng.choice(n, size=n_a, replace=False)] = TRAIT_A
-        self.draws = ExactDraws(rng)
-        self.trajectory = DiffusionTrajectory()
-        self.done = bool(n_a in (0, n))
-
-    def __call__(self, t: int, snap: NetworkSnapshot) -> None:
-        if not self.done:
-            self.traits = cultural_step(snap, self.traits, self.cfg, self.draws)
-        n_a = int((self.traits == TRAIT_A).sum())
-        signed = (2 * n_a - self.traits.size) / self.traits.size
-        self.trajectory.frequencies.append(signed)
-        if abs(signed) == 1.0 and self.trajectory.fixation_time is None:
-            self.trajectory.fixation_time = t
-            self.done = True
-
-
-class PotionProcess:
-    """Tracks the potion task; frequency is the crossover-item holder fraction."""
-
-    def __init__(self, cfg: PotionConfig, n: int, rng: RngStream):
-        self.table = PotionTable(cfg)
-        self.draws = ExactDraws(rng)
-        self.inventories = [self.table.start] * n
-        self.trajectory = DiffusionTrajectory()
-        self.done = False
-
-    def __call__(self, t: int, snap: NetworkSnapshot) -> None:
-        self.inventories, created = potion_step(snap, self.inventories, self.table, self.draws)
-        crossover = self.table.crossover
-        if crossover in created and self.trajectory.crossover_time is None:
-            self.trajectory.crossover_time = t
-        holders = sum(1 for inv in self.inventories if inv & crossover)
-        self.trajectory.frequencies.append(holders / len(self.inventories))
-
-
 ProcessConfig = SIConfig | ComplexContagionConfig | CulturalConfig | PotionConfig
-
-_PROCESSES = {
-    SIConfig: SIProcess,
-    ComplexContagionConfig: ComplexContagionProcess,
-    CulturalConfig: CulturalProcess,
-    PotionConfig: PotionProcess,
-}
 
 
 def check_population(cfg: ProcessConfig, n: int) -> None:
@@ -476,18 +388,63 @@ def check_population(cfg: ProcessConfig, n: int) -> None:
         raise ConfigError(f"n_init={cfg.n_init} exceeds population {n}")
 
 
-def make_observer(cfg: ProcessConfig, n: int, rng: RngStream):
-    """The observer of a process config, called with each (timestep, snapshot)
-    of one round; raises ConfigError on unknown types."""
-    cls = _PROCESSES.get(type(cfg))
-    if cls is None:
-        raise ConfigError(f"unknown diffusion process config: {type(cfg).__name__}")
-    return cls(cfg, n, rng)
+def _contagion(cfg: SIConfig | ComplexContagionConfig, snaps: Iterable[NetworkSnapshot],
+               n: int, rng: RngStream) -> Iterator[float]:
+    """The infected fraction after each snapshot, from `n_init` agents."""
+    check_population(cfg, n)
+    states = np.zeros(n, dtype=bool)
+    states[rng.choice(n, size=cfg.n_init, replace=False)] = True
+    step = si_step if isinstance(cfg, SIConfig) else complex_contagion_step
+    for snap in snaps:
+        states = step(snap, states, cfg, rng)
+        yield float(states.mean())
 
 
-def padded_frequencies(traj: DiffusionTrajectory, steps: int) -> list[float]:
-    """Frequencies extended to `steps` entries by repeating the absorbed value."""
-    freqs = list(traj.frequencies)
-    if freqs and len(freqs) < steps:
-        freqs.extend([freqs[-1]] * (steps - len(freqs)))
-    return freqs
+def _cultural(cfg: CulturalConfig, snaps: Iterable[NetworkSnapshot], n: int,
+              rng: RngStream) -> Iterator[float]:
+    """The signed frequency (n_A - n_B)/N after each snapshot."""
+    traits = np.full(n, TRAIT_B, dtype=np.int8)
+    traits[rng.choice(n, size=round(cfg.init_split * n), replace=False)] = TRAIT_A
+    draws = ExactDraws(rng)
+    for snap in snaps:
+        traits = cultural_step(snap, traits, cfg, draws)
+        yield (2 * int((traits == TRAIT_A).sum()) - n) / n
+
+
+def _potion(cfg: PotionConfig, snaps: Iterable[NetworkSnapshot], n: int,
+            rng: RngStream) -> DiffusionTrajectory:
+    """The crossover-item holder fraction after every snapshot, and the
+    timestep the crossover item was first made; the task never fixes."""
+    table = PotionTable(cfg)
+    draws = ExactDraws(rng)
+    inventories = [table.start] * n
+    trajectory = DiffusionTrajectory()
+    for t, snap in enumerate(snaps, start=1):
+        inventories, created = potion_step(snap, inventories, table, draws)
+        if table.crossover in created and trajectory.crossover_time is None:
+            trajectory.crossover_time = t
+        holders = sum(1 for inv in inventories if inv & table.crossover)
+        trajectory.frequencies.append(holders / n)
+    return trajectory
+
+
+def run_process(cfg: ProcessConfig, snaps: Iterable[NetworkSnapshot], n: int,
+                steps: int, rng: RngStream) -> DiffusionTrajectory:
+    """Run a process over a round's snapshots of `n` agents.
+
+    SI, complex contagion and cultural transmission fix at the first
+    timestep whose frequency is 1 (or -1): no further snapshot is taken
+    from `snaps`, and the frequencies are padded to `steps` entries with
+    the fixed value.
+    """
+    if isinstance(cfg, PotionConfig):
+        return _potion(cfg, snaps, n, rng)
+    process = _cultural if isinstance(cfg, CulturalConfig) else _contagion
+    trajectory = DiffusionTrajectory()
+    for t, freq in enumerate(process(cfg, snaps, n, rng), start=1):
+        trajectory.frequencies.append(freq)
+        if abs(freq) == 1.0:
+            trajectory.fixation_time = t
+            trajectory.frequencies += [freq] * (steps - t)
+            break
+    return trajectory

@@ -26,13 +26,7 @@ from .core import (
     SimConfig,
     make_rng,
 )
-from .diffusion import (
-    DiffusionTrajectory,
-    ProcessConfig,
-    check_population,
-    make_observer,
-    padded_frequencies,
-)
+from .diffusion import DiffusionTrajectory, ProcessConfig, check_population, run_process
 from .metrics import (
     DEFAULT_N_REF,
     METRIC_NAMES,
@@ -91,21 +85,12 @@ def round_rows(config: SimConfig, round_idx: int,
 
 def diffusion_round(config: SimConfig, round_idx: int,
                     process: ProcessConfig) -> DiffusionTrajectory:
-    """One round's diffusion trajectory, padded to `config.steps` entries.
-
-    The process observes each snapshot in turn, and the model takes no
-    further step once the process is absorbed (its observer is `done`).
-    """
-    observer = make_observer(process, config.n,
-                             make_rng(config.seed, round_idx, STREAM_DIFFUSION))
+    """One round's diffusion trajectory, padded to `config.steps` entries:
+    `run_process` on the round's snapshots, so the model takes no
+    further step once the process fixes."""
     snaps = iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL))
-    for t, snap in enumerate(snaps, start=1):
-        observer(t, snap)
-        if observer.done:
-            break
-    trajectory = observer.trajectory
-    trajectory.frequencies = padded_frequencies(trajectory, config.steps)
-    return trajectory
+    return run_process(process, snaps, config.n, config.steps,
+                       make_rng(config.seed, round_idx, STREAM_DIFFUSION))
 
 
 @dataclass(frozen=True)

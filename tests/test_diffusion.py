@@ -2,7 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 import pytest
@@ -17,19 +17,18 @@ from rangesim.diffusion import (
     TRAIT_B,
     ComplexContagionConfig,
     CulturalConfig,
-    CulturalProcess,
     PotionConfig,
-    PotionProcess,
     PotionTable,
     Recipe,
     SIConfig,
-    SIProcess,
     complex_contagion_step,
     cultural_step,
     default_potion_config,
     load_potion_config,
+    run_process,
     si_step,
 )
+from rangesim.harness import iter_model
 
 from measures import run_model
 from oracles import (
@@ -312,47 +311,44 @@ class TestPotionStep:
         cfg = dataclasses.replace(default_potion_config(),
                                   starting_inventory=("A3", "B3", "a1"))
         g = snap(2, [(0, 1)])
-        obs = PotionProcess(cfg, 2, make_rng(1, 0))
-        obs(1, g)
-        assert obs.trajectory.crossover_time == 1
-        assert obs.trajectory.frequencies[0] == 1.0
-        assert all("X" in names(obs.table, inv) for inv in obs.inventories)
+        traj = run_process(cfg, [g], 2, 1, make_rng(1, 0))
+        assert traj.crossover_time == 1
+        assert traj.frequencies == [1.0]  # both agents hold X
 
 
 class TestObservers:
+    """`run_process`: one process over a round's snapshots."""
+
     def test_si_frequency_never_decreases(self):
         sim = SimConfig(model=ModelKind.RANGE, n=15, g=6, r=2.0, steps=60, seed=6)
-        obs = SIProcess(SIConfig(p_infect=0.3), sim.n, make_rng(sim.seed, 0, 2))
-        run_model(sim, make_rng(sim.seed, 0), observers=[obs])
-        freqs = obs.trajectory.frequencies
+        traj = run_process(SIConfig(p_infect=0.3), iter_model(sim, make_rng(sim.seed, 0)),
+                           sim.n, sim.steps, make_rng(sim.seed, 0, 2))
+        freqs = traj.frequencies
         assert all(b >= a for a, b in zip(freqs, freqs[1:]))
-        if obs.trajectory.fixation_time is not None:
-            assert freqs[obs.trajectory.fixation_time - 1] == 1.0
+        if traj.fixation_time is not None:
+            assert freqs[traj.fixation_time - 1] == 1.0
 
     def test_initial_infected_count(self):
-        obs = SIProcess(SIConfig(n_init=3), 10, make_rng(1, 0, 2))
-        assert obs.states.sum() == 3
+        traj = run_process(SIConfig(n_init=3), [snap(10, [])], 10, 1, make_rng(1, 0, 2))
+        assert traj.frequencies == [0.3]
 
     def test_n_init_larger_than_population_rejected(self):
         with pytest.raises(ConfigError):
-            SIProcess(SIConfig(n_init=5), 3, make_rng(1, 0, 2))
+            run_process(SIConfig(n_init=5), [snap(3, [])], 3, 1, make_rng(1, 0, 2))
 
     def test_cultural_signed_frequency(self):
-        obs = CulturalProcess(CulturalConfig(init_split=0.5), 10, make_rng(2, 0, 2))
-        assert int((obs.traits == TRAIT_A).sum()) == 5
-        g = snap(10, [])
-        obs(1, g)
-        assert obs.trajectory.frequencies == [0.0]
+        # 5 of 10 agents start with A, and nothing changes without links
+        traj = run_process(CulturalConfig(init_split=0.5), [snap(10, [])], 10, 1,
+                           make_rng(2, 0, 2))
+        assert traj.frequencies == [0.0]
 
-    def test_fixation_sets_done_for_early_stop(self):
-        obs = SIProcess(SIConfig(p_infect=1.0), 4, make_rng(3, 0, 2))
+    def test_fixation_stops_taking_snapshots(self):
+        # an endless supply of complete graphs: the run returns only
+        # because it stops at fixation
         g = snap(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        t = 0
-        while not obs.done:
-            t += 1
-            obs(t, g)
-        assert obs.trajectory.fixation_time == t
-        assert obs.trajectory.frequencies[-1] == 1.0
+        traj = run_process(SIConfig(p_infect=1.0), repeat(g), 4, 5, make_rng(3, 0, 2))
+        assert traj.fixation_time == 1
+        assert traj.frequencies == [1.0] * 5
 
 
 class TestRecipeIO:
@@ -559,6 +555,18 @@ def test_bad_recipe_table_is_config_error(text, tmp_path, capsys):
                  "--steps", "3", "--recipes", str(path), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("rangesim: config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inputs", [[1, 2, 3], ["a", "b", 3]], ids=["numbers", "one-number"])
+def test_non_string_recipe_inputs_are_config_error(inputs, tmp_path, capsys):
+    path = tmp_path / "recipes.json"
+    path.write_text(json.dumps(_with_recipe(inputs=inputs)))
+    out = tmp_path / "out.csv"
+    code = main(["diffusion", "--process", "potion", "--r", "2", "--n", "5", "--g", "4",
+                 "--steps", "3", "--recipes", str(path), "--out", str(out)])
+    assert code == 2
+    assert "malformed recipe table" in capsys.readouterr().err
     assert not out.exists()
 
 

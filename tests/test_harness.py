@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from rangesim import harness, metrics
 from rangesim.cli import main, parse_values
 from rangesim.core import STREAM_METRICS, STREAM_MODEL, ConfigError, ModelKind, SimConfig, make_rng
-from rangesim.diffusion import SIConfig
+from rangesim.diffusion import SIConfig, default_potion_config
 from rangesim.harness import (
     MetricsOptions,
     SweepConfig,
@@ -183,6 +184,38 @@ class TestRunRound:
         assert len(traj.frequencies) == cfg.steps
         assert traj.frequencies[traj.fixation_time - 1:] == [1.0] * (
             cfg.steps - traj.fixation_time + 1)
+
+    @pytest.mark.parametrize("split", [0.0, 1.0], ids=["all-b", "all-a"])
+    def test_cultural_absorbed_at_the_start_fixes_at_step_one(self, split, tmp_path,
+                                                             monkeypatch):
+        # every agent holds one trait from the start: each round fixes at
+        # its first snapshot, and the model takes no second step
+        steps = []
+        watch_steps(monkeypatch, steps.append)
+        out = tmp_path / "traj.csv"
+        code = main(["diffusion", "--process", "cultural", "--init-split", str(split),
+                     "--n", "6", "--g", "4", "--r", "1.5", "--steps", "5", "--rounds", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert steps == [1, 2]  # one step in each of the two rounds
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 5
+        assert {row["frequency"] for row in rows} == {"1" if split else "-1"}
+        assert {row["fixation_time"] for row in rows} == {"1"}
+
+    def test_potion_never_fixes(self, monkeypatch):
+        # every agent holds the crossover item from the start, so the
+        # frequency is 1 throughout, yet the model runs every step
+        steps = []
+        watch_steps(monkeypatch, steps.append)
+        cfg = range_config(steps=8)
+        base = default_potion_config()
+        process = dataclasses.replace(base, starting_inventory=(*base.starting_inventory, "X"))
+        traj = diffusion_round(cfg, 0, process)
+        assert traj.frequencies == [1.0] * cfg.steps
+        assert traj.fixation_time is None
+        assert steps == list(range(1, cfg.steps + 1))
 
 
 def snapshot_stream(n, steps, seed):
@@ -636,6 +669,17 @@ class TestCli:
         code = main(["run", "--config", str(cfg_file), "--step", "2", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_config_file_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b'\xff\xfe{"n": 5}')
+        out = tmp_path / "out.csv"
+        code = main(["run", "--config", str(cfg_file), "--model", "range", "--r", "1",
+                     "--g", "5", "--steps", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
