@@ -25,7 +25,6 @@ from .diffusion import (
     load_potion_config,
 )
 from .harness import (
-    MetricsOptions,
     SweepConfig,
     iter_sweep,
     run_diffusion_rounds,
@@ -43,11 +42,11 @@ REQUIRED = {"sweep": ("vary", "values"), "diffusion": ("process",)}
 def parse_values(text) -> tuple[float, ...]:
     """Parse a sweep value list: "1,2,3", "min:max:step" (inclusive), or a
     JSON array when supplied via a config file."""
-    if isinstance(text, (list, tuple)):
-        if not all(type(v) in (int, float) for v in text):
-            raise ConfigError(f"sweep values must be numbers, got {text!r}")
-        return tuple(float(v) for v in text)
     try:
+        if isinstance(text, (list, tuple)):
+            if not all(type(v) in (int, float) for v in text):
+                raise ConfigError(f"sweep values must be numbers, got {text!r}")
+            return tuple(float(v) for v in text)
         if ":" in text:
             lo, hi, step = bounds = [float(part) for part in text.split(":")]
             if not all(map(math.isfinite, bounds)) or step <= 0 or hi < lo:
@@ -55,7 +54,7 @@ def parse_values(text) -> tuple[float, ...]:
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return tuple(round(lo + k * step, 12) for k in range(count))
         return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse values {text!r}: {exc}") from exc
 
 
@@ -174,15 +173,17 @@ def _sim_config(args, model: ModelKind, placeholder: bool = False) -> SimConfig:
                      steps=args.steps, rounds=args.rounds, seed=args.seed)
 
 
-def _metrics_options(args) -> MetricsOptions:
-    return MetricsOptions(n_ref=args.n_ref, small_world=not args.no_small_world)
+def _n_ref(args) -> int | None:
+    """Reference graphs per small-world index; None with --no-small-world."""
+    if args.n_ref < 1:
+        raise ConfigError(f"n_ref must be at least 1, got {args.n_ref}")
+    return None if args.no_small_world else args.n_ref
 
 
 def _cmd_run(args) -> int:
     model = ModelKind(args.model or "range")
     config = _sim_config(args, model)
-    write_timeseries_csv(config, args.out, metrics=_metrics_options(args),
-                         workers=args.workers)
+    write_timeseries_csv(config, args.out, _n_ref(args), workers=args.workers)
     return 0
 
 
@@ -193,8 +194,7 @@ def _cmd_sweep(args) -> int:
     vary = VARY_ALIASES[args.vary]
     base = _sim_config(args, model, placeholder=vary in ("r", "p_connect"))
     sweep = SweepConfig(base=base, vary=vary, values=parse_values(args.values),
-                        paired=paired, metrics=_metrics_options(args),
-                        burn_in=args.burn_in)
+                        paired=paired, n_ref=_n_ref(args), burn_in=args.burn_in)
     write_csv(iter_sweep(sweep, workers=args.workers), args.out)
     return 0
 

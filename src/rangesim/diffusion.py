@@ -187,7 +187,7 @@ def load_potion_config(path: str, p_diff: float = 0.5) -> PotionConfig:
                    float(_typed(entry["score"], (int, float), "score must be a number")))
             for entry in data["recipes"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed recipe table {path}: {exc}") from exc
     scores.update({rec.product: rec.score for rec in recipes})
     return PotionConfig(recipes=recipes, starting_inventory=base,

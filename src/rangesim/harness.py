@@ -6,6 +6,12 @@ still aggregate to byte-identical output. `iter_model` yields a round's
 snapshots, and each output has one driver over them: `round_rows`
 measures them, for `run` rows and sweep averages, and `diffusion_round`
 runs a diffusion process on them.
+
+One setting says what is measured: `n_ref`, the reference graphs per
+small-world index, or None for no index and no reference draws. Rows
+carry no timestep; the writer numbers each round's rows from 1. A
+`SweepConfig` resolves each of its (value, model) cells once, when it
+is made, into the config, parameter name and value its CSV row shows.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice, repeat, starmap
+from functools import cached_property
+from itertools import count, islice, repeat, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -39,18 +46,6 @@ from .null_model import null_stepper
 from .range_model import range_stepper
 
 
-@dataclass(frozen=True)
-class MetricsOptions:
-    """What `round_rows` measures at each timestep."""
-
-    n_ref: int = DEFAULT_N_REF
-    small_world: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_ref < 1:
-            raise ConfigError(f"n_ref must be at least 1, got {self.n_ref}")
-
-
 def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
     """Set up the configured model and yield the snapshot after each of
     its `config.steps` timesteps, lazily: nothing runs until the first
@@ -63,24 +58,22 @@ def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
 
 
 def metric_chunks(snaps: Iterable[NetworkSnapshot], rng,
-                  metrics: MetricsOptions) -> Iterator[list[MetricsRow]]:
-    """The metric rows of a run of snapshots, timesteps counting from 1:
-    one list per chunk of `chunk_size` snapshots (the last may be
-    shorter), each as soon as `metrics_rows` has measured it. Where the
-    chunks fall does not change the rows.
+                  n_ref: int | None) -> Iterator[list[MetricsRow]]:
+    """The metric rows of a run of snapshots, in order: `metrics_rows` of
+    each plain list of `chunk_size` snapshots (the last may be shorter),
+    each as soon as it is measured. Where the chunks fall does not change
+    the rows.
     """
-    steps = enumerate(snaps, start=1)
-    for first in steps:
-        timesteps, chunk = zip(first, *islice(steps, chunk_size(first[1].n) - 1))
-        yield metrics_rows(chunk, timesteps, rng, n_ref=metrics.n_ref,
-                           small_world=metrics.small_world)
+    snaps = iter(snaps)
+    for first in snaps:
+        yield metrics_rows([first, *islice(snaps, chunk_size(first.n) - 1)], rng, n_ref)
 
 
 def round_rows(config: SimConfig, round_idx: int,
-               metrics: MetricsOptions = MetricsOptions()) -> Iterator[list[MetricsRow]]:
+               n_ref: int | None = DEFAULT_N_REF) -> Iterator[list[MetricsRow]]:
     """One round's metric rows, lazily, as `metric_chunks` yields them."""
     return metric_chunks(iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL)),
-                         make_rng(config.seed, round_idx, STREAM_METRICS), metrics)
+                         make_rng(config.seed, round_idx, STREAM_METRICS), n_ref)
 
 
 def diffusion_round(config: SimConfig, round_idx: int,
@@ -120,13 +113,12 @@ def aggregate_rounds(round_averages: Sequence[float | None]) -> MetricAggregate:
 
 @dataclass(frozen=True)
 class AggregateRow:
-    """One sweep point for one model: per-metric cross-round aggregates."""
+    """One sweep cell: its config, swept parameter and per-metric
+    cross-round aggregates."""
 
-    model: ModelKind
     config: SimConfig
     param_name: str
     param_value: float
-    rounds: int
     metrics: dict[str, MetricAggregate]
 
 
@@ -136,14 +128,15 @@ class SweepConfig:
 
     `vary` is one of "r", "n", "g", "p_connect". With paired=True every
     value runs both models, the null model taking p_connect = r/g so its
-    connection probability mirrors the range model's.
+    connection probability mirrors the range model's. `n_ref` is as for
+    `round_rows`.
     """
 
     base: SimConfig
     vary: str
     values: tuple[float, ...]
     paired: bool = False
-    metrics: MetricsOptions = MetricsOptions()
+    n_ref: int | None = DEFAULT_N_REF
     burn_in: int = 0
 
     def __post_init__(self) -> None:
@@ -163,55 +156,44 @@ class SweepConfig:
                 raise ConfigError(f"swept N must be an integer in [1, g*g], got {v}")
             if self.vary == "g" and not (whole and v >= 1):
                 raise ConfigError(f"swept g must be a positive integer, got {v}")
-        # every cell resolves, so a sweep fails before it writes anything
-        for value in self.values:
-            for model in self.models():
-                self.resolve(model, value)
+        self.cells  # every cell resolves, so a sweep fails before it writes anything
 
-    def models(self) -> tuple[ModelKind, ...]:
-        if self.paired:
-            return (ModelKind.RANGE, ModelKind.NULL)
-        return (self.base.model,)
+    @cached_property
+    def cells(self) -> list[tuple[SimConfig, str, float]]:
+        """(config, param_name, param_value) of each (value, model) cell,
+        in sweep order."""
+        models = (ModelKind.RANGE, ModelKind.NULL) if self.paired else (self.base.model,)
+        return [self._resolve(model, value) for value in self.values for model in models]
 
-    def resolve(self, model: ModelKind, value: float) -> SimConfig:
-        """Concrete SimConfig for one (model, swept value) cell."""
+    def _resolve(self, model: ModelKind, value: float) -> tuple[SimConfig, str, float]:
+        """One cell's concrete SimConfig, and the name and value of the
+        parameter its model varies: r or p_connect as the model has it
+        when `vary` is either, else the swept value itself."""
         changes: dict = {"model": model}
+        if self.vary in ("n", "g"):
+            changes[self.vary] = int(value)
         if model is ModelKind.RANGE:
             changes["p_connect"] = None
             if self.vary == "r":
                 changes["r"] = float(value)
             elif self.vary == "p_connect":
                 changes["r"] = float(value) * self.base.g
-            else:
-                changes[self.vary] = int(value)
         else:
             changes["r"] = None
             if self.vary == "p_connect":
                 changes["p_connect"] = float(value)
             elif self.vary == "r":
                 changes["p_connect"] = float(value) / self.base.g
-            else:
-                changes[self.vary] = int(value)
-                if self.base.p_connect is not None:
-                    changes["p_connect"] = self.base.p_connect
-                elif self.base.r is not None:
-                    # p_connect = r/g mirrors the range model's connection chance
-                    g = int(value) if self.vary == "g" else self.base.g
-                    changes["p_connect"] = self.base.r / g
-                else:
+            elif self.base.p_connect is None:
+                if self.base.r is None:
                     raise ConfigError("paired sweep needs r or p_connect on the base config")
-        return replace(self.base, **changes)
-
-    def param_label(self, model: ModelKind) -> str:
+                # p_connect = r/g mirrors the range model's connection chance
+                changes["p_connect"] = self.base.r / changes.get("g", self.base.g)
+        config = replace(self.base, **changes)
         if self.vary in ("r", "p_connect"):
-            return "r" if model is ModelKind.RANGE else "p_connect"
-        return self.vary
-
-    def param_value_for(self, model: ModelKind, value: float) -> float:
-        cfg = self.resolve(model, value)
-        if self.vary in ("r", "p_connect"):
-            return cfg.r if model is ModelKind.RANGE else cfg.p_connect
-        return value
+            name = "r" if model is ModelKind.RANGE else "p_connect"
+            return config, name, getattr(config, name)
+        return config, self.vary, value
 
 
 def _pool_task(fn: Callable, *args):
@@ -242,10 +224,10 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
         yield from starmap(fn, tasks)
 
 
-def _round_averages(config: SimConfig, round_idx: int, metrics: MetricsOptions,
+def _round_averages(config: SimConfig, round_idx: int, n_ref: int | None,
                     burn_in: int) -> dict[str, float | None]:
     """Worker body: time-averages of one round's metric trajectory."""
-    rows = [row for chunk in round_rows(config, round_idx, metrics) for row in chunk]
+    rows = [row for chunk in round_rows(config, round_idx, n_ref) for row in chunk]
     kept = rows[burn_in:]
     out: dict[str, float | None] = {}
     for name in METRIC_NAMES:
@@ -262,25 +244,17 @@ def iter_sweep(sweep: SweepConfig, workers: int = 1) -> Iterator[AggregateRow]:
     results are reduced in round-index order, and each cell is yielded as
     soon as its own rounds and those of every earlier cell are in.
     """
-    cells = [(value, model) for value in sweep.values for model in sweep.models()]
-    configs = [sweep.resolve(model, value) for value, model in cells]
     rounds = sweep.base.rounds
     results = _map_rounds(
         _round_averages, workers,
-        [config for config in configs for _ in range(rounds)],
-        [round_idx for _ in configs for round_idx in range(rounds)],
-        repeat(sweep.metrics), repeat(sweep.burn_in))
-    for (value, model), config in zip(cells, configs):
+        [config for config, _, _ in sweep.cells for _ in range(rounds)],
+        [round_idx for _ in sweep.cells for round_idx in range(rounds)],
+        repeat(sweep.n_ref), repeat(sweep.burn_in))
+    for config, param_name, param_value in sweep.cells:
         cell_results = list(islice(results, rounds))
-        yield AggregateRow(
-            model=model,
-            config=config,
-            param_name=sweep.param_label(model),
-            param_value=sweep.param_value_for(model, value),
-            rounds=rounds,
-            metrics={name: aggregate_rounds([res[name] for res in cell_results])
-                     for name in METRIC_NAMES},
-        )
+        yield AggregateRow(config, param_name, param_value,
+                           {name: aggregate_rounds([res[name] for res in cell_results])
+                            for name in METRIC_NAMES})
 
 
 def run_diffusion_rounds(config: SimConfig, process: ProcessConfig,
@@ -331,8 +305,8 @@ def _write_csv(path: str, header: Sequence[str],
 
 def _aggregate_fields(row: AggregateRow) -> list[str]:
     cfg = row.config
-    fields = [row.model.value, _fmt(cfg.n), _fmt(cfg.g), _fmt(cfg.r), _fmt(cfg.p_connect),
-              row.param_name, _fmt(row.param_value), _fmt(row.rounds)]
+    fields = [cfg.model.value, _fmt(cfg.n), _fmt(cfg.g), _fmt(cfg.r), _fmt(cfg.p_connect),
+              row.param_name, _fmt(row.param_value), _fmt(cfg.rounds)]
     for name in METRIC_NAMES:
         agg = row.metrics[name]
         fields += [_fmt(agg.mean), _fmt(agg.std), _fmt(agg.band), _fmt(agg.defined_count)]
@@ -351,24 +325,25 @@ def write_csv(rows: Iterable[AggregateRow], path: str) -> int:
     return _write_csv(path, header, ([_aggregate_fields(row)] for row in rows))
 
 
-def write_timeseries_csv(config: SimConfig, path: str,
-                         metrics: MetricsOptions = MetricsOptions(),
+def write_timeseries_csv(config: SimConfig, path: str, n_ref: int | None = DEFAULT_N_REF,
                          workers: int = 1) -> int:
     """Per-timestep dump: one line per (round, timestep); returns line count.
 
-    A serial run flushes each chunk's lines as soon as `metrics_rows`
-    has measured it; a pooled run flushes each round's lines as soon as
-    it and every earlier round have finished.
+    Each round's rows are numbered from 1, across its chunks. A serial
+    run flushes each chunk's lines as soon as `metrics_rows` has
+    measured it; a pooled run flushes each round's lines as soon as it
+    and every earlier round have finished.
     """
     header = ["model", "N", "g", "r", "p_connect", "round", "timestep", *METRIC_NAMES]
     prefix = [config.model.value, _fmt(config.n), _fmt(config.g),
               _fmt(config.r), _fmt(config.p_connect)]
     rounds = _map_rounds(round_rows, workers, repeat(config), range(config.rounds),
-                         repeat(metrics))
+                         repeat(n_ref))
     return _write_csv(path, header, (
-        [prefix + [str(round_idx), str(row.timestep)]
+        [prefix + [str(round_idx), str(next(timestep))]
          + [_fmt(getattr(row, name)) for name in METRIC_NAMES] for row in rows]
-        for round_idx, chunks in enumerate(rounds) for rows in chunks))
+        for round_idx, chunks in enumerate(rounds)
+        for timestep in [count(1)] for rows in chunks))
 
 
 def write_trajectories_csv(trajectories: Iterable[DiffusionTrajectory],

@@ -66,7 +66,7 @@ class MetricsRow:
     n_components: int
     largest_component: int
     small_world: float | None
-    timestep: int
+
 
 METRIC_NAMES = ("avg_degree", "clustering", "aspl", "n_components",
                 "largest_component", "small_world")
@@ -346,28 +346,27 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
             np.cumsum(aspl.reshape(-1, n_ref), axis=1)[:, -1] / n_ref)
 
 
-def metrics_rows(snaps: Sequence[NetworkSnapshot], timesteps: Sequence[int],
-                 rng: RngStream, n_ref: int = DEFAULT_N_REF,
-                 small_world: bool = True) -> list[MetricsRow]:
-    """All six measures for each of a run of same-size snapshots.
+def metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
+                 n_ref: int | None) -> list[MetricsRow]:
+    """All six measures for each of a run of same-size snapshots, in order.
 
     Clustering is the mean local coefficient, nodes with fewer than two
     neighbors counting 0; ASPL is the mean hop count over connected
     pairs, 0 if none are. The small-world index is (C_G/C_R) / (L_G/L_R)
     against the means C_R and L_R over n_ref uniform graphs with the
     snapshot's node and edge counts, and None when C_R, L_R or L_G is 0;
-    small_world=False leaves it None and draws nothing.
+    n_ref=None leaves it None and draws nothing.
 
     The snapshots' statistics come from one kernel call, so pass at most
     `chunk_size(n)` of them. References are drawn in snapshot order, and
     none for an edgeless snapshot, so the rows and the generator's state
     afterwards do not depend on how a run is split into calls.
     """
-    if small_world and n_ref < 1:
+    if n_ref is not None and n_ref < 1:
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
     stats = _snapshot_stats(snaps)
     index: list[float | None] = [None] * len(snaps)
-    if small_world:
+    if n_ref is not None:
         linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
         c_r, l_r = _reference_means(snaps[0].n, [snaps[k].edge_count for k in linked],
                                     n_ref, rng)
@@ -376,5 +375,5 @@ def metrics_rows(snaps: Sequence[NetworkSnapshot], timesteps: Sequence[int],
             if c != 0.0 and l != 0.0 and l_g != 0.0:
                 index[k] = (c_g / c) / (l_g / l)
     # `stats` holds the four measures between degree and small_world
-    return [MetricsRow(2.0 * snap.edge_count / snap.n, *values, small_world=sw, timestep=t)
-            for snap, values, t, sw in zip(snaps, stats, timesteps, index)]
+    return [MetricsRow(2.0 * snap.edge_count / snap.n, *values, small_world=sw)
+            for snap, values, sw in zip(snaps, stats, index)]

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from rangesim.harness import MetricsOptions, iter_model, iter_sweep, round_rows
+from rangesim.harness import iter_model, iter_sweep, round_rows
 from rangesim.metrics import DEFAULT_N_REF, NetworkSnapshot, _draw_gnm, metrics_rows
 
 
-def metrics_snapshot(snap, rng, timestep=0, n_ref=DEFAULT_N_REF, small_world=True):
+def metrics_snapshot(snap, rng, n_ref=DEFAULT_N_REF):
     """All six measures of one snapshot; draws as `metrics_rows` does."""
-    return metrics_rows([snap], [timestep], rng, n_ref=n_ref, small_world=small_world)[0]
+    return metrics_rows([snap], rng, n_ref)[0]
 
 
 def _row(snap):
-    return metrics_snapshot(snap, None, small_world=False)  # draws nothing
+    return metrics_snapshot(snap, None, n_ref=None)  # draws nothing
 
 
 def average_degree(snap):
@@ -62,9 +62,9 @@ def run_sweep(sweep, workers=1):
     return list(iter_sweep(sweep, workers=workers))
 
 
-def round_metrics(config, round_idx, metrics=MetricsOptions()):
+def round_metrics(config, round_idx, n_ref=DEFAULT_N_REF):
     """One round's metric rows: `round_rows`' chunks joined."""
-    return [row for chunk in round_rows(config, round_idx, metrics) for row in chunk]
+    return [row for chunk in round_rows(config, round_idx, n_ref) for row in chunk]
 
 
 def run_model(config, rng, observers=()):

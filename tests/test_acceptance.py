@@ -19,7 +19,6 @@ from rangesim.diffusion import (
     default_potion_config,
 )
 from rangesim.harness import (
-    MetricsOptions,
     SweepConfig,
     run_diffusion_rounds,
     write_csv,
@@ -73,7 +72,7 @@ def null_cfg(**kwargs):
 def test_01_degree_point_check():
     # range model, N=20, g=7, r=2: mean average degree 3.9 +/- 0.5
     sweep = SweepConfig(base=range_cfg(n=20, g=7, r=2.0), vary="r", values=(2.0,),
-                        metrics=MetricsOptions(small_world=False))
+                        n_ref=None)
     agg = run_sweep(sweep, workers=WORKERS)[0].metrics["avg_degree"]
     report("01 degree point-check", abs(agg.mean - 3.9) <= 0.5,
            f"mean average degree {agg.mean:.3f} vs 3.9 +/- 0.5")
@@ -82,23 +81,23 @@ def test_01_degree_point_check():
 def test_02_boundary_identities():
     failures = []
     n, g = 12, 5
-    no_sw = MetricsOptions(small_world=False)
     # r = 0: every timestep empty, N singleton components
-    rows = round_metrics(range_cfg(n=n, g=g, r=0.0, steps=40, rounds=1), 0, no_sw)
-    for row in rows:
+    rows = round_metrics(range_cfg(n=n, g=g, r=0.0, steps=40, rounds=1), 0, None)
+    for t, row in enumerate(rows, start=1):
         if row.avg_degree != 0.0 or row.n_components != n:
-            failures.append(f"r=0 step {row.timestep}: {row}")
+            failures.append(f"r=0 step {t}: {row}")
     # r >= g*sqrt(2): complete graph every timestep
-    rows = round_metrics(range_cfg(n=n, g=g, r=g * math.sqrt(2), steps=40, rounds=1), 0, no_sw)
-    for row in rows:
+    rows = round_metrics(range_cfg(n=n, g=g, r=g * math.sqrt(2), steps=40, rounds=1), 0, None)
+    for t, row in enumerate(rows, start=1):
         if (row.avg_degree, row.clustering, row.aspl) != (n - 1.0, 1.0, 1.0) or \
                 (row.n_components, row.largest_component) != (1, n):
-            failures.append(f"r=g*sqrt2 step {row.timestep}: {row}")
+            failures.append(f"r=g*sqrt2 step {t}: {row}")
     # null: p=0 empty, p=1 complete from step 1 on
-    rows = round_metrics(null_cfg(n=n, p_connect=0.0, steps=40, rounds=1), 0, no_sw)
-    failures += [f"null p=0 step {r.timestep}" for r in rows if r.avg_degree != 0.0]
-    rows = round_metrics(null_cfg(n=n, p_connect=1.0, steps=40, rounds=1), 0, no_sw)
-    failures += [f"null p=1 step {r.timestep}" for r in rows
+    rows = round_metrics(null_cfg(n=n, p_connect=0.0, steps=40, rounds=1), 0, None)
+    failures += [f"null p=0 step {t}" for t, r in enumerate(rows, start=1)
+                 if r.avg_degree != 0.0]
+    rows = round_metrics(null_cfg(n=n, p_connect=1.0, steps=40, rounds=1), 0, None)
+    failures += [f"null p=1 step {t}" for t, r in enumerate(rows, start=1)
                  if (r.avg_degree, r.clustering, r.aspl) != (n - 1.0, 1.0, 1.0)]
     report("02 boundary identities", not failures, f"{len(failures)} violations (exact)")
 
@@ -114,7 +113,7 @@ def test_03_saturation():
     for _ in range(cfg.steps):
         snap = step_range(world, cfg, draws)
         assert world.positions == initial, "positions moved on a saturated grid"
-        row = metrics_snapshot(snap, make_rng(0, 0), small_world=False)
+        row = metrics_snapshot(snap, make_rng(0, 0), n_ref=None)
         stable_rows.add((row.avg_degree, row.clustering, row.aspl,
                          row.n_components, row.largest_component))
     report("03 saturation", len(stable_rows) == 1,
@@ -131,7 +130,7 @@ def test_04_clustering_contrast(r):
     # every range graph is bipartite and triangle-free. Its clustering is then
     # exactly 0 in every round, and the null's positive clustering exceeds it.
     sweep = SweepConfig(base=range_cfg(n=20, g=10, r=r), vary="r", values=(r,),
-                        paired=True, metrics=MetricsOptions(small_world=False))
+                        paired=True, n_ref=None)
     rows = run_sweep(sweep, workers=WORKERS)
     rg, nl = rows[0].metrics["clustering"], rows[1].metrics["clustering"]
     se = math.sqrt(rg.std ** 2 / rg.defined_count + nl.std ** 2 / nl.defined_count)
@@ -148,7 +147,7 @@ def test_04_clustering_contrast(r):
 def test_05_aspl_two_phase():
     sweep = SweepConfig(base=range_cfg(n=40, g=10, r=0.0), vary="r",
                         values=tuple(float(v) for v in range(11)),
-                        metrics=MetricsOptions(small_world=False))
+                        n_ref=None)
     rows = run_sweep(sweep, workers=WORKERS)
     curve = [row.metrics["aspl"].mean for row in rows]
     peak = int(np.argmax(curve))
@@ -203,7 +202,7 @@ def test_08_metrics_oracle_equivalence():
             abs(average_shortest_path_length(g) - aspl_oracle(n, edges)),
         ]
         assert components(g) == components_oracle(n, edges)
-        row = metrics_snapshot(g, make_rng(idx, 0), small_world=False)
+        row = metrics_snapshot(g, make_rng(idx, 0), n_ref=None)
         assert (row.n_components, row.largest_component) == components_oracle(n, edges)
         diffs.append(abs(row.aspl - aspl_oracle(n, edges)))
         value = small_world_index(g, make_rng(idx, 1), n_ref=5)
@@ -289,7 +288,7 @@ def test_11_potion_density_effect():
 def test_12_determinism_parallelism(tmp_path):
     sweep = SweepConfig(base=range_cfg(n=12, g=6, r=1.0, steps=15, rounds=6),
                         vary="r", values=(1.0, 2.0), paired=True,
-                        metrics=MetricsOptions(n_ref=5))
+                        n_ref=5)
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     write_csv(run_sweep(sweep, workers=1), str(serial))
@@ -297,3 +296,31 @@ def test_12_determinism_parallelism(tmp_path):
     identical = serial.read_bytes() == parallel.read_bytes()
     report("12 determinism & parallelism", identical,
            f"serial vs parallel CSV bytes identical = {identical}")
+
+
+def test_13_grid_size_thins_the_network():
+    # Supplement Fig. S1: N = 9 agents with r = 3 on grids of side g. At
+    # g = 3 the agents fill every tile and no two tiles lie farther apart
+    # than 2*sqrt(2) < r, so every snapshot is complete. A larger grid
+    # spreads the same agents over more tiles: fewer links, and the
+    # network breaks into more and smaller components.
+    values = (3.0, 4.0, 6.0, 10.0, 20.0, 50.0)
+    sweep = SweepConfig(base=range_cfg(n=9, g=3, r=3.0, steps=50, rounds=20), vary="g",
+                        values=values, n_ref=None)
+    rows = run_sweep(sweep, workers=WORKERS)
+    means = {name: [row.metrics[name].mean for row in rows]
+             for name in ("avg_degree", "n_components", "largest_component")}
+    complete = {"avg_degree": 8.0, "clustering": 1.0, "aspl": 1.0,
+                "n_components": 1.0, "largest_component": 9.0}
+    full = rows[0].metrics
+    ok = all((full[name].mean, full[name].std) == (value, 0.0)
+             for name, value in complete.items())
+    degree = means["avg_degree"]
+    ok = ok and all(a > b for a, b in zip(degree, degree[1:]))
+    largest, count = means["largest_component"], means["n_components"]
+    ok = ok and all(a >= b for a, b in zip(largest, largest[1:]))
+    ok = ok and all(a <= b for a, b in zip(count, count[1:]))
+    report("13 grid size thins the network", ok,
+           f"g {[int(v) for v in values]}: degree {[round(v, 2) for v in degree]}, "
+           f"components {[round(v, 2) for v in count]}, "
+           f"largest {[round(v, 2) for v in largest]}")

@@ -538,6 +538,8 @@ def _with_recipe(**changes):
         {"item": "a", "score": "high"}, {"item": "b", "score": 0.7},
         {"item": "c", "score": 3.3}]}), id="score-not-numeric"),
     pytest.param(json.dumps(_with_recipe(score="4.5")), id="recipe-score-string"),
+    # an integer beyond float's range: float() raises OverflowError
+    pytest.param(json.dumps(_with_recipe(score=10 ** 400)), id="recipe-score-overflow"),
     pytest.param(json.dumps(_with_recipe(tier="one")), id="tier-not-numeric"),
     pytest.param(json.dumps(_with_recipe(inputs="abc")), id="inputs-string"),
     pytest.param(json.dumps(_with_recipe(inputs=["a", "a", "b"])), id="inputs-repeated"),

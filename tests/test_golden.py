@@ -19,6 +19,14 @@ all zeros. The three N = 40 diffusion cases (potion and cultural on the
 null model, potion on `recipes_fractional.json`, whose scores are not
 integers) reach crossover or fixation; they were recorded from the code
 that held inventories as sets of item names.
+
+The sweep cases beyond `sweep-paired` vary each other parameter: `g`
+(the grid side of the supplement's Fig. S1, from a complete graph at
+g = 3), `n` and `p` paired, where the null model takes p = r/g and the
+range model r = p*g, and `n` on the null model alone without the
+small-world index. They, and the `--workers 2` copy of `sweep-paired`,
+were recorded from commit a51c0ae, before `SweepConfig` resolved each
+cell only once.
 """
 
 import hashlib
@@ -87,9 +95,25 @@ CASES = {
         ["diffusion", "--process", "potion", "--model", "range", "--r", "2",
          "--recipes", FRACTIONAL_RECIPES, *MID],
         "ead706fd2ee0dea824c86bd9fd4f9616b110df0a1389ac28272a0b58a35fd3af"),
+    "sweep-vary-g": (
+        ["sweep", "--model", "both", "--vary", "g", "--values", "3,4,6,10", "--n", "9",
+         "--r", "3", "--steps", "8", "--rounds", "2", "--seed", "3", "--n-ref", "3"],
+        "3f31ea590258f94d2dc5da94959ae52caf98a09f2f5898f92a20793a76c0a72b"),
+    "sweep-vary-n": (
+        ["sweep", "--model", "both", "--vary", "n", "--values", "5,10,20", "--r", "2",
+         "--steps", "8", "--rounds", "2", *SMALL],
+        "5c8486bccb830f02a51bd8fbf7dbd48affc384548298581f945374b2da8663fc"),
+    "sweep-vary-p": (
+        ["sweep", "--model", "both", "--vary", "p", "--values", "0:0.3:0.1", "--steps", "8",
+         "--rounds", "2", *SMALL],
+        "dd295f3761659c3bb4522aaf6bb75fc7b3a14d60fa7e32cb5291bbfaa0681d44"),
+    "sweep-null-nosw": (
+        ["sweep", "--model", "null", "--vary", "n", "--values", "2,10,40", "--p-connect", "0.2",
+         "--steps", "8", "--rounds", "2", "--no-small-world", *SMALL],
+        "bfd962aaecd4ffdae0a1bd96b99c19a71cb5e260b48e232f48ea92bbe4d39d80"),
 }
 # a worker pool must reproduce the serial bytes
-for _name in ("run-range", "diffusion-si"):
+for _name in ("run-range", "diffusion-si", "sweep-paired"):
     _argv, _digest = CASES[_name]
     CASES[f"{_name}-workers2"] = ([*_argv, "--workers", "2"], _digest)
 

@@ -11,7 +11,6 @@ from rangesim.cli import main, parse_values
 from rangesim.core import STREAM_METRICS, STREAM_MODEL, ConfigError, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import SIConfig, default_potion_config
 from rangesim.harness import (
-    MetricsOptions,
     SweepConfig,
     aggregate_rounds,
     diffusion_round,
@@ -34,7 +33,7 @@ def range_config(**kwargs):
     return SimConfig(**defaults)
 
 
-FAST = MetricsOptions(n_ref=3)
+FAST = 3  # reference graphs per small-world index
 
 
 def model_config(kind, **kwargs):
@@ -126,7 +125,6 @@ class TestRunRound:
     def test_row_per_timestep(self):
         rows = round_metrics(range_config(steps=100), 0, FAST)
         assert len(rows) == 100
-        assert [row.timestep for row in rows] == list(range(1, 101))
 
     def test_single_agent_rows(self):
         rows = round_metrics(range_config(n=1, steps=5), 0, FAST)
@@ -240,15 +238,14 @@ class TestMetricChunks:
         assert metrics.chunk_size(20) == 40 and metrics.chunk_size(130) == 1
         snaps = snapshot_stream(n, steps, seed=n + n_ref)
         expected_rng = make_rng(7, 0, STREAM_METRICS)
-        expected = [metrics_snapshot(snap, expected_rng, timestep=t, n_ref=n_ref)
-                    for t, snap in enumerate(snaps, start=1)]
+        expected = [metrics_snapshot(snap, expected_rng, n_ref=n_ref) for snap in snaps]
         batches = []
         kernel = metrics._hop_distances
         monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
                             batches.append(len(stack)) or kernel(stack, degrees))
         monkeypatch.setattr(harness, "chunk_size", lambda n: chunk)
         rng = make_rng(7, 0, STREAM_METRICS)
-        chunks = list(metric_chunks(iter(snaps), rng, MetricsOptions(n_ref=n_ref)))
+        chunks = list(metric_chunks(iter(snaps), rng, n_ref))
         assert [len(rows) for rows in chunks] == [
             min(chunk, steps - start) for start in range(0, steps, chunk)]
         assert [row for rows in chunks for row in rows] == expected
@@ -262,9 +259,8 @@ class TestMetricChunks:
         run_model(cfg, make_rng(cfg.seed, 0, STREAM_MODEL),
                   [lambda t, snap: snaps.append(snap.adj)])
         rng = make_rng(cfg.seed, 0, STREAM_METRICS)
-        expected = [metrics_snapshot(NetworkSnapshot(adj), rng, timestep=t, n_ref=4)
-                    for t, adj in enumerate(snaps, start=1)]
-        assert round_metrics(cfg, 0, MetricsOptions(n_ref=4)) == expected
+        expected = [metrics_snapshot(NetworkSnapshot(adj), rng, n_ref=4) for adj in snaps]
+        assert round_metrics(cfg, 0, 4) == expected
 
 
 class TestAggregateRounds:
@@ -302,16 +298,16 @@ class TestSweep:
     def test_row_per_value_and_model(self):
         sweep = SweepConfig(base=range_config(steps=5, rounds=2), vary="r",
                             values=tuple(float(v) for v in range(6)),
-                            paired=True, metrics=FAST)
+                            paired=True, n_ref=FAST)
         rows = run_sweep(sweep)
         assert len(rows) == 12
-        assert [r.model for r in rows[:2]] == [ModelKind.RANGE, ModelKind.NULL]
-        null_rows = [r for r in rows if r.model is ModelKind.NULL]
+        assert [r.config.model for r in rows[:2]] == [ModelKind.RANGE, ModelKind.NULL]
+        null_rows = [r for r in rows if r.config.model is ModelKind.NULL]
         assert [r.config.p_connect for r in null_rows] == [v / 6 for v in range(6)]
 
     def test_n_sweep_resolves_population(self):
         sweep = SweepConfig(base=range_config(g=7, steps=4, rounds=2), vary="n",
-                            values=(1.0, 10.0, 49.0), metrics=FAST)
+                            values=(1.0, 10.0, 49.0), n_ref=FAST)
         rows = run_sweep(sweep)
         assert [r.config.n for r in rows] == [1, 10, 49]
 
@@ -325,7 +321,7 @@ class TestSweep:
 
     def test_serial_parallel_identical(self, tmp_path):
         sweep = SweepConfig(base=range_config(steps=6, rounds=4), vary="r",
-                            values=(1.0, 2.0), paired=True, metrics=FAST)
+                            values=(1.0, 2.0), paired=True, n_ref=FAST)
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         write_csv(run_sweep(sweep, workers=1), str(serial))
@@ -335,7 +331,7 @@ class TestSweep:
     def test_first_cell_streams_before_later_cells_run(self, monkeypatch):
         calls = count_round_calls(monkeypatch, "round_rows")
         sweep = SweepConfig(base=range_config(steps=3, rounds=2), vary="r",
-                            values=(1.0, 2.0, 3.0), metrics=FAST)
+                            values=(1.0, 2.0, 3.0), n_ref=FAST)
         row = next(iter_sweep(sweep))
         assert row.config.r == 1.0
         assert calls == [0, 1]
@@ -355,9 +351,9 @@ class TestSweep:
 
     def test_doubling_rounds_moves_mean_within_tolerance(self):
         few = SweepConfig(base=range_config(steps=20, rounds=12), vary="r",
-                          values=(2.0,), metrics=MetricsOptions(small_world=False))
+                          values=(2.0,), n_ref=None)
         many = SweepConfig(base=range_config(steps=20, rounds=24), vary="r",
-                           values=(2.0,), metrics=MetricsOptions(small_world=False))
+                           values=(2.0,), n_ref=None)
         row_few = run_sweep(few)[0].metrics["avg_degree"]
         row_many = run_sweep(many)[0].metrics["avg_degree"]
         se = row_few.std / math.sqrt(12)
@@ -405,7 +401,7 @@ class TestWorkerPool:
 
     def test_sweep_pool_capped_by_its_rounds_over_all_cells(self, monkeypatch):
         sweep = SweepConfig(base=range_config(steps=3, rounds=2), vary="r",
-                            values=(1.0, 2.0), paired=True, metrics=FAST)
+                            values=(1.0, 2.0), paired=True, n_ref=FAST)
         serial = run_sweep(sweep)
         sizes = in_process_pool(monkeypatch)
         assert run_sweep(sweep, workers=64) == serial
@@ -423,7 +419,7 @@ class TestWorkerPool:
 class TestCsvOutput:
     def test_header_plus_data_lines(self, tmp_path):
         sweep = SweepConfig(base=range_config(steps=4, rounds=2), vary="r",
-                            values=tuple(float(v) for v in range(4)), metrics=FAST)
+                            values=tuple(float(v) for v in range(4)), n_ref=FAST)
         path = tmp_path / "out.csv"
         count = write_csv(run_sweep(sweep), str(path))
         lines = path.read_text().splitlines()
@@ -433,7 +429,7 @@ class TestCsvOutput:
 
     def test_round_trip_nine_significant_digits(self, tmp_path):
         sweep = SweepConfig(base=range_config(steps=6, rounds=3), vary="r",
-                            values=(2.0,), metrics=FAST)
+                            values=(2.0,), n_ref=FAST)
         rows = run_sweep(sweep)
         path = tmp_path / "out.csv"
         write_csv(rows, str(path))
@@ -448,7 +444,7 @@ class TestCsvOutput:
 
     def test_missing_values_are_empty_fields(self, tmp_path):
         sweep = SweepConfig(base=range_config(r=0.0, steps=4, rounds=2), vary="r",
-                            values=(0.0,), metrics=FAST)
+                            values=(0.0,), n_ref=FAST)
         path = tmp_path / "out.csv"
         write_csv(run_sweep(sweep), str(path))
         with open(path) as fh:
@@ -457,12 +453,20 @@ class TestCsvOutput:
         assert record["small_world_defined_count"] == "0"
 
     def test_timeseries_dump_line_count(self, tmp_path):
-        cfg = range_config(steps=7, rounds=3)
-        path = tmp_path / "dump.csv"
-        count = write_timeseries_csv(cfg, str(path), metrics=FAST)
-        lines = path.read_text().splitlines()
-        assert count == 7 * 3
-        assert len(lines) == 1 + 21
+        # 45 steps at N = 20 take a 40-graph chunk and a 5-graph one; each
+        # round's timesteps still run 1..45, serially and from a pool
+        runs = [(range_config(steps=7, rounds=3), 1)]
+        runs += [(range_config(n=20, g=10, steps=45, rounds=2), workers) for workers in (1, 2)]
+        assert metrics.chunk_size(20) == 40
+        for cfg, workers in runs:
+            path = tmp_path / "dump.csv"
+            count = write_timeseries_csv(cfg, str(path), n_ref=FAST, workers=workers)
+            lines = path.read_text().splitlines()
+            assert count == cfg.steps * cfg.rounds
+            assert len(lines) == 1 + count
+            assert [line.split(",")[5:7] for line in lines[1:]] == [
+                [str(round_idx), str(t)] for round_idx in range(cfg.rounds)
+                for t in range(1, cfg.steps + 1)]
 
     def test_serial_timeseries_writes_each_row_as_it_is_measured(self, tmp_path,
                                                                  monkeypatch):
@@ -473,7 +477,7 @@ class TestCsvOutput:
         watch_steps(monkeypatch, lambda k: on_disk.append(
             len(path.read_text().splitlines()[1:])))
         cfg = range_config(n=130, g=12, steps=4, rounds=2)
-        assert write_timeseries_csv(cfg, str(path), metrics=FAST) == 8
+        assert write_timeseries_csv(cfg, str(path), n_ref=FAST) == 8
         assert on_disk == list(range(8))  # k - 1 rows before the k-th step
 
     def test_interrupted_serial_timeseries_keeps_measured_rows(self, tmp_path, monkeypatch):
@@ -488,7 +492,7 @@ class TestCsvOutput:
         watch_steps(monkeypatch, fail_at_eighth)
         path = tmp_path / "dump.csv"
         with pytest.raises(RuntimeError, match="step 8 interrupted"):
-            write_timeseries_csv(range_config(steps=4, rounds=3), str(path), metrics=FAST)
+            write_timeseries_csv(range_config(steps=4, rounds=3), str(path), n_ref=FAST)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("model,N,g,r,p_connect,round,timestep,")
         assert [line.split(",")[5:7] for line in lines[1:]] == [
@@ -501,7 +505,7 @@ class TestCsvOutput:
         cfg = range_config(steps=4, rounds=3)
         path = tmp_path / "dump.csv"
         with pytest.raises(RuntimeError, match="round 1 interrupted"):
-            write_timeseries_csv(cfg, str(path), metrics=FAST, workers=2)
+            write_timeseries_csv(cfg, str(path), n_ref=FAST, workers=2)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("model,N,g,r,p_connect,round,timestep,")
         assert [line.split(",")[5:7] for line in lines[1:]] == [
@@ -605,6 +609,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("rangesim: config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["range-count", "config-list"])
+    def test_oversized_values_are_config_error(self, tmp_path, capsys, source):
+        # float(10**400) and int(inf) raise OverflowError, not ValueError
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--model", "range", "--vary", "r", "--n", "6", "--g", "5",
+                "--steps", "2", "--rounds", "1", "--out", str(out)]
+        if source == "range-count":
+            argv += ["--values", "0:1e300:1e-300"]
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text('{"values": [1%s]}' % ("0" * 400))
+            argv += ["--config", str(cfg_file)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("rangesim: config error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_nan_social_weight_is_config_error(self, tmp_path, capsys):
         # NaN passes `w < 0`, and then no exposed agent is ever infected
         out = tmp_path / "traj.csv"
@@ -620,10 +642,17 @@ class TestCli:
         assert code == 2
 
     def test_zero_reference_graphs_is_config_error(self, tmp_path, capsys):
-        code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",
-                     "--steps", "2", "--n-ref", "0", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "n_ref must be at least 1" in capsys.readouterr().err
+        # checked before any round runs, whether or not the index is taken
+        for extra in ([], ["--no-small-world"]):
+            code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",
+                         "--steps", "2", "--n-ref", "0", *extra,
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            assert "n_ref must be at least 1" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
+        with pytest.raises(ValueError, match="n_ref=0"):
+            metrics.metrics_rows([NetworkSnapshot(np.zeros((2, 2), dtype=bool))],
+                                 make_rng(0, 0), 0)
 
     def test_workers_below_one_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",

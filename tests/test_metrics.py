@@ -91,11 +91,10 @@ class TestWorkedExamples:
 
 class TestMetricsSnapshot:
     def test_empty_graph_row(self):
-        row = metrics_snapshot(snap(5, []), make_rng(1, 0), timestep=3)
+        row = metrics_snapshot(snap(5, []), make_rng(1, 0))
         assert (row.avg_degree, row.clustering, row.aspl) == (0.0, 0.0, 0.0)
         assert (row.n_components, row.largest_component) == (5, 1)
         assert row.small_world is None
-        assert row.timestep == 3
 
     def test_complete_graph_row(self):
         row = metrics_snapshot(complete(5), make_rng(1, 0))
@@ -113,7 +112,7 @@ class TestMetricsSnapshot:
         assert row.small_world == small_world_index(g, make_rng(4, 0), n_ref=6)
 
     def test_small_world_disabled(self):
-        row = metrics_snapshot(complete(4), make_rng(1, 0), small_world=False)
+        row = metrics_snapshot(complete(4), make_rng(1, 0), n_ref=None)
         assert row.small_world is None
 
     def test_single_node_row(self):
@@ -163,7 +162,7 @@ class TestOracleEquivalence:
             aspl, comps = fw_reference(g)
             assert average_shortest_path_length(g) == aspl
             assert components(g) == comps
-            row = metrics_snapshot(g, make_rng(0, 0), small_world=False)
+            row = metrics_snapshot(g, make_rng(0, 0), n_ref=None)
             assert (row.aspl, (row.n_components, row.largest_component)) == (aspl, comps)
 
     def test_single_node_and_edgeless(self):
@@ -360,8 +359,7 @@ class TestFusedKernel:
         adj[hub, spokes] = adj[spokes, hub] = True
         for i, j in itertools.combinations(triangle, 2):
             adj[i, j] = adj[j, i] = True
-        row, = metrics.metrics_rows([NetworkSnapshot(adj)], [1], make_rng(0, 0),
-                                    small_world=False)
+        row, = metrics.metrics_rows([NetworkSnapshot(adj)], make_rng(0, 0), None)
         hops = 2 * leaves + 2 * leaves * (leaves - 1) + 6
         pairs = 2 * leaves + leaves * (leaves - 1) + 6
         assert row.aspl == hops / pairs
@@ -387,7 +385,7 @@ class TestFusedKernel:
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul", lambda *args, **kwargs:
                             calls.append(None) or matmul(*args, **kwargs))
-        metrics.metrics_rows([g], [1], make_rng(0, 0), small_world=False)
+        metrics.metrics_rows([g], make_rng(0, 0), None)
         monkeypatch.undo()
         return len(calls)
 
