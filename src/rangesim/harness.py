@@ -145,7 +145,8 @@ class SweepConfig:
         if not self.values:
             raise ConfigError("sweep needs at least one value")
         if not 0 <= self.burn_in < max(self.base.steps, 1):
-            raise ConfigError(f"burn-in must be below steps={self.base.steps}")
+            raise ConfigError(f"burn-in must lie in [0, steps) for steps={self.base.steps}, "
+                              f"got {self.burn_in}")
         for v in self.values:
             if self.vary == "r" and not 0 <= v <= self.base.g:
                 raise ConfigError(f"swept r must lie in [0, g], got {v}")

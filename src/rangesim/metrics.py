@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -301,49 +302,180 @@ def _upper_flat(n: int) -> np.ndarray:
     return flat
 
 
-def _draw_gnm(row: np.ndarray, n: int, m: int, rng: RngStream) -> None:
-    """Set m uniformly chosen upper-triangle entries of a flat False n*n row.
-
-    One `choice` draw of m pairs; m = 0 draws nothing.
-    """
-    if m > 0:
-        upper = _upper_flat(n)
-        row[upper[rng.choice(upper.size, size=m, replace=False)]] = True
-
-
 def _symmetric(rows: np.ndarray, n: int) -> np.ndarray:
     upper = rows.reshape(-1, n, n)
     return upper | upper.transpose(0, 2, 1)
+
+
+# Reference graphs are drawn in blocks of at most this many slots (one
+# reference at least), a reference counting max(n_pairs + 1, 2 * the
+# call's largest edge count). That bounds a block's 32-bit draws, Floyd
+# steps, pair sets and adjacency rows whatever n_ref is: about 1 MB at
+# most, a block of 80 to 160 references at n = 20.
+_BLOCK_SLOTS = 1 << 15
+
+_SHIFT32 = np.uint64(32)
+
+
+def _on_floyd_path(pairs: int, m: int) -> bool:
+    """Whether numpy's `choice(pairs, m, replace=False)` runs Floyd's
+    algorithm; above these sizes it shuffles the tail of an arange."""
+    return pairs <= 10000 or m <= pairs // 50
+
+
+def _floyd_batch_pays(refs: int, longest: int, pairs: int) -> bool:
+    """Whether `_floyd_pair_sets` beats one `choice` call per reference
+    for a block of refs references on `pairs` pairs, the largest of
+    `longest` edges.
+
+    Timed at n = 20 to 80, the batch costs about 3 µs per Floyd step of
+    the longest reference and pairs / 25 µs besides, a `choice` call
+    about 9 µs. The rule asks for a tenth to a third more references
+    than where the two are level.
+    """
+    return 10 * refs >= 3 * longest + pairs // 25 + 30
+
+
+def _bounded_draws(rng: RngStream, bounds: np.ndarray) -> np.ndarray | None:
+    """numpy's bounded draws below each of the uint32 `bounds` (each at
+    least 2), in order, as uint64; None, with the generator untouched, if
+    any draw would be rejected and redrawn.
+
+    Lemire's multiply-and-reject on 32-bit outputs, as in
+    `core.ExactDraws.integers`: each PCG64 word gives its low half, then
+    its high half, after the generator's pending half if it has one.
+    """
+    bits = rng.bit_generator
+    start = bits.state
+    pending = start["has_uint32"]
+    halves = bits.random_raw((len(bounds) - pending + 1) // 2).astype("<u8", copy=False).view("<u4")
+    product = np.empty(len(bounds), dtype=np.uint64)
+    product[:pending] = start["uinteger"]
+    product[pending:] = halves[:len(bounds) - pending]
+    product *= bounds
+    low = product.astype(np.uint32)
+    # a draw is rejected when low < 2**32 % bound, which needs low < bound
+    suspect = np.flatnonzero(low < bounds)
+    if np.any(low[suspect] < np.uint64(1 << 32) % bounds[suspect]):
+        bits.state = start
+        return None
+    end = bits.state
+    end["has_uint32"] = len(halves) + pending - len(bounds)
+    if len(halves):
+        end["uinteger"] = int(halves[-1])
+    bits.state = end
+    product >>= _SHIFT32
+    return product
+
+
+def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray | None:
+    """The edges of `_gnm_rows` for sizes all on the Floyd path, every
+    reference at once, as a (len(sizes), pairs) boolean array of the
+    pairs chosen; pairs < 2**32, sizes at least 1.
+
+    The references' draws come from one `_bounded_draws` call. Floyd's
+    insertions then run one step for all references at once; the
+    shuffle's draws are taken but not applied, since the set does not
+    depend on the order. Returns None, with the generator untouched, if
+    any draw would be rejected and redrawn.
+    """
+    # runs of equal sizes: (m, references, draws per reference)
+    runs = [(m, len(list(group)), 2 * m - 1 - (m == pairs)) for m, group in groupby(sizes)]
+    # the exclusive bounds: Floyd's step j = pairs - m, ..., pairs - 1
+    # draws below j + 1, except j = 0, which draws nothing; the shuffle's
+    # step i = m - 1, ..., 1 draws below i + 1
+    bounds = np.empty(sum(count * per_ref for _, count, per_ref in runs), dtype=np.uint32)
+    at = 0
+    for m, count, per_ref in runs:
+        run = bounds[at:at + count * per_ref].reshape(count, per_ref)
+        run[:, :per_ref - m + 1] = np.arange(pairs - per_ref + m, pairs + 1)
+        run[:, per_ref - m + 1:] = np.arange(m, 1, -1)
+        at += count * per_ref
+    drawn = _bounded_draws(rng, bounds)
+    if drawn is None:
+        return None
+    del bounds
+    # per Floyd step and reference, the value drawn and the step's j, as
+    # flat indices into `chosen`; a reference with every pair, or past its
+    # last step, marks its own column `pairs`
+    refs = len(sizes)
+    value = np.full((max((m for m in sizes if m < pairs), default=0), refs), pairs, dtype=np.int64)
+    fresh = value.copy()
+    chosen = np.zeros((refs, pairs + 1), dtype=bool)
+    first = at = 0
+    for m, count, per_ref in runs:
+        if m == pairs:
+            chosen[first:first + count] = True
+        else:
+            value[:m, first:first + count] = drawn[at:at + count * per_ref].reshape(
+                count, per_ref)[:, :m].T
+            fresh[:m, first:first + count] = np.arange(pairs - m, pairs)[:, None]
+        first += count
+        at += count * per_ref
+    del drawn
+    base = (pairs + 1) * np.arange(refs)
+    value += base
+    fresh += base
+    flat = chosen.reshape(-1)
+    for v, j in zip(value, fresh):
+        np.putmask(v, flat.take(v), j)
+        flat.put(v, True)
+    return chosen[:, :pairs]
+
+
+def _gnm_rows(n: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray:
+    """G(n, m) reference graphs, one per size m, as (len(sizes), n*n)
+    boolean rows with their edges' upper-triangle entries set.
+
+    Edge k is the k-th pair of `_upper_flat(n)`, and the edges are those
+    of consecutive `rng.choice(n_pairs, m, replace=False)` calls, which
+    the generator ends after. Sizes of at least one edge on the Floyd
+    path go through `_floyd_pair_sets` where its rule says the batch
+    pays; everything else, and a batch that meets a rejected draw, calls
+    `choice` once per size.
+    """
+    pairs = n * (n - 1) // 2
+    upper = _upper_flat(n)
+    rows = np.zeros((len(sizes), n * n), dtype=bool)
+    if (min(sizes) > 0 and _floyd_batch_pays(len(sizes), max(sizes), pairs)
+            and all(_on_floyd_path(pairs, m) for m in set(sizes))):
+        sets = _floyd_pair_sets(pairs, sizes, rng)
+        if sets is not None:
+            rows[:, upper] = sets
+            return rows
+    for row, m in zip(rows, sizes):
+        if m > 0:
+            row[upper[rng.choice(pairs, size=m, replace=False)]] = True
+    return rows
 
 
 def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
                      rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """(C_R, L_R) for each edge count: means over n_ref sampled G(n, m) graphs.
 
-    References are drawn in order, n_ref per edge count, into one
-    chunk-sized buffer that is evaluated whenever it fills, so memory
-    stays bounded by the chunk. Each mean is summed reference by
-    reference, left to right, as a running total rounds.
+    References are drawn in order, n_ref per edge count, a block of
+    `_gnm_rows` at a time; each block is evaluated in chunks and
+    dropped, so memory stays bounded whatever n_ref is. Each mean is
+    summed reference by reference, left to right, as a running total.
     """
     total = len(edge_counts) * n_ref
-    clustering = np.empty(total)
-    aspl = np.empty(total)
-    buffer = np.zeros((min(chunk_size(n), total), n * n), dtype=bool)
-    done = filled = 0
-    for m in edge_counts:
-        for _ in range(n_ref):
-            _draw_gnm(buffer[filled], n, m, rng)
-            filled += 1
-            if filled == len(buffer) or done + filled == total:
-                stack = _symmetric(buffer[:filled], n)
-                c, l, _ = _clustering_and_paths(stack, np.count_nonzero(stack, axis=2))
-                clustering[done:done + filled] = c
-                aspl[done:done + filled] = l
-                done += filled
-                filled = 0
-                buffer[:] = False
-    return (np.cumsum(clustering.reshape(-1, n_ref), axis=1)[:, -1] / n_ref,
-            np.cumsum(aspl.reshape(-1, n_ref), axis=1)[:, -1] / n_ref)
+    chunk = chunk_size(n)
+    block = max(1, _BLOCK_SLOTS // max(n * (n - 1) // 2 + 1, 2 * max(edge_counts, default=0)))
+    if block > chunk:
+        block -= block % chunk
+    sums = [[0.0, 0.0] for _ in edge_counts]
+    for first in range(0, total, block):
+        refs = range(first, min(first + block, total))
+        rows = _gnm_rows(n, [edge_counts[ref // n_ref] for ref in refs], rng)
+        for lo in range(0, len(rows), chunk):
+            stack = _symmetric(rows[lo:lo + chunk], n)
+            c, l, _ = _clustering_and_paths(stack, np.count_nonzero(stack, axis=2))
+            for ref, c_ref, l_ref in zip(refs[lo:], c.tolist(), l.tolist()):
+                running = sums[ref // n_ref]
+                running[0] += c_ref
+                running[1] += l_ref
+    means = np.array(sums).reshape(-1, 2) / n_ref
+    return means[:, 0], means[:, 1]
 
 
 def metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,

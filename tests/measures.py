@@ -11,10 +11,8 @@ everything here is the package's own code.
 
 from __future__ import annotations
 
-import numpy as np
-
 from rangesim.harness import iter_model, iter_sweep, round_rows
-from rangesim.metrics import DEFAULT_N_REF, NetworkSnapshot, _draw_gnm, metrics_rows
+from rangesim.metrics import DEFAULT_N_REF, NetworkSnapshot, _gnm_rows, metrics_rows
 
 
 def metrics_snapshot(snap, rng, n_ref=DEFAULT_N_REF):
@@ -52,9 +50,7 @@ def sample_gnm(n, m, rng):
     """One reference graph: a uniform simple graph with n nodes and m edges."""
     if m > n * (n - 1) // 2:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
-    row = np.zeros(n * n, dtype=bool)
-    _draw_gnm(row, n, m, rng)
-    upper = row.reshape(n, n)
+    upper = _gnm_rows(n, [m], rng)[0].reshape(n, n)
     return NetworkSnapshot(upper | upper.T)
 
 

@@ -12,7 +12,10 @@ the package's int-bitmask inventories and per-snapshot neighbor lists.
 `two_pass_kernel_oracle` is the batched metrics kernel as two separate
 passes, float64 clustering and a BFS that runs every level, the
 reference for the package's single pass with its shared first product
-and early stop.
+and early stop. `choice_oracle` is numpy's `choice` without replacement
+drawn one 32-bit output at a time, and `pair_sets_oracle` the loop of one
+`choice` call per reference graph: the references for the package's
+batched G(n, m) sampler.
 """
 
 from __future__ import annotations
@@ -220,6 +223,83 @@ class RangeOracle:
                 self.occupancy[target] = agent
                 self.positions[agent] = target
         return in_range_links_oracle(self.positions, self.r)
+
+
+def choice_oracle(rng, pop, m):
+    """`rng.choice(pop, m, replace=False)` on numpy's Floyd path (pop <=
+    10000 or m <= pop // 50), one 32-bit draw at a time.
+
+    Returns the chosen list in numpy's order and the number of draws
+    rejected and redrawn, and leaves the generator where numpy would.
+    Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) draws a value in
+    [0, j] for each j = pop - m, ..., pop - 1 (j = 0 draws nothing) and
+    takes j instead when the value is already chosen; a Fisher-Yates
+    pass then swaps each i = m - 1, ..., 1 with a draw in [0, i]. A draw
+    in [0, j] is Lemire's multiply-and-reject on 32-bit outputs (ACM
+    TOMACS 29(1), 2019), which take a PCG64 word's low half, then its
+    high half.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    buffered = [state["uinteger"]] if state["has_uint32"] else []
+    high = state["uinteger"]
+    rejected = 0
+
+    def next32():
+        nonlocal high
+        if buffered:
+            return buffered.pop()
+        word = int(bits.random_raw())
+        high = word >> 32
+        buffered.append(high)
+        return word & 0xFFFFFFFF
+
+    def bounded(j):
+        nonlocal rejected
+        while True:
+            product = next32() * (j + 1)
+            low = product & 0xFFFFFFFF
+            if low >= j + 1 or low >= (1 << 32) % (j + 1):
+                return product >> 32
+            rejected += 1
+
+    order, chosen = [], set()
+    for j in range(pop - m, pop):
+        value = bounded(j) if j else 0
+        if value in chosen:
+            value = j
+        chosen.add(value)
+        order.append(value)
+    for i in range(m - 1, 0, -1):
+        k = bounded(i)
+        order[i], order[k] = order[k], order[i]
+    bits.state = {**bits.state, "has_uint32": len(buffered), "uinteger": high}
+    return order, rejected
+
+
+def pair_sets_oracle(pairs, sizes, rng):
+    """One `rng.choice(pairs, m, replace=False)` per size m (none for m = 0),
+    as a (len(sizes), pairs) boolean array: the per-reference loop that
+    drew the small-world reference graphs before they were batched."""
+    sets = np.zeros((len(sizes), pairs), dtype=bool)
+    for row, m in zip(sets, sizes):
+        if m > 0:
+            row[rng.choice(pairs, size=m, replace=False)] = True
+    return sets
+
+
+def reference_means_oracle(n, edge_counts, n_ref, rng):
+    """(C_R, L_R) per edge count over n_ref references drawn by
+    `pair_sets_oracle`, each measured by the brute-force oracles above.
+    Pair p is the p-th pair i < j in row-major order."""
+    iu, ju = np.triu_indices(n, k=1)
+    means = []
+    for m in edge_counts:
+        graphs = [list(zip(iu[row].tolist(), ju[row].tolist()))
+                  for row in pair_sets_oracle(len(iu), [m] * n_ref, rng)]
+        means.append((sum(clustering_oracle(n, edges) for edges in graphs) / n_ref,
+                      sum(aspl_oracle(n, edges) for edges in graphs) / n_ref))
+    return means
 
 
 def random_graph(n, rng, p=None):

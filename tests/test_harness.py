@@ -581,6 +581,17 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("burn_in", ["-3", "2"])
+    def test_burn_in_outside_steps_is_config_error(self, tmp_path, capsys, burn_in):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--vary", "r", "--values", "1",
+                     "--n", "6", "--g", "5", "--steps", "2", "--burn-in", burn_in,
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"burn-in must lie in [0, steps) for steps=2, got {burn_in}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_diffusion_n_init_error_writes_no_file(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         code = main(["diffusion", "--process", "si", "--r", "2", "--n", "20", "--n-init", "50",

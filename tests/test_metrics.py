@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from rangesim import metrics
 from rangesim.cli import main
-from rangesim.core import make_rng
+from rangesim.core import ModelKind, SimConfig, make_rng
+from rangesim.harness import iter_model
 from rangesim.metrics import NetworkSnapshot
 from rangesim.range_model import max_sq_distance, range_links
 
@@ -24,11 +26,14 @@ from measures import (
 )
 from oracles import (
     aspl_oracle,
+    choice_oracle,
     clustering_oracle,
     components_oracle,
     degree_oracle,
     edge_set,
+    pair_sets_oracle,
     random_graph,
+    reference_means_oracle,
     small_world_oracle,
     snapshot_from_edges,
     two_pass_kernel_oracle,
@@ -555,3 +560,136 @@ class TestSampleGnm:
         g = sample_gnm(5, 4, make_rng(2, 0))
         with pytest.raises(ValueError):
             g.adj[0, 1] = True
+
+
+def same_streams(seed, pending):
+    """Two generators at the same position; with `pending`, PCG64 holds a
+    word's high half for its next 32-bit draw."""
+    a, b = make_rng(seed), make_rng(seed)
+    if pending:
+        assert a.integers(5) == b.integers(5)
+    return a, b
+
+
+def assert_same_stream(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(1 << 31, size=4).tolist() == b.integers(1 << 31, size=4).tolist()
+    assert a.integers(7) == b.integers(7)
+
+
+def gnm_pair_sets(n, sizes, rng):
+    """`metrics._gnm_rows` as (len(sizes), n_pairs) pair sets; every entry
+    outside the upper triangle must be False."""
+    rows = metrics._gnm_rows(n, sizes, rng)
+    sets = rows[:, metrics._upper_flat(n)]
+    assert sets.sum() == rows.sum() == sum(sizes)
+    return sets
+
+
+class TestPairSets:
+    """The batched G(n, m) reference sampler against plain `choice` calls:
+    the same pair sets, and the generator left at the same position."""
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("pop, m", [(10, 3), (190, 100), (190, 190), (1, 1), (2, 1),
+                                        (10001, 200), (19900, 398)])
+    def test_oracle_is_choice_on_the_floyd_path(self, pop, m, pending):
+        a, b = same_streams(pop + m, pending)
+        assert metrics._on_floyd_path(pop, m)
+        assert choice_oracle(a, pop, m)[0] == b.choice(pop, m, replace=False).tolist()
+        assert_same_stream(a, b)
+
+    @pytest.mark.parametrize("pop, m", [(10001, 201), (19900, 399)])
+    def test_tail_shuffle_sizes_go_through_choice(self, pop, m):
+        # numpy shuffles an arange's tail here, so Floyd's mirror differs
+        assert not metrics._on_floyd_path(pop, m)
+        a, b = make_rng(4), make_rng(4)
+        assert choice_oracle(a, pop, m)[0] != b.choice(pop, m, replace=False).tolist()
+        n, refs = 200, 210  # enough references that the batch would pay, were it exact
+        assert metrics._floyd_batch_pays(refs, 399, 19900)
+        a, b = same_streams(6, True)
+        assert (gnm_pair_sets(n, [399] * refs, a) == pair_sets_oracle(19900, [399] * refs, b)).all()
+        assert_same_stream(a, b)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("n, sizes", [
+        (2, [1] * 40),
+        (20, [1] * 20 + [189] * 20 + [190] * 20 + [1, 190, 189]),
+        (3, [3, 2, 1, 3, 3]),
+    ])
+    def test_extreme_sizes(self, n, sizes, pending):
+        pairs = n * (n - 1) // 2
+        a, b = same_streams(len(sizes), pending)
+        assert (metrics._floyd_pair_sets(pairs, sizes, a) == pair_sets_oracle(pairs, sizes, b)).all()
+        assert_same_stream(a, b)
+        a, b = same_streams(len(sizes), pending)
+        assert (gnm_pair_sets(n, sizes, a) == pair_sets_oracle(pairs, sizes, b)).all()
+        assert_same_stream(a, b)
+
+    def test_blocks_cut_inside_a_snapshots_references(self, monkeypatch):
+        n, edge_counts, n_ref = 20, [12, 40, 95, 3, 60], 13
+        whole = metrics._reference_means(n, edge_counts, n_ref, make_rng(8))
+        # blocks of 40 references, which the batch pays for: the first
+        # ends inside the fourth snapshot's 13 references
+        monkeypatch.setattr(metrics, "_BLOCK_SLOTS", 40 * 191)
+        assert metrics._floyd_batch_pays(40, max(edge_counts), 190)
+        assert metrics._floyd_batch_pays(25, max(edge_counts[3:]), 190)
+        a, b = make_rng(8), make_rng(8)
+        cut = metrics._reference_means(n, edge_counts, n_ref, a)
+        expected = reference_means_oracle(n, edge_counts, n_ref, b)
+        assert [c.tolist() for c in cut] == [c.tolist() for c in whole]
+        means = [x for pair in zip(*(c.tolist() for c in cut)) for x in pair]
+        assert means == pytest.approx([x for pair in expected for x in pair], rel=1e-12)
+        assert_same_stream(a, b)
+
+    def test_split_calls_match_one_loop(self):
+        sizes = [30] * 20 + [7] * 20
+        a, b = same_streams(2, True)
+        split = np.concatenate([gnm_pair_sets(20, sizes[:27], a), gnm_pair_sets(20, sizes[27:], a)])
+        assert (split == pair_sets_oracle(190, sizes, b)).all()
+        assert_same_stream(a, b)
+
+    def test_lemire_rejection_falls_back_to_choice(self):
+        # seed found with `choice_oracle`: fifty 20-edge references on
+        # n = 141 nodes (9870 pairs) meet one rejected draw
+        n, pairs, sizes, seed = 141, 9870, [20] * 50, 1727
+        rng = make_rng(seed)
+        assert sum(choice_oracle(rng, pairs, m)[1] for m in sizes) == 1
+        assert metrics._floyd_batch_pays(len(sizes), 20, pairs)
+        a, b = make_rng(seed), make_rng(seed)
+        assert metrics._floyd_pair_sets(pairs, sizes, a) is None
+        assert_same_stream(a, b)  # untouched
+        a, b = make_rng(seed), make_rng(seed)
+        assert (gnm_pair_sets(n, sizes, a) == pair_sets_oracle(pairs, sizes, b)).all()
+        assert_same_stream(a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 25), fractions=st.lists(st.floats(0, 1), min_size=1, max_size=6),
+           n_ref=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), pending=st.booleans())
+    def test_matches_choice_calls(self, n, fractions, n_ref, seed, pending):
+        pairs = n * (n - 1) // 2
+        sizes = [1 + round(f * (pairs - 1)) for f in fractions for _ in range(n_ref)]
+        a, b = same_streams(seed, pending)
+        batch = metrics._floyd_pair_sets(pairs, sizes, a)
+        if batch is not None:
+            assert (batch == pair_sets_oracle(pairs, sizes, b)).all()
+            assert_same_stream(a, b)
+        a, b = same_streams(seed, pending)
+        assert (gnm_pair_sets(n, sizes, a) == pair_sets_oracle(pairs, sizes, b)).all()
+        assert_same_stream(a, b)
+
+    def test_memory_does_not_grow_with_n_ref(self):
+        # one chunk of snapshots, as `metric_chunks` passes them
+        cfg = SimConfig(model=ModelKind.RANGE, n=20, g=10, r=2.0, steps=metrics.chunk_size(20))
+        snaps = list(iter_model(cfg, make_rng(5)))
+        metrics.metrics_rows(snaps, make_rng(1), 20)  # caches filled before measuring
+        peaks = {}
+        # references are drawn and measured a block at a time; keeping the
+        # measures of every reference until the means grows the peak about
+        # fourfold from n_ref = 20 to 500
+        for n_ref in (20, 500):
+            tracemalloc.start()
+            metrics.metrics_rows(snaps, make_rng(1), n_ref)
+            peaks[n_ref] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[500] <= 1.5 * peaks[20]
