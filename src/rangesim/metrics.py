@@ -73,9 +73,9 @@ METRIC_NAMES = ("avg_degree", "clustering", "aspl", "n_components",
                 "largest_component", "small_world")
 
 
-# Snapshots and reference graphs are evaluated in chunks of at most this
-# many adjacency entries (one graph at least): 40 graphs at n = 20, one
-# graph from n = 128 up, which keeps each (b, n, n) temporary small.
+# Snapshots are evaluated in chunks of at most this many adjacency
+# entries (one graph at least): 40 graphs at n = 20, one graph from
+# n = 128 up, which keeps each (b, n, n) temporary small.
 _BATCH_ELEMENTS = 1 << 14
 
 
@@ -84,19 +84,35 @@ def chunk_size(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // (n * n))
 
 
+# Reference graphs are summed and dropped, so they need not follow the
+# snapshot chunk: they go through the kernel in stacks of at most this
+# many entries, 163 graphs at n = 20, 40 at n = 40, 10 at n = 80 and
+# one from n = 182 up. Timed through `_dense_pass` on G(n, m), that is
+# a quarter to two fifths less per graph than the chunk from n = 20 to
+# 128; larger stacks lose again on sparse graphs.
+_REFERENCE_ELEMENTS = 1 << 16
+
+
+def _reference_stack(n: int) -> int:
+    """Reference graphs of n nodes evaluated per kernel call."""
+    return max(1, _REFERENCE_ELEMENTS // (n * n))
+
+
 # The dense pass counts each level's pairs in float32, exactly while
 # n(n - 1) stays below 2^24.
 _DENSE_MAX_NODES = 4096
 
 
 @lru_cache(maxsize=8)
-def _kernel_buffers(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_dense_pass`' three float32 (b, n, n) work arrays and n*n ones.
+def _kernel_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_dense_pass`' three float32 (b, n, n) work arrays, b the largest
+    stack `metrics_rows` makes, `_reference_stack(n)`, and n*n ones.
 
-    One set per recent shape, overwritten by every call: fresh arrays each
-    timestep cost page faults once the allocator returns their memory.
+    One set per node count, overwritten by every call, which works in
+    [:b] views of it: fresh arrays each timestep cost page faults once
+    the allocator returns their memory.
     """
-    return (*(np.empty((b, n, n), dtype=np.float32) for _ in range(3)),
+    return (*(np.empty((_reference_stack(n), n, n), dtype=np.float32) for _ in range(3)),
             np.ones(n * n, dtype=np.float32))
 
 
@@ -157,7 +173,10 @@ def _dense_pass(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.
     integer below 2^24 for n up to 4096, so float32 holds it exactly.
     """
     b, n = stack.shape[:2]
-    a, product, frontier, ones = _kernel_buffers(b, n)
+    *work, ones = _kernel_buffers(n)
+    if b > len(work[0]):  # a larger stack than `metrics_rows` makes
+        work = [np.empty(stack.shape, dtype=np.float32) for _ in work]
+    a, product, frontier = (array[:b] for array in work)
     np.copyto(a, stack)
     np.matmul(a, a, out=product)
     # (A² ∘ A) row sums count each edge among a node's neighbors twice;
@@ -309,10 +328,16 @@ def _symmetric(rows: np.ndarray, n: int) -> np.ndarray:
 
 # Reference graphs are drawn in blocks of at most this many slots (one
 # reference at least), a reference counting max(n_pairs + 1, 2 * the
-# call's largest edge count). That bounds a block's 32-bit draws, Floyd
-# steps, pair sets and adjacency rows whatever n_ref is: about 1 MB at
-# most, a block of 80 to 160 references at n = 20.
-_BLOCK_SLOTS = 1 << 15
+# call's largest edge count): 326 to 652 references at n = 20. A Floyd
+# step costs a block a few µs whatever it holds, so blocks pay up to
+# where their memory shows; this bounds a block's Floyd values, pair
+# sets and adjacency rows whatever n_ref is, to about 1 MB.
+_BLOCK_SLOTS = 1 << 17
+
+# Draws `_floyd_pair_sets` takes and checks at once (a reference's at
+# least), which bounds their temporaries to about 100 KB: the 20
+# references of a snapshot at n = 20 at once.
+_RUN_DRAWS = 1 << 13
 
 _SHIFT32 = np.uint64(32)
 
@@ -336,90 +361,71 @@ def _floyd_batch_pays(refs: int, longest: int, pairs: int) -> bool:
     return 10 * refs >= 3 * longest + pairs // 25 + 30
 
 
-def _bounded_draws(rng: RngStream, bounds: np.ndarray) -> np.ndarray | None:
-    """numpy's bounded draws below each of the uint32 `bounds` (each at
-    least 2), in order, as uint64; None, with the generator untouched, if
-    any draw would be rejected and redrawn.
-
-    Lemire's multiply-and-reject on 32-bit outputs, as in
-    `core.ExactDraws.integers`: each PCG64 word gives its low half, then
-    its high half, after the generator's pending half if it has one.
-    """
-    bits = rng.bit_generator
-    start = bits.state
-    pending = start["has_uint32"]
-    halves = bits.random_raw((len(bounds) - pending + 1) // 2).astype("<u8", copy=False).view("<u4")
-    product = np.empty(len(bounds), dtype=np.uint64)
-    product[:pending] = start["uinteger"]
-    product[pending:] = halves[:len(bounds) - pending]
-    product *= bounds
-    low = product.astype(np.uint32)
-    # a draw is rejected when low < 2**32 % bound, which needs low < bound
-    suspect = np.flatnonzero(low < bounds)
-    if np.any(low[suspect] < np.uint64(1 << 32) % bounds[suspect]):
-        bits.state = start
-        return None
-    end = bits.state
-    end["has_uint32"] = len(halves) + pending - len(bounds)
-    if len(halves):
-        end["uinteger"] = int(halves[-1])
-    bits.state = end
-    product >>= _SHIFT32
-    return product
-
-
 def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray | None:
     """The edges of `_gnm_rows` for sizes all on the Floyd path, every
     reference at once, as a (len(sizes), pairs) boolean array of the
     pairs chosen; pairs < 2**32, sizes at least 1.
 
-    The references' draws come from one `_bounded_draws` call. Floyd's
+    The draws are taken a run of equal sizes at a time, as the
+    generator's 32-bit outputs (full-range uint32 `integers`). Each is
+    numpy's bounded draw by Lemire's multiply-and-reject, as in
+    `core.ExactDraws.integers`: output * bound >> 32, unless the low half
+    of that product, the uint32 product, is below 2**32 % bound. Floyd's
     insertions then run one step for all references at once; the
-    shuffle's draws are taken but not applied, since the set does not
-    depend on the order. Returns None, with the generator untouched, if
+    shuffle's draws are checked but not applied, since the set does not
+    depend on the order. Returns None, with the generator put back, if
     any draw would be rejected and redrawn.
     """
-    # runs of equal sizes: (m, references, draws per reference)
-    runs = [(m, len(list(group)), 2 * m - 1 - (m == pairs)) for m, group in groupby(sizes)]
-    # the exclusive bounds: Floyd's step j = pairs - m, ..., pairs - 1
-    # draws below j + 1, except j = 0, which draws nothing; the shuffle's
-    # step i = m - 1, ..., 1 draws below i + 1
-    bounds = np.empty(sum(count * per_ref for _, count, per_ref in runs), dtype=np.uint32)
-    at = 0
-    for m, count, per_ref in runs:
-        run = bounds[at:at + count * per_ref].reshape(count, per_ref)
-        run[:, :per_ref - m + 1] = np.arange(pairs - per_ref + m, pairs + 1)
-        run[:, per_ref - m + 1:] = np.arange(m, 1, -1)
-        at += count * per_ref
-    drawn = _bounded_draws(rng, bounds)
-    if drawn is None:
-        return None
-    del bounds
-    # per Floyd step and reference, the value drawn and the step's j, as
-    # flat indices into `chosen`; a reference with every pair, or past its
-    # last step, marks its own column `pairs`
+    # runs of equal sizes (m, references), cut to about `_RUN_DRAWS` draws
+    runs = []
+    for m, group in groupby(sizes):
+        count, most = len(list(group)), max(1, _RUN_DRAWS // (2 * m))
+        runs += [(m, min(most, count - lo)) for lo in range(0, count, most)]
     refs = len(sizes)
-    value = np.full((max((m for m in sizes if m < pairs), default=0), refs), pairs, dtype=np.int64)
-    fresh = value.copy()
     chosen = np.zeros((refs, pairs + 1), dtype=bool)
-    first = at = 0
-    for m, count, per_ref in runs:
+    # per Floyd step, the values drawn as flat indices into `chosen`, one
+    # column per reference short of every pair: the longest first, so
+    # that the active[step] references still stepping lead, and `fresh`
+    # holds the step's j in the column's row, pairs - m + step
+    columns, stepping = {}, 0
+    for k in sorted(range(len(runs)), key=lambda k: -runs[k][0]):
+        if runs[k][0] < pairs:
+            columns[k] = slice(stepping, stepping + runs[k][1])
+            stepping += runs[k][1]
+    value = np.empty((max((m for m, _ in runs if m < pairs), default=0), stepping), dtype=np.intp)
+    fresh = np.empty(stepping, dtype=np.intp)
+    active = np.zeros(len(value), dtype=np.intp)
+    start = rng.bit_generator.state
+    first = 0
+    for k, (m, count) in enumerate(runs):
+        # the exclusive bounds: Floyd's step j = pairs - m, ..., pairs - 1
+        # draws below j + 1, except j = 0, which draws nothing; the
+        # shuffle's step i = m - 1, ..., 1 draws below i + 1
+        bound = np.concatenate((np.arange(max(pairs - m, 1) + 1, pairs + 1, dtype=np.uint32),
+                                np.arange(m, 1, -1, dtype=np.uint32)))
+        outputs = rng.integers(0, 1 << 32, size=(count, len(bound)), dtype=np.uint32)
+        # -bound % bound is 2**32 % bound in uint32
+        if np.any(outputs * bound < -bound % bound):
+            rng.bit_generator.state = start
+            return None
         if m == pairs:
             chosen[first:first + count] = True
         else:
-            value[:m, first:first + count] = drawn[at:at + count * per_ref].reshape(
-                count, per_ref)[:, :m].T
-            fresh[:m, first:first + count] = np.arange(pairs - m, pairs)[:, None]
+            drawn = outputs[:, :m].T.astype(np.uint64)
+            drawn *= bound[:m, None]
+            drawn >>= _SHIFT32
+            rows = (pairs + 1) * np.arange(first, first + count, dtype=np.intp)
+            value[:m, columns[k]] = drawn
+            value[:m, columns[k]] += rows
+            fresh[columns[k]] = rows + (pairs - m)
+            active[:m] += count
         first += count
-        at += count * per_ref
-    del drawn
-    base = (pairs + 1) * np.arange(refs)
-    value += base
-    fresh += base
     flat = chosen.reshape(-1)
-    for v, j in zip(value, fresh):
-        np.putmask(v, flat.take(v), j)
-        flat.put(v, True)
+    for v, width in zip(value, active.tolist()):
+        v = v[:width]
+        np.copyto(v, fresh[:width], where=flat[v])
+        flat[v] = True
+        fresh += 1
     return chosen[:, :pairs]
 
 
@@ -436,13 +442,14 @@ def _gnm_rows(n: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray:
     """
     pairs = n * (n - 1) // 2
     upper = _upper_flat(n)
-    rows = np.zeros((len(sizes), n * n), dtype=bool)
+    sets = None
     if (min(sizes) > 0 and _floyd_batch_pays(len(sizes), max(sizes), pairs)
             and all(_on_floyd_path(pairs, m) for m in set(sizes))):
         sets = _floyd_pair_sets(pairs, sizes, rng)
-        if sets is not None:
-            rows[:, upper] = sets
-            return rows
+    rows = np.zeros((len(sizes), n * n), dtype=bool)
+    if sets is not None:
+        rows[:, upper] = sets
+        return rows
     for row, m in zip(rows, sizes):
         if m > 0:
             row[upper[rng.choice(pairs, size=m, replace=False)]] = True
@@ -454,26 +461,33 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     """(C_R, L_R) for each edge count: means over n_ref sampled G(n, m) graphs.
 
     References are drawn in order, n_ref per edge count, a block of
-    `_gnm_rows` at a time; each block is evaluated in chunks and
-    dropped, so memory stays bounded whatever n_ref is. Each mean is
-    summed reference by reference, left to right, as a running total.
+    `_gnm_rows` at a time; each block is evaluated in stacks of
+    `_reference_stack(n)` and dropped, so memory stays bounded whatever
+    n_ref is. Each mean is summed reference by reference, left to
+    right, as a running total. From n = 3 up a complete graph's C and L
+    are 1 exactly, so the references of a complete snapshot are drawn,
+    which keeps the stream, but not measured.
     """
+    pairs = n * (n - 1) // 2
+    complete = pairs if n >= 3 else -1
     total = len(edge_counts) * n_ref
-    chunk = chunk_size(n)
-    block = max(1, _BLOCK_SLOTS // max(n * (n - 1) // 2 + 1, 2 * max(edge_counts, default=0)))
-    if block > chunk:
-        block -= block % chunk
-    sums = [[0.0, 0.0] for _ in edge_counts]
+    stack = _reference_stack(n)
+    block = max(1, _BLOCK_SLOTS // max(pairs + 1, 2 * max(edge_counts, default=0)))
+    if block > stack:
+        block -= block % stack
+    sums = [[float(n_ref)] * 2 if m == complete else [0.0, 0.0] for m in edge_counts]
     for first in range(0, total, block):
         refs = range(first, min(first + block, total))
         rows = _gnm_rows(n, [edge_counts[ref // n_ref] for ref in refs], rng)
-        for lo in range(0, len(rows), chunk):
-            stack = _symmetric(rows[lo:lo + chunk], n)
-            c, l, _ = _clustering_and_paths(stack, np.count_nonzero(stack, axis=2))
-            for ref, c_ref, l_ref in zip(refs[lo:], c.tolist(), l.tolist()):
+        measured = [ref for ref in refs if edge_counts[ref // n_ref] != complete]
+        for lo in range(0, len(measured), stack):
+            adj = _symmetric(rows[[ref - first for ref in measured[lo:lo + stack]]], n)
+            c, l, _ = _clustering_and_paths(adj, np.count_nonzero(adj, axis=2))
+            for ref, c_ref, l_ref in zip(measured[lo:], c.tolist(), l.tolist()):
                 running = sums[ref // n_ref]
                 running[0] += c_ref
                 running[1] += l_ref
+        rows = adj = None  # dropped before the next block is drawn
     means = np.array(sums).reshape(-1, 2) / n_ref
     return means[:, 0], means[:, 1]
 

@@ -324,3 +324,52 @@ def test_13_grid_size_thins_the_network():
            f"g {[int(v) for v in values]}: degree {[round(v, 2) for v in degree]}, "
            f"components {[round(v, 2) for v in count]}, "
            f"largest {[round(v, 2) for v in largest]}")
+
+
+def _spread(values, errors):
+    """The mean of a sweep's values, its standard error, and the largest
+    deviation of a value from the mean in units of the two errors summed.
+
+    Cells share round seeds, so their errors may correlate; the mean of
+    the errors bounds the mean's error whatever the correlation.
+    """
+    mean, mean_se = sum(values) / len(values), sum(errors) / len(errors)
+    return mean, mean_se, max(abs(v - mean) / (e + mean_se) for v, e in zip(values, errors))
+
+
+def test_14_degree_is_linear_in_n_not_in_g():
+    # Fig. 4 against Fig. S1 of the supplement. Another agent is in range
+    # with a chance q that the grid and r set, so mean degree is (N - 1) q:
+    # a straight line in N, q = r/g exactly for the null. The g*g tiles
+    # make q fall about as 1/g^2 only far from the border, so degree * g^2
+    # is far from constant in g (README, "Derived acceptance
+    # expectations").
+    rounds = 20
+    n_sweep = SweepConfig(base=range_cfg(n=5, g=7, r=2.0, steps=50, rounds=rounds), vary="n",
+                          values=tuple(float(n) for n in range(5, 50, 5)), paired=True,
+                          n_ref=None)
+    g_values = (3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 14.0, 20.0, 30.0, 50.0)
+    g_sweep = SweepConfig(base=range_cfg(n=9, g=3, r=3.0, steps=50, rounds=rounds), vary="g",
+                          values=g_values, n_ref=None)
+    per_pair = {ModelKind.RANGE: ([], []), ModelKind.NULL: ([], [])}
+    for row in run_sweep(n_sweep, workers=WORKERS):
+        degree, others = row.metrics["avg_degree"], row.config.n - 1
+        values, errors = per_pair[row.config.model]
+        values.append(degree.mean / others)
+        errors.append(degree.std / math.sqrt(rounds - 1) / others)
+    range_q, _, range_dev = _spread(*per_pair[ModelKind.RANGE])
+    null_q, null_se, null_dev = _spread(*per_pair[ModelKind.NULL])
+    scaled, scaled_se = [], []
+    for row in run_sweep(g_sweep, workers=WORKERS):
+        degree, area = row.metrics["avg_degree"], row.config.g ** 2
+        scaled.append(degree.mean * area)
+        scaled_se.append(degree.std / math.sqrt(rounds - 1) * area)
+    _, _, scaled_dev = _spread(scaled, scaled_se)
+    ok = (range_dev <= 3 and null_dev <= 3 and abs(null_q - 2 / 7) <= 3 * null_se
+          and scaled_dev > 3
+          and all(v - scaled[0] > 3 * (e + scaled_se[0]) for v, e in zip(scaled[1:], scaled_se[1:])))
+    report("14 degree is linear in N, not in g", ok,
+           f"degree/(N-1): range {range_q:.4f} (largest deviation {range_dev:.1f} SE), "
+           f"null {null_q:.4f} vs r/g {2 / 7:.4f} ({null_dev:.1f} SE); degree*g^2 over g "
+           f"{[int(v) for v in g_values]}: {[round(v) for v in scaled]} "
+           f"(largest deviation {scaled_dev:.1f} SE)")

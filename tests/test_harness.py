@@ -251,7 +251,7 @@ class TestMetricChunks:
         assert [row for rows in chunks for row in rows] == expected
         assert rng.random() == expected_rng.random()
         assert sum(row.small_world is not None for row in expected) > 0
-        assert max(batches) <= max(chunk, metrics.chunk_size(n))
+        assert max(batches) <= max(chunk, metrics._reference_stack(n))
 
     def test_round_matches_per_snapshot_loop(self):
         cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)

@@ -197,8 +197,9 @@ class TestOracleEquivalence:
     def test_reference_chunks_do_not_change_the_index(self, monkeypatch):
         g = snap(20, random_graph(20, np.random.default_rng(3), p=0.2))
         whole = small_world_index(g, make_rng(5, 0), n_ref=20)
-        # three references per chunk: 20 = 3 * 6 + 2
-        monkeypatch.setattr(metrics, "_BATCH_ELEMENTS", 3 * 20 * 20)
+        # three references per stack: 20 = 3 * 6 + 2
+        monkeypatch.setattr(metrics, "_REFERENCE_ELEMENTS", 3 * 20 * 20)
+        assert metrics._reference_stack(20) == 3
         assert small_world_index(g, make_rng(5, 0), n_ref=20) == whole
         assert whole is not None
 
@@ -314,6 +315,26 @@ class TestFusedKernel:
         assert [values.tolist() for values in results] == kept
         assert [values.tolist() for values in again] == [
             values.tolist() for values in two_pass_kernel_oracle(second)]
+
+    def test_one_buffer_set_per_node_count(self, monkeypatch):
+        # every stack size from 1 to the largest, each on [:b] views of the
+        # buffers the sizes before it left dirty
+        n, largest = 20, metrics._reference_stack(20)
+        rng = np.random.default_rng(17)
+        stack = np.stack([kernel_graph(kind, n, rng) for kind in
+                          itertools.islice(itertools.cycle(GRAPH_KINDS), largest)])
+        metrics._kernel_buffers.cache_clear()
+        on_views = [metrics._dense_pass(stack[:b], np.count_nonzero(stack[:b], axis=2))
+                    for b in range(1, largest + 1)]
+        assert metrics._kernel_buffers.cache_info().currsize == 1
+        assert [len(work) for work in metrics._kernel_buffers(n)[:3]] == [largest] * 3
+        for b, results in enumerate(on_views, start=1):
+            # fresh arrays of exactly b graphs, filled with NaN
+            monkeypatch.setattr(metrics, "_kernel_buffers", lambda n, b=b: (
+                *(np.full((b, n, n), np.nan, dtype=np.float32) for _ in range(3)),
+                np.ones(n * n, dtype=np.float32)))
+            fresh = metrics._dense_pass(stack[:b], np.count_nonzero(stack[:b], axis=2))
+            assert [values.tobytes() for values in results] == [values.tobytes() for values in fresh]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.sampled_from([63, 64, 65, 127, 128, 129, 200]), kind=st.sampled_from(GRAPH_KINDS),
@@ -641,6 +662,40 @@ class TestPairSets:
         means = [x for pair in zip(*(c.tolist() for c in cut)) for x in pair]
         assert means == pytest.approx([x for pair in expected for x in pair], rel=1e-12)
         assert_same_stream(a, b)
+
+    @pytest.mark.parametrize("stack", ["reference", "chunk"])
+    @pytest.mark.parametrize("block", [None, 80])
+    def test_complete_snapshots_are_drawn_not_measured(self, stack, block, monkeypatch):
+        n, n_ref, complete = 20, 30, 190
+        edge_counts = [complete, 40, complete, 95, 60, complete, complete]
+        if stack == "chunk":
+            monkeypatch.setattr(metrics, "_REFERENCE_ELEMENTS", metrics._BATCH_ELEMENTS)
+        if block:
+            # blocks of 80 references, a largest edge count taking 2 * 190
+            # slots: the cuts at 80 and 160 fall inside the third and the
+            # sixth snapshot's references, both complete
+            monkeypatch.setattr(metrics, "_BLOCK_SLOTS", block * 2 * complete)
+            assert metrics._floyd_batch_pays(block, complete, complete)
+        measured = []
+        kernel = metrics._hop_distances
+        monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
+                            measured.append(len(stack)) or kernel(stack, degrees))
+        a, b = same_streams(9, True)
+        c_r, l_r = metrics._reference_means(n, edge_counts, n_ref, a)
+        expected = reference_means_oracle(n, edge_counts, n_ref, b)
+        assert_same_stream(a, b)
+        assert sum(measured) == n_ref * sum(m < complete for m in edge_counts)
+        assert max(measured) <= metrics._reference_stack(n)
+        for m, c, l, oracle in zip(edge_counts, c_r.tolist(), l_r.tolist(), expected):
+            if m == complete:
+                assert (c, l) == oracle == (1.0, 1.0)
+            else:
+                assert (c, l) == pytest.approx(oracle, rel=1e-12)
+
+    def test_complete_references_below_three_nodes_are_measured(self):
+        # K_2's clustering is 0, so the shortcut must not claim 1
+        c_r, l_r = metrics._reference_means(2, [1], 3, make_rng(1))
+        assert (c_r.tolist(), l_r.tolist()) == ([0.0], [1.0])
 
     def test_split_calls_match_one_loop(self):
         sizes = [30] * 20 + [7] * 20
