@@ -42,6 +42,10 @@ def make_rng(seed: int, round_idx: int = 0, stream: int = STREAM_MODEL) -> RngSt
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# Raw words `ExactDraws` takes from the generator at a time.
+_DRAW_BLOCK = 64
+
+
 class ExactDraws:
     """Scalar draws of a PCG64 Generator, served from bulk words.
 
@@ -50,21 +54,20 @@ class ExactDraws:
     stream where they would, at a fraction of a scalar call's cost. The
     wrapper owns the Generator: nothing else may draw from it.
 
-    Words come from `random_raw` in blocks. `random()` takes a word's top
-    53 bits. `integers(k)` is numpy's bounded draw, Lemire's
-    multiply-and-reject method on 32-bit outputs, which take a word's low
-    half and then its high half, like PCG64's own 32-bit buffer; that
-    buffer survives the `random()` calls in between. `permutation` puts
+    Words come from `random_raw` in blocks of `_DRAW_BLOCK`. `random()`
+    takes a word's top 53 bits. `integers(k)` is numpy's bounded draw,
+    Lemire's multiply-and-reject method on 32-bit outputs, which take a
+    word's low half and then its high half, like PCG64's own 32-bit
+    buffer; that buffer survives the `random()` calls in between. `permutation` puts
     the Generator back at the exact position, lets numpy shuffle, and
     refills.
     """
 
-    def __init__(self, rng: RngStream, block: int = 64):
+    def __init__(self, rng: RngStream):
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise TypeError(f"ExactDraws needs a PCG64 stream, got "
                             f"{type(rng.bit_generator).__name__}")
         self._rng = rng
-        self._block = block
         self._restart()
 
     def _restart(self) -> None:
@@ -75,7 +78,7 @@ class ExactDraws:
     def _fill(self) -> None:
         bits = self._rng.bit_generator
         self._state = bits.state  # where the block starts, for `permutation`
-        self._words = iter(bits.random_raw(self._block).tolist())
+        self._words = iter(bits.random_raw(_DRAW_BLOCK).tolist())
         self._next = self._words.__next__
 
     def _word(self) -> int:
@@ -118,7 +121,7 @@ class ExactDraws:
         half = self._half
         bits.state = {**self._state, "has_uint32": int(half is not None),
                       "uinteger": half or 0}
-        bits.random_raw(self._block - operator.length_hint(self._words))
+        bits.random_raw(_DRAW_BLOCK - operator.length_hint(self._words))
         order = self._rng.permutation(n).tolist()
         self._restart()
         return order

@@ -39,8 +39,8 @@ from .metrics import (
     METRIC_NAMES,
     MetricsRow,
     NetworkSnapshot,
-    chunk_size,
     metrics_rows,
+    stack_size,
 )
 from .null_model import null_stepper
 from .range_model import range_stepper
@@ -60,13 +60,13 @@ def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
 def metric_chunks(snaps: Iterable[NetworkSnapshot], rng,
                   n_ref: int | None) -> Iterator[list[MetricsRow]]:
     """The metric rows of a run of snapshots, in order: `metrics_rows` of
-    each plain list of `chunk_size` snapshots (the last may be shorter),
+    each plain list of `stack_size` snapshots (the last may be shorter),
     each as soon as it is measured. Where the chunks fall does not change
     the rows.
     """
     snaps = iter(snaps)
     for first in snaps:
-        yield metrics_rows([first, *islice(snaps, chunk_size(first.n) - 1)], rng, n_ref)
+        yield metrics_rows([first, *islice(snaps, stack_size(first.n) - 1)], rng, n_ref)
 
 
 def round_rows(config: SimConfig, round_idx: int,

@@ -3,7 +3,7 @@
 Six measures per snapshot: average degree, average clustering, average
 shortest path length, number of connected components, size of the
 largest component, and the small-world index against sampled same-size
-random graphs. `metrics_rows` computes all six for a chunk of snapshots.
+random graphs. `metrics_rows` computes all six for a stack of snapshots.
 """
 
 from __future__ import annotations
@@ -73,29 +73,18 @@ METRIC_NAMES = ("avg_degree", "clustering", "aspl", "n_components",
                 "largest_component", "small_world")
 
 
-# Snapshots are evaluated in chunks of at most this many adjacency
-# entries (one graph at least): 40 graphs at n = 20, one graph from
-# n = 128 up, which keeps each (b, n, n) temporary small.
-_BATCH_ELEMENTS = 1 << 14
+# Graphs go through the distance kernel in stacks of at most this many
+# adjacency entries (one graph at least): 163 graphs at n = 20, 40 at
+# n = 40, 10 at n = 80 and one from n = 182 up. Timed through
+# `_dense_pass` on G(n, m), that is a quarter to two fifths less per
+# graph than stacks of a quarter the size from n = 20 to 128; larger
+# stacks lose again on sparse graphs.
+_STACK_ELEMENTS = 1 << 16
 
 
-def chunk_size(n: int) -> int:
+def stack_size(n: int) -> int:
     """Graphs of n nodes evaluated per kernel call."""
-    return max(1, _BATCH_ELEMENTS // (n * n))
-
-
-# Reference graphs are summed and dropped, so they need not follow the
-# snapshot chunk: they go through the kernel in stacks of at most this
-# many entries, 163 graphs at n = 20, 40 at n = 40, 10 at n = 80 and
-# one from n = 182 up. Timed through `_dense_pass` on G(n, m), that is
-# a quarter to two fifths less per graph than the chunk from n = 20 to
-# 128; larger stacks lose again on sparse graphs.
-_REFERENCE_ELEMENTS = 1 << 16
-
-
-def _reference_stack(n: int) -> int:
-    """Reference graphs of n nodes evaluated per kernel call."""
-    return max(1, _REFERENCE_ELEMENTS // (n * n))
+    return max(1, _STACK_ELEMENTS // (n * n))
 
 
 # The dense pass counts each level's pairs in float32, exactly while
@@ -105,14 +94,14 @@ _DENSE_MAX_NODES = 4096
 
 @lru_cache(maxsize=8)
 def _kernel_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_dense_pass`' three float32 (b, n, n) work arrays, b the largest
-    stack `metrics_rows` makes, `_reference_stack(n)`, and n*n ones.
+    """`_dense_pass`' three float32 (b, n, n) work arrays, b = `stack_size(n)`,
+    and n*n ones.
 
     One set per node count, overwritten by every call, which works in
     [:b] views of it: fresh arrays each timestep cost page faults once
     the allocator returns their memory.
     """
-    return (*(np.empty((_reference_stack(n), n, n), dtype=np.float32) for _ in range(3)),
+    return (*(np.empty((stack_size(n), n, n), dtype=np.float32) for _ in range(3)),
             np.ones(n * n, dtype=np.float32))
 
 
@@ -174,7 +163,7 @@ def _dense_pass(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.
     """
     b, n = stack.shape[:2]
     *work, ones = _kernel_buffers(n)
-    if b > len(work[0]):  # a larger stack than `metrics_rows` makes
+    if b > len(work[0]):  # a larger stack than `stack_size(n)`
         work = [np.empty(stack.shape, dtype=np.float32) for _ in work]
     a, product, frontier = (array[:b] for array in work)
     np.copyto(a, stack)
@@ -321,8 +310,13 @@ def _upper_flat(n: int) -> np.ndarray:
     return flat
 
 
-def _symmetric(rows: np.ndarray, n: int) -> np.ndarray:
-    upper = rows.reshape(-1, n, n)
+def pair_adjacency(sets: np.ndarray, n: int) -> np.ndarray:
+    """The (b, n, n) symmetric boolean adjacency, with a False diagonal,
+    of b graphs given as (b, n(n - 1)/2) pair sets; pair k is the k-th
+    pair i < j in row-major order."""
+    upper = np.zeros((len(sets), n * n), dtype=bool)
+    upper[:, _upper_flat(n)] = sets
+    upper = upper.reshape(len(sets), n, n)
     return upper | upper.transpose(0, 2, 1)
 
 
@@ -331,7 +325,7 @@ def _symmetric(rows: np.ndarray, n: int) -> np.ndarray:
 # call's largest edge count): 326 to 652 references at n = 20. A Floyd
 # step costs a block a few µs whatever it holds, so blocks pay up to
 # where their memory shows; this bounds a block's Floyd values, pair
-# sets and adjacency rows whatever n_ref is, to about 1 MB.
+# sets whatever n_ref is, to about 1 MB.
 _BLOCK_SLOTS = 1 << 17
 
 # Draws `_floyd_pair_sets` takes and checks at once (a reference's at
@@ -362,7 +356,7 @@ def _floyd_batch_pays(refs: int, longest: int, pairs: int) -> bool:
 
 
 def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray | None:
-    """The edges of `_gnm_rows` for sizes all on the Floyd path, every
+    """The pair sets of `_gnm_pairs` for sizes all on the Floyd path, every
     reference at once, as a (len(sizes), pairs) boolean array of the
     pairs chosen; pairs < 2**32, sizes at least 1.
 
@@ -429,31 +423,28 @@ def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.nda
     return chosen[:, :pairs]
 
 
-def _gnm_rows(n: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray:
-    """G(n, m) reference graphs, one per size m, as (len(sizes), n*n)
-    boolean rows with their edges' upper-triangle entries set.
+def _gnm_pairs(n: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray:
+    """G(n, m) reference graphs, one per size m, as a (len(sizes),
+    n(n - 1)/2) boolean array of the pairs chosen, in the order of
+    `pair_adjacency`.
 
-    Edge k is the k-th pair of `_upper_flat(n)`, and the edges are those
-    of consecutive `rng.choice(n_pairs, m, replace=False)` calls, which
-    the generator ends after. Sizes of at least one edge on the Floyd
-    path go through `_floyd_pair_sets` where its rule says the batch
-    pays; everything else, and a batch that meets a rejected draw, calls
-    `choice` once per size.
+    The pairs are those of consecutive `rng.choice(n_pairs, m,
+    replace=False)` calls, which the generator ends after. Sizes of at
+    least one edge on the Floyd path go through `_floyd_pair_sets` where
+    its rule says the batch pays; everything else, and a batch that
+    meets a rejected draw, calls `choice` once per size.
     """
     pairs = n * (n - 1) // 2
-    upper = _upper_flat(n)
-    sets = None
     if (min(sizes) > 0 and _floyd_batch_pays(len(sizes), max(sizes), pairs)
             and all(_on_floyd_path(pairs, m) for m in set(sizes))):
         sets = _floyd_pair_sets(pairs, sizes, rng)
-    rows = np.zeros((len(sizes), n * n), dtype=bool)
-    if sets is not None:
-        rows[:, upper] = sets
-        return rows
-    for row, m in zip(rows, sizes):
+        if sets is not None:
+            return sets
+    sets = np.zeros((len(sizes), pairs), dtype=bool)
+    for row, m in zip(sets, sizes):
         if m > 0:
-            row[upper[rng.choice(pairs, size=m, replace=False)]] = True
-    return rows
+            row[rng.choice(pairs, size=m, replace=False)] = True
+    return sets
 
 
 def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
@@ -461,8 +452,8 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     """(C_R, L_R) for each edge count: means over n_ref sampled G(n, m) graphs.
 
     References are drawn in order, n_ref per edge count, a block of
-    `_gnm_rows` at a time; each block is evaluated in stacks of
-    `_reference_stack(n)` and dropped, so memory stays bounded whatever
+    `_gnm_pairs` at a time; each block is evaluated in stacks of
+    `stack_size(n)` and dropped, so memory stays bounded whatever
     n_ref is. Each mean is summed reference by reference, left to
     right, as a running total. From n = 3 up a complete graph's C and L
     are 1 exactly, so the references of a complete snapshot are drawn,
@@ -471,23 +462,23 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     pairs = n * (n - 1) // 2
     complete = pairs if n >= 3 else -1
     total = len(edge_counts) * n_ref
-    stack = _reference_stack(n)
+    stack = stack_size(n)
     block = max(1, _BLOCK_SLOTS // max(pairs + 1, 2 * max(edge_counts, default=0)))
     if block > stack:
         block -= block % stack
     sums = [[float(n_ref)] * 2 if m == complete else [0.0, 0.0] for m in edge_counts]
     for first in range(0, total, block):
         refs = range(first, min(first + block, total))
-        rows = _gnm_rows(n, [edge_counts[ref // n_ref] for ref in refs], rng)
+        sets = _gnm_pairs(n, [edge_counts[ref // n_ref] for ref in refs], rng)
         measured = [ref for ref in refs if edge_counts[ref // n_ref] != complete]
         for lo in range(0, len(measured), stack):
-            adj = _symmetric(rows[[ref - first for ref in measured[lo:lo + stack]]], n)
+            adj = pair_adjacency(sets[[ref - first for ref in measured[lo:lo + stack]]], n)
             c, l, _ = _clustering_and_paths(adj, np.count_nonzero(adj, axis=2))
             for ref, c_ref, l_ref in zip(measured[lo:], c.tolist(), l.tolist()):
                 running = sums[ref // n_ref]
                 running[0] += c_ref
                 running[1] += l_ref
-        rows = adj = None  # dropped before the next block is drawn
+        sets = adj = None  # dropped before the next block is drawn
     means = np.array(sums).reshape(-1, 2) / n_ref
     return means[:, 0], means[:, 1]
 
@@ -504,7 +495,7 @@ def metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
     n_ref=None leaves it None and draws nothing.
 
     The snapshots' statistics come from one kernel call, so pass at most
-    `chunk_size(n)` of them. References are drawn in snapshot order, and
+    `stack_size(n)` of them. References are drawn in snapshot order, and
     none for an edgeless snapshot, so the rows and the generator's state
     afterwards do not depend on how a run is split into calls.
     """

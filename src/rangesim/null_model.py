@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ConfigError, RngStream, SimConfig
-from .metrics import NetworkSnapshot, _symmetric, _upper_flat
+from .metrics import NetworkSnapshot, pair_adjacency
 
 
 @dataclass
@@ -28,9 +28,7 @@ class NullState:
         return cls(n=n, link_vector=np.zeros(n * (n - 1) // 2, dtype=bool))
 
     def snapshot(self) -> NetworkSnapshot:
-        row = np.zeros(self.n * self.n, dtype=bool)
-        row[_upper_flat(self.n)[self.link_vector]] = True
-        return NetworkSnapshot(_symmetric(row, self.n)[0])
+        return NetworkSnapshot(pair_adjacency(self.link_vector[None], self.n)[0])
 
 
 def step_null(state: NullState, p_connect: float, rng: RngStream) -> NetworkSnapshot:

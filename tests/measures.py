@@ -12,7 +12,8 @@ everything here is the package's own code.
 from __future__ import annotations
 
 from rangesim.harness import iter_model, iter_sweep, round_rows
-from rangesim.metrics import DEFAULT_N_REF, NetworkSnapshot, _gnm_rows, metrics_rows
+from rangesim.metrics import (DEFAULT_N_REF, NetworkSnapshot, _gnm_pairs, metrics_rows,
+                              pair_adjacency)
 
 
 def metrics_snapshot(snap, rng, n_ref=DEFAULT_N_REF):
@@ -50,8 +51,7 @@ def sample_gnm(n, m, rng):
     """One reference graph: a uniform simple graph with n nodes and m edges."""
     if m > n * (n - 1) // 2:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
-    upper = _gnm_rows(n, [m], rng)[0].reshape(n, n)
-    return NetworkSnapshot(upper | upper.T)
+    return NetworkSnapshot(pair_adjacency(_gnm_pairs(n, [m], rng), n)[0])
 
 
 def run_sweep(sweep, workers=1):

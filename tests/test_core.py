@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangesim import core
 from rangesim.core import (
     FREE,
     ConfigError,
@@ -191,18 +194,20 @@ class TestExactDraws:
         wrapped, plain = make_rng(seed), make_rng(seed)
         if pending:  # leaves a word's high half in PCG64's 32-bit buffer
             assert wrapped.integers(5) == plain.integers(5)
-        draws = ExactDraws(wrapped, block=block)
-        for call, arg in calls + [("permutation", 7)]:
-            if call == "integers":
-                assert draws.integers(arg) == plain.integers(arg)
-            elif call == "one-two":
-                assert 1 + draws.integers(2) == plain.integers(1, 3)
-            elif call == "random":
-                assert draws.random() == plain.random()
-            else:
-                assert draws.permutation(arg) == plain.permutation(arg).tolist()
-        assert draws.integers(3) == plain.integers(3)
-        assert draws.random() == plain.random()
+        # the block size holds from the wrapper's first fill to its last
+        with mock.patch.object(core, "_DRAW_BLOCK", block):
+            draws = ExactDraws(wrapped)
+            for call, arg in calls + [("permutation", 7)]:
+                if call == "integers":
+                    assert draws.integers(arg) == plain.integers(arg)
+                elif call == "one-two":
+                    assert 1 + draws.integers(2) == plain.integers(1, 3)
+                elif call == "random":
+                    assert draws.random() == plain.random()
+                else:
+                    assert draws.permutation(arg) == plain.permutation(arg).tolist()
+            assert draws.integers(3) == plain.integers(3)
+            assert draws.random() == plain.random()
 
     def test_rejections_redraw(self):
         draws, plain = ExactDraws(make_rng(5)), make_rng(5)

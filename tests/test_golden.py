@@ -10,9 +10,11 @@ The cases cover `run` for both models with the small-world index on, a
 paired `sweep` with burn-in (r = 0 gives edgeless snapshots, where the
 index is undefined), `diffusion` for each process, two N = 130 runs (a
 sparse one, whose breadth-first searches run many levels, and a dense
-one with small-world references) and two 45-step N = 20 runs, whose
-snapshots span more than one metric chunk. The 45-step hashes were
-recorded from the code that measured each snapshot on its own.
+one with small-world references), two 45-step N = 20 runs, recorded
+from the code that measured each snapshot on its own, and two 170-step
+N = 20 runs, whose snapshots span more than one 163-graph metric chunk.
+The 170-step hashes were recorded from commit 8dc7b0f, whose chunks at
+N = 20 held 40 graphs.
 
 The N = 20 potion case never creates the crossover item, so its rows are
 all zeros. The three N = 40 diffusion cases (potion and cultural on the
@@ -78,13 +80,19 @@ CASES = {
         ["run", "--model", "null", "--n", "130", "--g", "20", "--p-connect", "0.1",
          "--steps", "4", "--seed", "3", "--n-ref", "3"],
         "ff7b5f9a4edb6ab5efadec0d1abeecd0c1607dfcb6d033ac8bdf0b74d08022dc"),
-    # 45 steps cross the 40-graph metric chunk at N = 20
     "run-range-45": (
         ["run", "--model", "range", "--r", "3", "--steps", "45", *SMALL],
         "d3c55c6dea560948bf5485e6e8310c20be0dfc3cc4c0de341d2b8cb044471154"),
     "run-null-45": (
         ["run", "--model", "null", "--p-connect", "0.3", "--steps", "45", *SMALL],
         "ea0b50eae818686f15e91f3a4fee186c6f5d9fd5e3835702180b67b3301a74f4"),
+    # 170 steps cross the 163-graph metric chunk at N = 20
+    "run-range-170": (
+        ["run", "--model", "range", "--r", "3", "--steps", "170", *SMALL],
+        "c77dfd46f480e137ac59ef3fcd1b454e86abf089567ae9dae60f0fe750d08a74"),
+    "run-null-170": (
+        ["run", "--model", "null", "--p-connect", "0.3", "--steps", "170", *SMALL],
+        "c95b1eb74eccac19ca934310f7d3b858fcb9087954e1149e7bb8354f59bf7bf5"),
     "diffusion-potion-null": (
         ["diffusion", "--process", "potion", "--model", "null", "--p-connect", "0.15", *MID],
         "dd5bd43e12425996839113ce4460146085fd282f219a2a7bbf7c365b48bcc094"),

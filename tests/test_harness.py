@@ -233,9 +233,9 @@ class TestMetricChunks:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 40])
     @pytest.mark.parametrize("n,steps,n_ref", [(20, 97, 1), (20, 97, 20), (130, 9, 3)])
     def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, chunk, monkeypatch):
-        # the real chunk is 40 graphs at n = 20 and one from n = 128 up;
-        # 97 steps end on a partial chunk at every size but 1
-        assert metrics.chunk_size(20) == 40 and metrics.chunk_size(130) == 1
+        # the real chunk is a stack, 163 graphs at n = 20 and 3 at n = 130;
+        # 97 steps end on a partial chunk at every patched size but 1
+        assert metrics.stack_size(20) == 163 and metrics.stack_size(130) == 3
         snaps = snapshot_stream(n, steps, seed=n + n_ref)
         expected_rng = make_rng(7, 0, STREAM_METRICS)
         expected = [metrics_snapshot(snap, expected_rng, n_ref=n_ref) for snap in snaps]
@@ -243,7 +243,7 @@ class TestMetricChunks:
         kernel = metrics._hop_distances
         monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
                             batches.append(len(stack)) or kernel(stack, degrees))
-        monkeypatch.setattr(harness, "chunk_size", lambda n: chunk)
+        monkeypatch.setattr(harness, "stack_size", lambda n: chunk)
         rng = make_rng(7, 0, STREAM_METRICS)
         chunks = list(metric_chunks(iter(snaps), rng, n_ref))
         assert [len(rows) for rows in chunks] == [
@@ -251,7 +251,7 @@ class TestMetricChunks:
         assert [row for rows in chunks for row in rows] == expected
         assert rng.random() == expected_rng.random()
         assert sum(row.small_world is not None for row in expected) > 0
-        assert max(batches) <= max(chunk, metrics._reference_stack(n))
+        assert max(batches) <= max(chunk, metrics.stack_size(n))
 
     def test_round_matches_per_snapshot_loop(self):
         cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)
@@ -453,11 +453,11 @@ class TestCsvOutput:
         assert record["small_world_defined_count"] == "0"
 
     def test_timeseries_dump_line_count(self, tmp_path):
-        # 45 steps at N = 20 take a 40-graph chunk and a 5-graph one; each
-        # round's timesteps still run 1..45, serially and from a pool
+        # 170 steps at N = 20 take a 163-graph chunk and a 7-graph one; each
+        # round's timesteps still run 1..170, serially and from a pool
         runs = [(range_config(steps=7, rounds=3), 1)]
-        runs += [(range_config(n=20, g=10, steps=45, rounds=2), workers) for workers in (1, 2)]
-        assert metrics.chunk_size(20) == 40
+        runs += [(range_config(n=20, g=10, steps=170, rounds=2), workers) for workers in (1, 2)]
+        assert metrics.stack_size(20) == 163
         for cfg, workers in runs:
             path = tmp_path / "dump.csv"
             count = write_timeseries_csv(cfg, str(path), n_ref=FAST, workers=workers)
@@ -470,20 +470,20 @@ class TestCsvOutput:
 
     def test_serial_timeseries_writes_each_row_as_it_is_measured(self, tmp_path,
                                                                  monkeypatch):
-        # from n = 128 up a chunk is one snapshot, measured right after its step
-        assert metrics.chunk_size(130) == 1
+        # from n = 182 up a chunk is one snapshot, measured right after its step
+        assert metrics.stack_size(182) == 1 and metrics.stack_size(181) == 2
         path = tmp_path / "dump.csv"
         on_disk = []
         watch_steps(monkeypatch, lambda k: on_disk.append(
             len(path.read_text().splitlines()[1:])))
-        cfg = range_config(n=130, g=12, steps=4, rounds=2)
+        cfg = range_config(n=182, g=14, steps=4, rounds=2)
         assert write_timeseries_csv(cfg, str(path), n_ref=FAST) == 8
         assert on_disk == list(range(8))  # k - 1 rows before the k-th step
 
     def test_interrupted_serial_timeseries_keeps_measured_rows(self, tmp_path, monkeypatch):
         # chunks of two snapshots: the 8th step (round 1, t = 4) fails while
         # t = 3 is held unmeasured, so round 1 keeps t = 1 and 2
-        monkeypatch.setattr(harness, "chunk_size", lambda n: 2)
+        monkeypatch.setattr(harness, "stack_size", lambda n: 2)
 
         def fail_at_eighth(k):
             if k == 8:

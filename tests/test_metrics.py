@@ -198,8 +198,8 @@ class TestOracleEquivalence:
         g = snap(20, random_graph(20, np.random.default_rng(3), p=0.2))
         whole = small_world_index(g, make_rng(5, 0), n_ref=20)
         # three references per stack: 20 = 3 * 6 + 2
-        monkeypatch.setattr(metrics, "_REFERENCE_ELEMENTS", 3 * 20 * 20)
-        assert metrics._reference_stack(20) == 3
+        monkeypatch.setattr(metrics, "_STACK_ELEMENTS", 3 * 20 * 20)
+        assert metrics.stack_size(20) == 3
         assert small_world_index(g, make_rng(5, 0), n_ref=20) == whole
         assert whole is not None
 
@@ -319,7 +319,7 @@ class TestFusedKernel:
     def test_one_buffer_set_per_node_count(self, monkeypatch):
         # every stack size from 1 to the largest, each on [:b] views of the
         # buffers the sizes before it left dirty
-        n, largest = 20, metrics._reference_stack(20)
+        n, largest = 20, metrics.stack_size(20)
         rng = np.random.default_rng(17)
         stack = np.stack([kernel_graph(kind, n, rng) for kind in
                           itertools.islice(itertools.cycle(GRAPH_KINDS), largest)])
@@ -583,6 +583,19 @@ class TestSampleGnm:
             g.adj[0, 1] = True
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_pair_adjacency_matches_edge_set(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # row-major i < j
+    sets = np.random.default_rng(n).random((5, len(pairs))) < 0.4
+    sets[0], sets[-1] = False, True  # edgeless and complete
+    adj = metrics.pair_adjacency(sets, n)
+    assert adj.shape == (5, n, n) and adj.dtype == np.bool_
+    assert (adj == adj.transpose(0, 2, 1)).all()
+    assert not adj[:, np.arange(n), np.arange(n)].any()
+    for graph, chosen in zip(adj, sets):
+        assert edge_set(graph) == {pair for pair, on in zip(pairs, chosen) if on}
+
+
 def same_streams(seed, pending):
     """Two generators at the same position; with `pending`, PCG64 holds a
     word's high half for its next 32-bit draw."""
@@ -599,11 +612,11 @@ def assert_same_stream(a, b):
 
 
 def gnm_pair_sets(n, sizes, rng):
-    """`metrics._gnm_rows` as (len(sizes), n_pairs) pair sets; every entry
-    outside the upper triangle must be False."""
-    rows = metrics._gnm_rows(n, sizes, rng)
-    sets = rows[:, metrics._upper_flat(n)]
-    assert sets.sum() == rows.sum() == sum(sizes)
+    """`metrics._gnm_pairs`: (len(sizes), n_pairs) pair sets, each of
+    its size's pairs."""
+    sets = metrics._gnm_pairs(n, sizes, rng)
+    assert sets.shape == (len(sizes), n * (n - 1) // 2)
+    assert sets.sum(axis=1).tolist() == list(sizes)
     return sets
 
 
@@ -669,7 +682,9 @@ class TestPairSets:
         n, n_ref, complete = 20, 30, 190
         edge_counts = [complete, 40, complete, 95, 60, complete, complete]
         if stack == "chunk":
-            monkeypatch.setattr(metrics, "_REFERENCE_ELEMENTS", metrics._BATCH_ELEMENTS)
+            # stacks of 40 references, cut inside a snapshot's 30
+            monkeypatch.setattr(metrics, "_STACK_ELEMENTS", 40 * n * n)
+            assert metrics.stack_size(n) == 40
         if block:
             # blocks of 80 references, a largest edge count taking 2 * 190
             # slots: the cuts at 80 and 160 fall inside the third and the
@@ -685,7 +700,7 @@ class TestPairSets:
         expected = reference_means_oracle(n, edge_counts, n_ref, b)
         assert_same_stream(a, b)
         assert sum(measured) == n_ref * sum(m < complete for m in edge_counts)
-        assert max(measured) <= metrics._reference_stack(n)
+        assert max(measured) <= metrics.stack_size(n)
         for m, c, l, oracle in zip(edge_counts, c_r.tolist(), l_r.tolist(), expected):
             if m == complete:
                 assert (c, l) == oracle == (1.0, 1.0)
@@ -734,8 +749,8 @@ class TestPairSets:
         assert_same_stream(a, b)
 
     def test_memory_does_not_grow_with_n_ref(self):
-        # one chunk of snapshots, as `metric_chunks` passes them
-        cfg = SimConfig(model=ModelKind.RANGE, n=20, g=10, r=2.0, steps=metrics.chunk_size(20))
+        # one stack of snapshots, as `metric_chunks` passes them
+        cfg = SimConfig(model=ModelKind.RANGE, n=20, g=10, r=2.0, steps=metrics.stack_size(20))
         snaps = list(iter_model(cfg, make_rng(5)))
         metrics.metrics_rows(snaps, make_rng(1), 20)  # caches filled before measuring
         peaks = {}
