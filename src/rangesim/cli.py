@@ -161,15 +161,21 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key:
     return value
 
 
-def _sim_config(args, model: ModelKind, placeholder: bool = False) -> SimConfig:
-    r, p = args.r, args.p_connect
-    if placeholder:  # each sweep cell sets the swept parameter
+def _sim_config(args, model: ModelKind, vary: str | None = None) -> SimConfig:
+    """The config the flags give; in a sweep, the swept parameter takes a
+    placeholder that passes its checks, since only the cells run."""
+    n, g, r, p = args.n, args.g, args.r, args.p_connect
+    if vary in ("r", "p_connect"):
         r, p = (0.0 if r is None else r), (0.0 if p is None else p)
+    elif vary == "n":
+        n = 1
+    elif vary == "g":
+        g = n  # n <= g*g for any n >= 1
     if model is ModelKind.RANGE and r is None:
         raise ConfigError("--r is required for the range model")
     if model is ModelKind.NULL and p is None:
         raise ConfigError("--p-connect is required for the null model")
-    return SimConfig(model=model, n=args.n, g=args.g, r=r, p_connect=p,
+    return SimConfig(model=model, n=n, g=g, r=r, p_connect=p,
                      steps=args.steps, rounds=args.rounds, seed=args.seed)
 
 
@@ -192,7 +198,7 @@ def _cmd_sweep(args) -> int:
     paired = choice == "both"
     model = ModelKind.RANGE if choice in ("range", "both") else ModelKind.NULL
     vary = VARY_ALIASES[args.vary]
-    base = _sim_config(args, model, placeholder=vary in ("r", "p_connect"))
+    base = _sim_config(args, model, vary)
     sweep = SweepConfig(base=base, vary=vary, values=parse_values(args.values),
                         paired=paired, n_ref=_n_ref(args), burn_in=args.burn_in)
     write_csv(iter_sweep(sweep, workers=args.workers), args.out)

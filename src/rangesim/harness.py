@@ -39,8 +39,7 @@ from .metrics import (
     METRIC_NAMES,
     MetricsRow,
     NetworkSnapshot,
-    metrics_rows,
-    stack_size,
+    metric_chunks,
 )
 from .null_model import null_stepper
 from .range_model import range_stepper
@@ -55,18 +54,6 @@ def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
     step = stepper(config, rng)
     for _ in range(config.steps):
         yield step()
-
-
-def metric_chunks(snaps: Iterable[NetworkSnapshot], rng,
-                  n_ref: int | None) -> Iterator[list[MetricsRow]]:
-    """The metric rows of a run of snapshots, in order: `metrics_rows` of
-    each plain list of `stack_size` snapshots (the last may be shorter),
-    each as soon as it is measured. Where the chunks fall does not change
-    the rows.
-    """
-    snaps = iter(snaps)
-    for first in snaps:
-        yield metrics_rows([first, *islice(snaps, stack_size(first.n) - 1)], rng, n_ref)
 
 
 def round_rows(config: SimConfig, round_idx: int,
@@ -331,7 +318,7 @@ def write_timeseries_csv(config: SimConfig, path: str, n_ref: int | None = DEFAU
     """Per-timestep dump: one line per (round, timestep); returns line count.
 
     Each round's rows are numbered from 1, across its chunks. A serial
-    run flushes each chunk's lines as soon as `metrics_rows` has
+    run flushes each chunk's lines as soon as `metric_chunks` has
     measured it; a pooled run flushes each round's lines as soon as it
     and every earlier round have finished.
     """

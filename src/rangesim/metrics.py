@@ -3,15 +3,15 @@
 Six measures per snapshot: average degree, average clustering, average
 shortest path length, number of connected components, size of the
 largest component, and the small-world index against sampled same-size
-random graphs. `metrics_rows` computes all six for a stack of snapshots.
+random graphs. `metric_chunks` computes all six for a run of snapshots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from typing import Sequence
+from itertools import groupby, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class NetworkSnapshot:
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
     Instances are read-only and cache their degrees and neighbor lists;
-    the measures come from `metrics_rows`.
+    the measures come from `metric_chunks`.
     """
 
     adj: np.ndarray
@@ -45,7 +45,7 @@ class NetworkSnapshot:
     def degrees(self) -> np.ndarray:
         return np.count_nonzero(self.adj, axis=1)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return int(self.degrees.sum()) // 2
 
@@ -82,7 +82,7 @@ METRIC_NAMES = ("avg_degree", "clustering", "aspl", "n_components",
 _STACK_ELEMENTS = 1 << 16
 
 
-def stack_size(n: int) -> int:
+def _stack_size(n: int) -> int:
     """Graphs of n nodes evaluated per kernel call."""
     return max(1, _STACK_ELEMENTS // (n * n))
 
@@ -94,14 +94,14 @@ _DENSE_MAX_NODES = 4096
 
 @lru_cache(maxsize=8)
 def _kernel_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_dense_pass`' three float32 (b, n, n) work arrays, b = `stack_size(n)`,
+    """`_dense_pass`' three float32 (b, n, n) work arrays, b = `_stack_size(n)`,
     and n*n ones.
 
     One set per node count, overwritten by every call, which works in
     [:b] views of it: fresh arrays each timestep cost page faults once
     the allocator returns their memory.
     """
-    return (*(np.empty((stack_size(n), n, n), dtype=np.float32) for _ in range(3)),
+    return (*(np.empty((_stack_size(n), n, n), dtype=np.float32) for _ in range(3)),
             np.ones(n * n, dtype=np.float32))
 
 
@@ -160,11 +160,10 @@ def _dense_pass(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.
     graph can reach another pair. Each level's pairs are counted as a
     float32 dot product of the frontier with ones. Every count is an
     integer below 2^24 for n up to 4096, so float32 holds it exactly.
+    A stack holds at most `_stack_size(n)` graphs, which the buffers fit.
     """
     b, n = stack.shape[:2]
     *work, ones = _kernel_buffers(n)
-    if b > len(work[0]):  # a larger stack than `stack_size(n)`
-        work = [np.empty(stack.shape, dtype=np.float32) for _ in work]
     a, product, frontier = (array[:b] for array in work)
     np.copyto(a, stack)
     np.matmul(a, a, out=product)
@@ -287,18 +286,6 @@ def _clustering_and_paths(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.nd
     clustering, hops, pairs, reps = _hop_distances(stack, degrees)
     aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
     return clustering, aspl, reps
-
-
-def _snapshot_stats(snaps: Sequence[NetworkSnapshot]) -> list[tuple[float, float, int, int]]:
-    """(clustering, ASPL, component count, largest component) per snapshot."""
-    clustering, aspl, reps = _clustering_and_paths(np.stack([snap.adj for snap in snaps]),
-                                                   np.stack([snap.degrees for snap in snaps]))
-    b, n = reps.shape
-    # component sizes of every graph from one count over offset labels
-    sizes = np.bincount((reps + n * np.arange(b)[:, None]).ravel(),
-                        minlength=b * n).reshape(b, n)
-    return list(zip(clustering.tolist(), aspl.tolist(),
-                    np.count_nonzero(sizes, axis=1).tolist(), sizes.max(axis=1).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +440,7 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
 
     References are drawn in order, n_ref per edge count, a block of
     `_gnm_pairs` at a time; each block is evaluated in stacks of
-    `stack_size(n)` and dropped, so memory stays bounded whatever
+    `_stack_size(n)` and dropped, so memory stays bounded whatever
     n_ref is. Each mean is summed reference by reference, left to
     right, as a running total. From n = 3 up a complete graph's C and L
     are 1 exactly, so the references of a complete snapshot are drawn,
@@ -462,7 +449,7 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     pairs = n * (n - 1) // 2
     complete = pairs if n >= 3 else -1
     total = len(edge_counts) * n_ref
-    stack = stack_size(n)
+    stack = _stack_size(n)
     block = max(1, _BLOCK_SLOTS // max(pairs + 1, 2 * max(edge_counts, default=0)))
     if block > stack:
         block -= block % stack
@@ -483,34 +470,48 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     return means[:, 0], means[:, 1]
 
 
-def metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
-                 n_ref: int | None) -> list[MetricsRow]:
-    """All six measures for each of a run of same-size snapshots, in order.
+def _metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
+                  n_ref: int | None) -> list[MetricsRow]:
+    """`metric_chunks`' rows of one stack of snapshots."""
+    clustering, aspl, reps = _clustering_and_paths(np.stack([snap.adj for snap in snaps]),
+                                                   np.stack([snap.degrees for snap in snaps]))
+    b, n = reps.shape
+    # component sizes of every graph from one count over offset labels
+    sizes = np.bincount((reps + n * np.arange(b)[:, None]).ravel(),
+                        minlength=b * n).reshape(b, n)
+    clustering, aspl = clustering.tolist(), aspl.tolist()
+    index: list[float | None] = [None] * b
+    if n_ref is not None:
+        linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
+        c_r, l_r = _reference_means(n, [snaps[k].edge_count for k in linked], n_ref, rng)
+        for k, c, l in zip(linked, c_r.tolist(), l_r.tolist()):
+            if c != 0.0 and l != 0.0 and aspl[k] != 0.0:
+                index[k] = (clustering[k] / c) / (aspl[k] / l)
+    counts, largest = np.count_nonzero(sizes, axis=1).tolist(), sizes.max(axis=1).tolist()
+    return [MetricsRow(2.0 * snap.edge_count / n, *values)
+            for snap, *values in zip(snaps, clustering, aspl, counts, largest, index)]
+
+
+def metric_chunks(snaps: Iterable[NetworkSnapshot], rng: RngStream,
+                  n_ref: int | None) -> Iterator[list[MetricsRow]]:
+    """All six measures of each of a run of same-size snapshots, in order:
+    the rows of each stack of `_stack_size(n)` snapshots (the last may be
+    shorter), one kernel call each, yielded as soon as it is measured.
 
     Clustering is the mean local coefficient, nodes with fewer than two
     neighbors counting 0; ASPL is the mean hop count over connected
     pairs, 0 if none are. The small-world index is (C_G/C_R) / (L_G/L_R)
     against the means C_R and L_R over n_ref uniform graphs with the
     snapshot's node and edge counts, and None when C_R, L_R or L_G is 0;
-    n_ref=None leaves it None and draws nothing.
+    n_ref=None leaves it None and draws nothing, and an n_ref below 1
+    raises ValueError at the first `next`.
 
-    The snapshots' statistics come from one kernel call, so pass at most
-    `stack_size(n)` of them. References are drawn in snapshot order, and
-    none for an edgeless snapshot, so the rows and the generator's state
-    afterwards do not depend on how a run is split into calls.
+    References are drawn in snapshot order, and none for an edgeless
+    snapshot, so the rows and the generator's state afterwards do not
+    depend on where the stacks fall.
     """
     if n_ref is not None and n_ref < 1:
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
-    stats = _snapshot_stats(snaps)
-    index: list[float | None] = [None] * len(snaps)
-    if n_ref is not None:
-        linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
-        c_r, l_r = _reference_means(snaps[0].n, [snaps[k].edge_count for k in linked],
-                                    n_ref, rng)
-        for k, c, l in zip(linked, c_r.tolist(), l_r.tolist()):
-            c_g, l_g = stats[k][:2]
-            if c != 0.0 and l != 0.0 and l_g != 0.0:
-                index[k] = (c_g / c) / (l_g / l)
-    # `stats` holds the four measures between degree and small_world
-    return [MetricsRow(2.0 * snap.edge_count / snap.n, *values, small_world=sw)
-            for snap, values, sw in zip(snaps, stats, index)]
+    snaps = iter(snaps)
+    for first in snaps:
+        yield _metrics_rows([first, *islice(snaps, _stack_size(first.n) - 1)], rng, n_ref)

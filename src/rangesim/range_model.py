@@ -29,26 +29,17 @@ def max_sq_distance(r: float, g: int) -> int:
     return bisect_right(range(2 * (g - 1) ** 2 + 1), r, key=math.sqrt) - 1
 
 
-@lru_cache(maxsize=8)
-def _distance_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`range_links`' two int32 (n, n) work arrays, overwritten by every
-    call of that size (see `metrics._kernel_buffers`)."""
-    return np.empty((n, n), dtype=np.int32), np.empty((n, n), dtype=np.int32)
-
-
 def range_links(coordinates: np.ndarray, d2_max: int) -> np.ndarray:
     """Boolean link matrix over (n, 2) integer tile coordinates.
 
     Pair (i, j) is linked iff its squared distance is at most d2_max.
-    The returned matrix is new; only the distance buffers are reused.
     """
     # int32 holds every squared distance up to g = 32768, beyond any grid
     # whose occupancy list fits in memory, and halves int64's memory traffic
     x, y = np.asarray(coordinates, dtype=np.int32).T
-    d2, dy = _distance_buffers(len(x))
-    np.subtract.outer(x, x, out=d2)
+    d2 = np.subtract.outer(x, x)
     d2 *= d2
-    np.subtract.outer(y, y, out=dy)
+    dy = np.subtract.outer(y, y)
     dy *= dy
     d2 += dy
     linked = d2 <= d2_max

@@ -1,24 +1,43 @@
 """One-snapshot views of the package's measures, for tests.
 
-The package measures graphs only through `metrics.metrics_rows`, a chunk
-of snapshots at a time. These helpers call it on a single snapshot, so
-tests can name one measure at a time; `sample_gnm`, `run_sweep` and
-`round_metrics` wrap the reference sampler, the sweep iterator and a
-round's metric chunks the same way, and `run_model` runs the model to
-its end, calling observers on each snapshot. Unlike `oracles`,
+The package measures graphs only through `metrics.metric_chunks`, a
+stack of snapshots at a time. These helpers call it on a single
+snapshot, so tests can name one measure at a time; `sample_gnm`,
+`run_sweep` and `round_metrics` wrap the reference sampler, the sweep
+iterator and a round's metric chunks the same way, `run_model` runs the
+model to its end, calling observers on each snapshot, and
+`patch_stack_size` sets the kernel's stack size. Unlike `oracles`,
 everything here is the package's own code.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from rangesim import metrics
 from rangesim.harness import iter_model, iter_sweep, round_rows
-from rangesim.metrics import (DEFAULT_N_REF, NetworkSnapshot, _gnm_pairs, metrics_rows,
+from rangesim.metrics import (DEFAULT_N_REF, NetworkSnapshot, _gnm_pairs, metric_chunks,
                               pair_adjacency)
 
 
 def metrics_snapshot(snap, rng, n_ref=DEFAULT_N_REF):
-    """All six measures of one snapshot; draws as `metrics_rows` does."""
-    return metrics_rows([snap], rng, n_ref)[0]
+    """All six measures of one snapshot; draws as `metric_chunks` does."""
+    (row,), = metric_chunks([snap], rng, n_ref)
+    return row
+
+
+def patch_stack_size(monkeypatch, n, size):
+    """Stacks of `size` graphs of n nodes until `monkeypatch` is undone.
+
+    `_dense_pass` needs buffers that fit the stack, and `_kernel_buffers`
+    caches them per node count at the stack size it first sees; so the
+    patch gets a cache of its own, and the one outside it keeps buffers
+    of the real size.
+    """
+    monkeypatch.setattr(metrics, "_STACK_ELEMENTS", size * n * n)
+    monkeypatch.setattr(metrics, "_kernel_buffers",
+                        lru_cache(maxsize=8)(metrics._kernel_buffers.__wrapped__))
+    assert metrics._stack_size(n) == size
 
 
 def _row(snap):

@@ -16,15 +16,14 @@ from rangesim.harness import (
     diffusion_round,
     iter_model,
     iter_sweep,
-    metric_chunks,
     run_diffusion_rounds,
     write_csv,
     write_timeseries_csv,
     write_trajectories_csv,
 )
-from rangesim.metrics import NetworkSnapshot
+from rangesim.metrics import NetworkSnapshot, metric_chunks
 
-from measures import metrics_snapshot, round_metrics, run_model, run_sweep
+from measures import metrics_snapshot, patch_stack_size, round_metrics, run_model, run_sweep
 
 
 def range_config(**kwargs):
@@ -235,7 +234,7 @@ class TestMetricChunks:
     def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, chunk, monkeypatch):
         # the real chunk is a stack, 163 graphs at n = 20 and 3 at n = 130;
         # 97 steps end on a partial chunk at every patched size but 1
-        assert metrics.stack_size(20) == 163 and metrics.stack_size(130) == 3
+        assert metrics._stack_size(20) == 163 and metrics._stack_size(130) == 3
         snaps = snapshot_stream(n, steps, seed=n + n_ref)
         expected_rng = make_rng(7, 0, STREAM_METRICS)
         expected = [metrics_snapshot(snap, expected_rng, n_ref=n_ref) for snap in snaps]
@@ -243,7 +242,7 @@ class TestMetricChunks:
         kernel = metrics._hop_distances
         monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
                             batches.append(len(stack)) or kernel(stack, degrees))
-        monkeypatch.setattr(harness, "stack_size", lambda n: chunk)
+        patch_stack_size(monkeypatch, n, chunk)
         rng = make_rng(7, 0, STREAM_METRICS)
         chunks = list(metric_chunks(iter(snaps), rng, n_ref))
         assert [len(rows) for rows in chunks] == [
@@ -251,7 +250,7 @@ class TestMetricChunks:
         assert [row for rows in chunks for row in rows] == expected
         assert rng.random() == expected_rng.random()
         assert sum(row.small_world is not None for row in expected) > 0
-        assert max(batches) <= max(chunk, metrics.stack_size(n))
+        assert max(batches) <= chunk
 
     def test_round_matches_per_snapshot_loop(self):
         cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)
@@ -457,7 +456,7 @@ class TestCsvOutput:
         # round's timesteps still run 1..170, serially and from a pool
         runs = [(range_config(steps=7, rounds=3), 1)]
         runs += [(range_config(n=20, g=10, steps=170, rounds=2), workers) for workers in (1, 2)]
-        assert metrics.stack_size(20) == 163
+        assert metrics._stack_size(20) == 163
         for cfg, workers in runs:
             path = tmp_path / "dump.csv"
             count = write_timeseries_csv(cfg, str(path), n_ref=FAST, workers=workers)
@@ -471,7 +470,7 @@ class TestCsvOutput:
     def test_serial_timeseries_writes_each_row_as_it_is_measured(self, tmp_path,
                                                                  monkeypatch):
         # from n = 182 up a chunk is one snapshot, measured right after its step
-        assert metrics.stack_size(182) == 1 and metrics.stack_size(181) == 2
+        assert metrics._stack_size(182) == 1 and metrics._stack_size(181) == 2
         path = tmp_path / "dump.csv"
         on_disk = []
         watch_steps(monkeypatch, lambda k: on_disk.append(
@@ -483,7 +482,7 @@ class TestCsvOutput:
     def test_interrupted_serial_timeseries_keeps_measured_rows(self, tmp_path, monkeypatch):
         # chunks of two snapshots: the 8th step (round 1, t = 4) fails while
         # t = 3 is held unmeasured, so round 1 keeps t = 1 and 2
-        monkeypatch.setattr(harness, "stack_size", lambda n: 2)
+        patch_stack_size(monkeypatch, 10, 2)
 
         def fail_at_eighth(k):
             if k == 8:
@@ -620,6 +619,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith("rangesim: config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,cells", [
+        (["--model", "both", "--vary", "n", "--values", "2:16:2", "--g", "4", "--r", "2"], 16),
+        (["--vary", "g", "--values", "15,20", "--n", "200", "--r", "1", "--no-small-world"], 4),
+    ], ids=["n-on-4x4", "g-at-n200"])
+    def test_n_or_g_sweep_checks_only_its_cells(self, tmp_path, argv, cells):
+        # the default --n 20 exceeds a 4x4 grid and --n 200 the default
+        # --g 10, but no cell runs either; every cell that runs fits
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", *argv, "--steps", "2", "--rounds", "1", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + cells
+
+    @pytest.mark.parametrize("values,shown", [("nan", "nan"), ("4,17", "17.0")])
+    def test_swept_n_error_names_the_swept_value(self, tmp_path, capsys, values, shown):
+        # on a 4x4 grid; the default --n 20 never runs
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--r", "1", "--vary", "n", "--values", values,
+                     "--g", "4", "--steps", "2", "--rounds", "1", "--out", str(out)])
+        assert code == 2
+        assert (f"swept N must be an integer in [1, g*g], got {shown}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["range-count", "config-list"])
     def test_oversized_values_are_config_error(self, tmp_path, capsys, source):
         # float(10**400) and int(inf) raise OverflowError, not ValueError
@@ -661,9 +683,10 @@ class TestCli:
             assert code == 2
             assert "n_ref must be at least 1" in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
+        # `metric_chunks` raises at its first `next`, before it measures
         with pytest.raises(ValueError, match="n_ref=0"):
-            metrics.metrics_rows([NetworkSnapshot(np.zeros((2, 2), dtype=bool))],
-                                 make_rng(0, 0), 0)
+            next(metric_chunks([NetworkSnapshot(np.zeros((2, 2), dtype=bool))],
+                               make_rng(0, 0), 0))
 
     def test_workers_below_one_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",

@@ -21,6 +21,7 @@ from measures import (
     average_shortest_path_length,
     components,
     metrics_snapshot,
+    patch_stack_size,
     sample_gnm,
     small_world_index,
 )
@@ -198,8 +199,7 @@ class TestOracleEquivalence:
         g = snap(20, random_graph(20, np.random.default_rng(3), p=0.2))
         whole = small_world_index(g, make_rng(5, 0), n_ref=20)
         # three references per stack: 20 = 3 * 6 + 2
-        monkeypatch.setattr(metrics, "_STACK_ELEMENTS", 3 * 20 * 20)
-        assert metrics.stack_size(20) == 3
+        patch_stack_size(monkeypatch, 20, 3)
         assert small_world_index(g, make_rng(5, 0), n_ref=20) == whole
         assert whole is not None
 
@@ -285,10 +285,11 @@ class TestFusedKernel:
     @given(n=st.sampled_from([5, 20, 127, 128, 200]), seed=st.integers(0, 2**32 - 1),
            data=st.data())
     def test_matches_two_pass_kernel(self, n, seed, data):
-        # up to 40 graphs per stack, as in a chunk at n = 20; from n = 127
-        # up a few, which keeps a 200-node path's 199 levels cheap
+        # up to 40 graphs per stack at n = 20; from n = 127 up a few, which
+        # keeps a 200-node path's 199 levels cheap, and no more than a stack
         kinds = data.draw(st.lists(st.sampled_from(GRAPH_KINDS), min_size=1,
-                                   max_size=40 if n <= 20 else 3), label="kinds")
+                                   max_size=min(40 if n <= 20 else 3, metrics._stack_size(n))),
+                          label="kinds")
         rng = np.random.default_rng(seed)
         stack = np.stack([kernel_graph(kind, n, rng) for kind in kinds])
         clustering, hops, pairs, reps = hop_distances(stack)
@@ -298,8 +299,8 @@ class TestFusedKernel:
         assert pairs.tolist() == expected[2].tolist()
         assert reps.tolist() == expected[3].tolist()
         sizes = [np.unique(labels, return_counts=True)[1] for labels in expected[3]]
-        assert [stats[2:] for stats in metrics._snapshot_stats(
-            [NetworkSnapshot(adj) for adj in stack])] == [
+        assert [(row.n_components, row.largest_component) for rows in metrics.metric_chunks(
+            [NetworkSnapshot(adj) for adj in stack], None, None) for row in rows] == [
             (int(s.size), int(s.max())) for s in sizes]
 
     @pytest.mark.parametrize("b,n", [(40, 20), (3, 5), (1, 200)])
@@ -319,7 +320,7 @@ class TestFusedKernel:
     def test_one_buffer_set_per_node_count(self, monkeypatch):
         # every stack size from 1 to the largest, each on [:b] views of the
         # buffers the sizes before it left dirty
-        n, largest = 20, metrics.stack_size(20)
+        n, largest = 20, metrics._stack_size(20)
         rng = np.random.default_rng(17)
         stack = np.stack([kernel_graph(kind, n, rng) for kind in
                           itertools.islice(itertools.cycle(GRAPH_KINDS), largest)])
@@ -385,7 +386,7 @@ class TestFusedKernel:
         adj[hub, spokes] = adj[spokes, hub] = True
         for i, j in itertools.combinations(triangle, 2):
             adj[i, j] = adj[j, i] = True
-        row, = metrics.metrics_rows([NetworkSnapshot(adj)], make_rng(0, 0), None)
+        row = metrics_snapshot(NetworkSnapshot(adj), make_rng(0, 0), n_ref=None)
         hops = 2 * leaves + 2 * leaves * (leaves - 1) + 6
         pairs = 2 * leaves + leaves * (leaves - 1) + 6
         assert row.aspl == hops / pairs
@@ -411,7 +412,7 @@ class TestFusedKernel:
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul", lambda *args, **kwargs:
                             calls.append(None) or matmul(*args, **kwargs))
-        metrics.metrics_rows([g], make_rng(0, 0), None)
+        metrics_snapshot(g, make_rng(0, 0), n_ref=None)
         monkeypatch.undo()
         return len(calls)
 
@@ -683,8 +684,7 @@ class TestPairSets:
         edge_counts = [complete, 40, complete, 95, 60, complete, complete]
         if stack == "chunk":
             # stacks of 40 references, cut inside a snapshot's 30
-            monkeypatch.setattr(metrics, "_STACK_ELEMENTS", 40 * n * n)
-            assert metrics.stack_size(n) == 40
+            patch_stack_size(monkeypatch, n, 40)
         if block:
             # blocks of 80 references, a largest edge count taking 2 * 190
             # slots: the cuts at 80 and 160 fall inside the third and the
@@ -700,7 +700,7 @@ class TestPairSets:
         expected = reference_means_oracle(n, edge_counts, n_ref, b)
         assert_same_stream(a, b)
         assert sum(measured) == n_ref * sum(m < complete for m in edge_counts)
-        assert max(measured) <= metrics.stack_size(n)
+        assert max(measured) <= metrics._stack_size(n)
         for m, c, l, oracle in zip(edge_counts, c_r.tolist(), l_r.tolist(), expected):
             if m == complete:
                 assert (c, l) == oracle == (1.0, 1.0)
@@ -749,17 +749,17 @@ class TestPairSets:
         assert_same_stream(a, b)
 
     def test_memory_does_not_grow_with_n_ref(self):
-        # one stack of snapshots, as `metric_chunks` passes them
-        cfg = SimConfig(model=ModelKind.RANGE, n=20, g=10, r=2.0, steps=metrics.stack_size(20))
+        # one stack of snapshots, one kernel call
+        cfg = SimConfig(model=ModelKind.RANGE, n=20, g=10, r=2.0, steps=metrics._stack_size(20))
         snaps = list(iter_model(cfg, make_rng(5)))
-        metrics.metrics_rows(snaps, make_rng(1), 20)  # caches filled before measuring
+        list(metrics.metric_chunks(snaps, make_rng(1), 20))  # caches filled before measuring
         peaks = {}
         # references are drawn and measured a block at a time; keeping the
         # measures of every reference until the means grows the peak about
         # fourfold from n_ref = 20 to 500
         for n_ref in (20, 500):
             tracemalloc.start()
-            metrics.metrics_rows(snaps, make_rng(1), n_ref)
+            list(metrics.metric_chunks(snaps, make_rng(1), n_ref))
             peaks[n_ref] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks[500] <= 1.5 * peaks[20]
