@@ -131,6 +131,9 @@ class PotionConfig:
             if not (math.isfinite(score) and score >= 0):
                 raise ConfigError(f"score of {item!r} must be finite and non-negative, "
                                   f"got {score}")
+        # in `PotionTable`'s order, so that no pool's total overflows either
+        if not math.isfinite(sum(self.item_scores[item] for item in sorted(self.item_scores))):
+            raise ConfigError("item scores must have a finite sum")
 
 
 def default_potion_config(p_diff: float = 0.5) -> PotionConfig:

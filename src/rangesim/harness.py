@@ -134,14 +134,17 @@ class SweepConfig:
         if not 0 <= self.burn_in < max(self.base.steps, 1):
             raise ConfigError(f"burn-in must lie in [0, steps) for steps={self.base.steps}, "
                               f"got {self.burn_in}")
+        # only a range cell needs N distinct tiles
+        ranged = self.paired or self.base.model is ModelKind.RANGE
+        most_n, named = (self.base.g ** 2, "g*g") if ranged else (math.inf, "inf")
         for v in self.values:
             if self.vary == "r" and not 0 <= v <= self.base.g:
                 raise ConfigError(f"swept r must lie in [0, g], got {v}")
             if self.vary == "p_connect" and not 0 <= v <= 1:
                 raise ConfigError(f"swept p_connect must lie in [0, 1], got {v}")
             whole = math.isfinite(v) and v == int(v)
-            if self.vary == "n" and not (whole and 1 <= v <= self.base.g ** 2):
-                raise ConfigError(f"swept N must be an integer in [1, g*g], got {v}")
+            if self.vary == "n" and not (whole and 1 <= v <= most_n):
+                raise ConfigError(f"swept N must be an integer in [1, {named}], got {v}")
             if self.vary == "g" and not (whole and v >= 1):
                 raise ConfigError(f"swept g must be a positive integer, got {v}")
         self.cells  # every cell resolves, so a sweep fails before it writes anything

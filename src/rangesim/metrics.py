@@ -25,7 +25,7 @@ class NetworkSnapshot:
     """Simple undirected graph for one timestep.
 
     Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only and cache their degrees and neighbor lists;
+    Instances are read-only and cache their edge count and neighbor lists;
     the measures come from `metric_chunks`.
     """
 
@@ -42,19 +42,14 @@ class NetworkSnapshot:
         return self.adj.shape[0]
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.count_nonzero(self.adj, axis=1)
-
-    @cached_property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return np.count_nonzero(self.adj) // 2
 
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
         """Each node's neighbors in ascending order, as Python ints."""
-        cols = _neighbors(self.adj).tolist()
-        ends = np.cumsum(self.degrees).tolist()
-        return [cols[start:end] for start, end in zip([0, *ends], ends)]
+        cols, bounds = (part.tolist() for part in _csr(self.adj))
+        return [cols[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -93,49 +88,49 @@ _DENSE_MAX_NODES = 4096
 
 
 @lru_cache(maxsize=8)
-def _kernel_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_dense_pass`' three float32 (b, n, n) work arrays, b = `_stack_size(n)`,
+def _kernel_buffers(n: int) -> tuple[np.ndarray, ...]:
+    """`_dense_pass`' four float32 (b, n, n) work arrays, b = `_stack_size(n)`,
     and n*n ones.
 
     One set per node count, overwritten by every call, which works in
     [:b] views of it: fresh arrays each timestep cost page faults once
     the allocator returns their memory.
     """
-    return (*(np.empty((_stack_size(n), n, n), dtype=np.float32) for _ in range(3)),
+    return (*(np.empty((_stack_size(n), n, n), dtype=np.float32) for _ in range(4)),
             np.ones(n * n, dtype=np.float32))
 
 
-def _neighbors(adj: np.ndarray) -> np.ndarray:
-    """The column indices of a compressed sparse row (CSR) adjacency:
-    each node's neighbors in ascending order, node after node."""
-    return np.flatnonzero(adj) % adj.shape[1]
+def _csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The compressed sparse row (CSR) form of an adjacency: each node's neighbors
+    in ascending order, node after node, and the n + 1 bounds of their runs."""
+    flat = np.flatnonzero(adj)
+    return flat % len(adj), np.searchsorted(flat, np.arange(0, adj.size + 1, len(adj)))
 
 
 def _mean_clustering(closed: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Mean local clustering per graph from (b, n) closed-pair counts,
-    each edge among a node's neighbors counted twice."""
+    """Mean local clustering per graph, in float64, from (b, n) integer closed-pair
+    counts (each edge among a node's neighbors counted twice) and degrees."""
     k = degrees.astype(np.float64)
     possible = k * (k - 1.0)
-    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
+    local = np.divide(closed, possible, out=np.zeros_like(possible), where=possible > 0)
     return local.mean(axis=1)
 
 
-def _hop_distances(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clustering and hop counts of a (b, n, n) stack of graphs with (b, n)
-    node degrees, in one pass.
+def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clustering and hop counts of a (b, n, n) stack of graphs, in one pass.
 
     Returns (clustering, hops, pairs, reps): per graph, the mean local
     clustering, the hop sum over ordered connected pairs and their
     count; per node, the lowest-indexed node it reaches (its component
-    label). A stack whose every graph `_bitsets_pay` for takes
-    `_bitset_pass` graph by graph, any other `_dense_pass`; both count
-    in integers, so their results are equal.
+    label). A stack whose every graph `_bitsets_pay` for, edges counted
+    only where it can, takes `_bitset_pass` graph by graph, any other
+    `_dense_pass`; both count in integers, so their results are equal.
     """
     n = stack.shape[1]
-    if all(_bitsets_pay(n, int(k.sum()) // 2) for k in degrees):
-        results = [_bitset_pass(adj, k) for adj, k in zip(stack, degrees)]
+    if _bitsets_pay(n, 0) and all(_bitsets_pay(n, np.count_nonzero(adj) // 2) for adj in stack):
+        results = [_bitset_pass(adj) for adj in stack]
         return tuple(np.concatenate(parts) for parts in zip(*results))
-    return _dense_pass(stack, degrees)
+    return _dense_pass(stack)
 
 
 def _bitsets_pay(n: int, m: int) -> bool:
@@ -151,44 +146,45 @@ def _bitsets_pay(n: int, m: int) -> bool:
     return n > _DENSE_MAX_NODES or (n >= 128 and 28 * m <= n * n)
 
 
-def _dense_pass(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_hop_distances` by level-synchronous BFS on dense float32 products.
 
     BFS from every source of every graph at once, one float32
     `frontier @ A` product per level into reused buffers; the first,
     A @ A, also counts closed triangles, and the loop stops once no
-    graph can reach another pair. Each level's pairs are counted as a
-    float32 dot product of the frontier with ones. Every count is an
+    graph can reach another pair. Degrees and pair counts are products
+    with ones; a level's new pairs are the minimum of its walk counts
+    and a 0/1 mask of the pairs not yet reached. Every count is an
     integer below 2^24 for n up to 4096, so float32 holds it exactly.
     A stack holds at most `_stack_size(n)` graphs, which the buffers fit.
     """
     b, n = stack.shape[:2]
     *work, ones = _kernel_buffers(n)
-    a, product, frontier = (array[:b] for array in work)
+    a, paths, frontier, unreached = (array[:b] for array in work)
     np.copyto(a, stack)
-    np.matmul(a, a, out=product)
+    degrees = np.dot(a.reshape(b * n, n), ones[:n]).reshape(b, n)
+    np.matmul(a, a, out=paths)
     # (A² ∘ A) row sums count each edge among a node's neighbors twice;
     # their buffer holds the frontier from level 2 on
-    np.multiply(product, a, out=frontier)
-    clustering = _mean_clustering(frontier.sum(axis=2, dtype=np.float64), degrees)
-    unreached = ~stack
-    unreached[:, np.arange(n), np.arange(n)] = False
-    found = np.dot(a.reshape(b, -1), ones).astype(np.int64)
+    np.multiply(paths, a, out=frontier)
+    closed = np.dot(frontier.reshape(b * n, n), ones[:n]).reshape(b, n)
+    clustering = _mean_clustering(closed, degrees)
+    np.subtract(1, a, out=unreached)
+    unreached.reshape(b, -1)[:, ::n + 1] = 0  # every node reaches itself
+    found = np.dot(degrees, ones[:n]).astype(np.int64)
     hops, pairs = found.copy(), found.copy()
-    nxt = np.empty_like(stack)
     level = 1
     # a graph is done once a level finds nothing or no pair is left unreached
     while np.any((found > 0) & (pairs < n * (n - 1))):
         if level > 1:
-            np.matmul(frontier, a, out=product)
+            np.matmul(frontier, a, out=paths)
         level += 1
-        np.greater(product, 0, out=nxt)
-        nxt &= unreached
-        unreached ^= nxt
-        frontier[...] = nxt
+        np.minimum(paths, unreached, out=frontier)
+        unreached -= frontier
         found = np.dot(frontier.reshape(b, -1), ones).astype(np.int64)
         hops += level * found
         pairs += found
+    # a node's component label is its first reached column
     return clustering, hops, pairs, np.argmin(unreached, axis=2)
 
 
@@ -210,7 +206,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return (x * _H01) >> np.uint64(56)
 
 
-def _bitset_pass(adj: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _bitset_pass(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_hop_distances` of one graph by bit-parallel multi-source BFS.
 
     Every node keeps the set of sources that have reached it as bits
@@ -224,14 +220,13 @@ def _bitset_pass(adj: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.n
     """
     n = len(adj)
     words = -(-n // 64)
-    # an isolated node's one entry is node n, whose row stays all zero,
-    # so that no reduceat segment is empty
-    extended = np.zeros((n, n + 1), dtype=bool)
-    extended[:, :n] = adj
-    extended[:, n] = degrees == 0
-    cols = _neighbors(extended)
-    entries = np.maximum(degrees, 1)
-    bounds = np.concatenate(([0], np.cumsum(entries)))
+    cols, bounds = _csr(adj)
+    degrees = np.diff(bounds)
+    if not degrees.all():
+        # an isolated node's one entry is node n, whose row stays zero: no empty segment
+        cols = np.insert(cols, bounds[:-1][degrees == 0], n)
+        bounds = np.concatenate(([0], np.cumsum(np.maximum(degrees, 1))))
+    entries = np.diff(bounds)
     # each block starts at the node holding every (_GATHER_WORDS / words)-th
     # entry; per block: its nodes, their neighbor entries, segment starts
     firsts = list(dict.fromkeys((np.searchsorted(
@@ -247,7 +242,7 @@ def _bitset_pass(adj: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.n
     for nodes, neighbors, segments in blocks:
         shared = frontier.take(neighbors, axis=0) & frontier[nodes].repeat(entries[nodes], axis=0)
         closed[nodes] = np.add.reduceat(_popcount(shared).ravel(), segments * words)
-    clustering = _mean_clustering(closed.astype(np.float64)[None], degrees[None])
+    clustering = _mean_clustering(closed[None], degrees[None])
     node = np.arange(n)
     unseen = ~frontier[:n]
     unseen[node, node // 64] ^= np.uint64(1) << (node % 64).astype(np.uint64)
@@ -275,15 +270,14 @@ def _bitset_pass(adj: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.n
     return clustering, np.array([hops]), np.array([pairs]), reps[None]
 
 
-def _clustering_and_paths(stack: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean clustering, ASPL and component labels of each graph of a stack,
-    given its node degrees.
+def _clustering_and_paths(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean clustering, ASPL and component labels of each graph of a stack.
 
     Each graph's ASPL is 0 when no pair is connected. Both hop counts
     are exact integers in float64 and twice the unordered ones, so the
     rounded quotient is bit-identical to the mean over unordered pairs.
     """
-    clustering, hops, pairs, reps = _hop_distances(stack, degrees)
+    clustering, hops, pairs, reps = _hop_distances(stack)
     aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
     return clustering, aspl, reps
 
@@ -460,7 +454,7 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
         measured = [ref for ref in refs if edge_counts[ref // n_ref] != complete]
         for lo in range(0, len(measured), stack):
             adj = pair_adjacency(sets[[ref - first for ref in measured[lo:lo + stack]]], n)
-            c, l, _ = _clustering_and_paths(adj, np.count_nonzero(adj, axis=2))
+            c, l, _ = _clustering_and_paths(adj)
             for ref, c_ref, l_ref in zip(measured[lo:], c.tolist(), l.tolist()):
                 running = sums[ref // n_ref]
                 running[0] += c_ref
@@ -473,8 +467,7 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
 def _metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
                   n_ref: int | None) -> list[MetricsRow]:
     """`metric_chunks`' rows of one stack of snapshots."""
-    clustering, aspl, reps = _clustering_and_paths(np.stack([snap.adj for snap in snaps]),
-                                                   np.stack([snap.degrees for snap in snaps]))
+    clustering, aspl, reps = _clustering_and_paths(np.stack([snap.adj for snap in snaps]))
     b, n = reps.shape
     # component sizes of every graph from one count over offset labels
     sizes = np.bincount((reps + n * np.arange(b)[:, None]).ravel(),

@@ -548,6 +548,11 @@ def _with_recipe(**changes):
     pytest.param(json.dumps({**BASE_TABLE, "starting_inventory": [
         {"item": 1, "score": 0.1}, {"item": "b", "score": 0.7},
         {"item": "c", "score": 3.3}]}), id="item-not-string"),
+    # each score finite, their sum not: a weighted pick would overrun its pool
+    pytest.param(json.dumps({"starting_inventory": [
+        {"item": item, "score": 1e308} for item in "abc"], "recipes": [
+        {"inputs": ["a", "b", "c"], "product": "X", "tier": 1, "score": 1.5e308}]}),
+        id="scores-sum-overflows"),
 ])
 def test_bad_recipe_table_is_config_error(text, tmp_path, capsys):
     path = tmp_path / "recipes.json"

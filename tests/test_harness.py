@@ -240,8 +240,8 @@ class TestMetricChunks:
         expected = [metrics_snapshot(snap, expected_rng, n_ref=n_ref) for snap in snaps]
         batches = []
         kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
-                            batches.append(len(stack)) or kernel(stack, degrees))
+        monkeypatch.setattr(metrics, "_hop_distances", lambda stack:
+                            batches.append(len(stack)) or kernel(stack))
         patch_stack_size(monkeypatch, n, chunk)
         rng = make_rng(7, 0, STREAM_METRICS)
         chunks = list(metric_chunks(iter(snaps), rng, n_ref))
@@ -630,6 +630,16 @@ class TestCli:
         code = main(["sweep", *argv, "--steps", "2", "--rounds", "1", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + cells
+
+    def test_null_only_n_sweep_may_exceed_g_squared(self, tmp_path):
+        # 200 agents on a 10x10 grid: only a range cell needs distinct tiles
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "null", "--vary", "n", "--values", "50,200",
+                     "--g", "10", "--p-connect", "0.1", "--no-small-world", "--steps", "2",
+                     "--rounds", "1", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["null", "50"], ["null", "200"]]
 
     @pytest.mark.parametrize("values,shown", [("nan", "nan"), ("4,17", "17.0")])
     def test_swept_n_error_names_the_swept_value(self, tmp_path, capsys, values, shown):

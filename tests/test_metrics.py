@@ -211,8 +211,8 @@ class TestOracleEquivalence:
     def test_snapshot_distances_computed_once(self, monkeypatch):
         batches = []
         kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
-                            batches.append(len(stack)) or kernel(stack, degrees))
+        monkeypatch.setattr(metrics, "_hop_distances", lambda stack:
+                            batches.append(len(stack)) or kernel(stack))
         g = snap(20, random_graph(20, np.random.default_rng(8), p=0.2))
         row = metrics_snapshot(g, make_rng(6, 0), n_ref=20)
         assert row.aspl > 0 and row.n_components >= 1
@@ -275,11 +275,6 @@ def kernel_graph(kind, n, rng):
     return adj | adj.T
 
 
-def hop_distances(stack):
-    """`metrics._hop_distances` of a stack, its degrees counted here."""
-    return metrics._hop_distances(stack, np.count_nonzero(stack, axis=2))
-
-
 class TestFusedKernel:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.sampled_from([5, 20, 127, 128, 200]), seed=st.integers(0, 2**32 - 1),
@@ -292,7 +287,7 @@ class TestFusedKernel:
                           label="kinds")
         rng = np.random.default_rng(seed)
         stack = np.stack([kernel_graph(kind, n, rng) for kind in kinds])
-        clustering, hops, pairs, reps = hop_distances(stack)
+        clustering, hops, pairs, reps = metrics._hop_distances(stack)
         expected = two_pass_kernel_oracle(stack)
         assert clustering.tolist() == expected[0].tolist()
         assert hops.tolist() == expected[1].tolist()
@@ -310,9 +305,9 @@ class TestFusedKernel:
         first, second = (np.stack([kernel_graph(kind, n, rng) for kind in
                                    itertools.islice(itertools.cycle(GRAPH_KINDS), b)])
                          for _ in range(2))
-        results = hop_distances(first)
+        results = metrics._hop_distances(first)
         kept = [values.tolist() for values in results]
-        again = hop_distances(second)
+        again = metrics._hop_distances(second)
         assert [values.tolist() for values in results] == kept
         assert [values.tolist() for values in again] == [
             values.tolist() for values in two_pass_kernel_oracle(second)]
@@ -325,17 +320,30 @@ class TestFusedKernel:
         stack = np.stack([kernel_graph(kind, n, rng) for kind in
                           itertools.islice(itertools.cycle(GRAPH_KINDS), largest)])
         metrics._kernel_buffers.cache_clear()
-        on_views = [metrics._dense_pass(stack[:b], np.count_nonzero(stack[:b], axis=2))
-                    for b in range(1, largest + 1)]
+        on_views = [metrics._dense_pass(stack[:b]) for b in range(1, largest + 1)]
         assert metrics._kernel_buffers.cache_info().currsize == 1
-        assert [len(work) for work in metrics._kernel_buffers(n)[:3]] == [largest] * 3
+        assert [len(work) for work in metrics._kernel_buffers(n)[:4]] == [largest] * 4
         for b, results in enumerate(on_views, start=1):
             # fresh arrays of exactly b graphs, filled with NaN
             monkeypatch.setattr(metrics, "_kernel_buffers", lambda n, b=b: (
-                *(np.full((b, n, n), np.nan, dtype=np.float32) for _ in range(3)),
+                *(np.full((b, n, n), np.nan, dtype=np.float32) for _ in range(4)),
                 np.ones(n * n, dtype=np.float32)))
-            fresh = metrics._dense_pass(stack[:b], np.count_nonzero(stack[:b], axis=2))
+            fresh = metrics._dense_pass(stack[:b])
             assert [values.tobytes() for values in results] == [values.tobytes() for values in fresh]
+
+    @pytest.mark.parametrize("n", [2, 3, 20])
+    def test_dense_pass_on_edgeless_partial_and_complete_graphs(self, n):
+        # one stack: no edges, a connected graph minus its isolated nodes
+        # (the last third, at least one), every edge
+        rng = np.random.default_rng(n)
+        partial = kernel_graph("connected", n, rng)
+        cut = np.arange(n - max(1, n // 3), n)
+        partial[cut] = partial[:, cut] = False
+        stack = np.stack([kernel_graph("edgeless", n, rng), partial,
+                          kernel_graph("complete", n, rng)])
+        results = metrics._dense_pass(stack)
+        assert [values.tolist() for values in results] == [
+            values.tolist() for values in two_pass_kernel_oracle(stack)]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.sampled_from([63, 64, 65, 127, 128, 129, 200]), kind=st.sampled_from(GRAPH_KINDS),
@@ -346,7 +354,7 @@ class TestFusedKernel:
         adj = kernel_graph(kind, n, rng)
         cut = rng.choice(n, size=isolated, replace=False)
         adj[cut] = adj[:, cut] = False
-        results = metrics._bitset_pass(adj, np.count_nonzero(adj, axis=1))
+        results = metrics._bitset_pass(adj)
         assert [values.tolist() for values in results] == [
             values.tolist() for values in two_pass_kernel_oracle(adj[None])]
 
@@ -358,7 +366,7 @@ class TestFusedKernel:
         for kind in GRAPH_KINDS:
             adj = kernel_graph(kind, 130, rng)
             adj[7] = adj[:, 7] = False
-            results = metrics._bitset_pass(adj, np.count_nonzero(adj, axis=1))
+            results = metrics._bitset_pass(adj)
             assert [values.tolist() for values in results] == [
                 values.tolist() for values in two_pass_kernel_oracle(adj[None])]
 
@@ -372,7 +380,7 @@ class TestFusedKernel:
         g = sample_gnm(n, m, make_rng(seed, 0))
         with pytest.MonkeyPatch.context() as patch:
             assert (self.products(patch, g) == 0) == (n >= 128 and not above)
-        results = hop_distances(g.adj[None])
+        results = metrics._hop_distances(g.adj[None])
         assert [values.tolist() for values in results] == [
             values.tolist() for values in two_pass_kernel_oracle(g.adj[None])]
 
@@ -454,7 +462,6 @@ def test_neighbor_lists_are_the_adjacency_rows(n, density, seed):
     lists = g.neighbor_lists
     assert lists == [np.flatnonzero(row).tolist() for row in g.adj]
     assert all(type(v) is int for nbrs in lists for v in nbrs)
-    assert g.degrees.tolist() == [len(nbrs) for nbrs in lists]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -693,8 +700,8 @@ class TestPairSets:
             assert metrics._floyd_batch_pays(block, complete, complete)
         measured = []
         kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances", lambda stack, degrees:
-                            measured.append(len(stack)) or kernel(stack, degrees))
+        monkeypatch.setattr(metrics, "_hop_distances", lambda stack:
+                            measured.append(len(stack)) or kernel(stack))
         a, b = same_streams(9, True)
         c_r, l_r = metrics._reference_means(n, edge_counts, n_ref, a)
         expected = reference_means_oracle(n, edge_counts, n_ref, b)
