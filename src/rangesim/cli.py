@@ -163,9 +163,12 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key:
 
 def _sim_config(args, model: ModelKind, vary: str | None = None) -> SimConfig:
     """The config the flags give; in a sweep, the swept parameter takes a
-    placeholder that passes its checks, since only the cells run."""
+    placeholder that passes its checks, since only the cells run. Outside
+    a sweep the parameter of the model that does not run is dropped."""
     n, g, r, p = args.n, args.g, args.r, args.p_connect
-    if vary in ("r", "p_connect"):
+    if vary is None:
+        r, p = (r, None) if model is ModelKind.RANGE else (None, p)
+    elif vary in ("r", "p_connect"):
         r, p = (0.0 if r is None else r), (0.0 if p is None else p)
     elif vary == "n":
         n = 1

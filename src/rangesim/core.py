@@ -1,13 +1,13 @@
-"""Domain types, seeded RNG streams, grid geometry, and population setup.
+"""Domain types and seeded RNG streams, shared by both network models.
 
-Shared by both network models. Coordinates are integers on a bounded
-g-by-g grid: both components live in [0, g-1], giving exactly g*g tiles.
+The range model's grid (its occupancy layout and population setup)
+belongs to `range_model`, the only module that reads it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -170,63 +170,3 @@ class SimConfig:
                 raise ConfigError("null model requires a connection probability p_connect")
             if not 0.0 <= self.p_connect <= 1.0:
                 raise ConfigError(f"p_connect must be in [0, 1], got {self.p_connect}")
-
-
-# Tile values of the padded occupancy grid besides agent indices.
-FREE = -1
-BORDER = -2
-
-
-@dataclass
-class WorldState:
-    """Agent positions on the grid.
-
-    The grid is stored with a one-tile BORDER frame, as a flat row-major
-    list of (g+2)*(g+2) ints: tile (x, y) is `grid[(x+1)*(g+2) + y+1]` and
-    holds the agent on it or FREE. `positions[agent]` is the flat index of
-    the agent's tile, and `grid` is kept its inverse on the occupied tiles:
-    no two agents ever share a tile.
-    """
-
-    g: int
-    grid: list[int] = field(repr=False)
-    positions: list[int]
-    # flat offsets of the Moore neighborhood and the tile itself, row-major
-    moore: tuple[int, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        width = self.g + 2
-        self.moore = tuple(dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-
-    @classmethod
-    def place(cls, g: int, coordinates) -> "WorldState":
-        """A world with agent i on tile coordinates[i]."""
-        width = g + 2
-        grid = [BORDER] * (width * width)
-        for x in range(1, g + 1):
-            grid[x * width + 1:x * width + g + 1] = [FREE] * g
-        positions = [(x + 1) * width + y + 1 for x, y in coordinates]
-        for agent, tile in enumerate(positions):
-            grid[tile] = agent
-        return cls(g=g, grid=grid, positions=positions)
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def coordinates(self) -> np.ndarray:
-        """(n, 2) int array of every agent's (x, y) tile."""
-        x, y = np.divmod(np.array(self.positions, dtype=np.int64), self.g + 2)
-        return np.stack([x - 1, y - 1], axis=1)
-
-
-def init_population(config: SimConfig, rng: RngStream) -> WorldState:
-    """Place N agents on distinct uniformly random tiles.
-
-    Placement shuffles the g*g tile indices and takes the first N, which
-    is uniform without replacement and consumes a fixed amount of
-    randomness.
-    """
-    g = config.g
-    tiles = rng.permutation(g * g)[:config.n].tolist()
-    return WorldState.place(g, [divmod(t, g) for t in tiles])

@@ -41,19 +41,17 @@ from .metrics import (
     NetworkSnapshot,
     metric_chunks,
 )
-from .null_model import null_stepper
-from .range_model import range_stepper
+from .null_model import null_snapshots
+from .range_model import range_snapshots
 
 
 def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
-    """Set up the configured model and yield the snapshot after each of
-    its `config.steps` timesteps, lazily: nothing runs until the first
-    snapshot is asked for, and the model stops when its caller does.
+    """The configured model's snapshot after each of its `config.steps`
+    timesteps, lazily: nothing runs until the first snapshot is asked
+    for, and the model stops when its caller does.
     """
-    stepper = range_stepper if config.model is ModelKind.RANGE else null_stepper
-    step = stepper(config, rng)
-    for _ in range(config.steps):
-        yield step()
+    model = range_snapshots if config.model is ModelKind.RANGE else null_snapshots
+    return islice(model(config, rng), config.steps)
 
 
 def round_rows(config: SimConfig, round_idx: int,
@@ -134,11 +132,12 @@ class SweepConfig:
         if not 0 <= self.burn_in < max(self.base.steps, 1):
             raise ConfigError(f"burn-in must lie in [0, steps) for steps={self.base.steps}, "
                               f"got {self.burn_in}")
-        # only a range cell needs N distinct tiles
+        # only a range cell needs N distinct tiles, only a null cell p = r/g <= 1
         ranged = self.paired or self.base.model is ModelKind.RANGE
+        nulled = self.paired or self.base.model is ModelKind.NULL
         most_n, named = (self.base.g ** 2, "g*g") if ranged else (math.inf, "inf")
         for v in self.values:
-            if self.vary == "r" and not 0 <= v <= self.base.g:
+            if self.vary == "r" and nulled and not 0 <= v <= self.base.g:
                 raise ConfigError(f"swept r must lie in [0, g], got {v}")
             if self.vary == "p_connect" and not 0 <= v <= 1:
                 raise ConfigError(f"swept p_connect must lie in [0, 1], got {v}")

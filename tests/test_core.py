@@ -6,17 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangesim import core
-from rangesim.core import (
-    FREE,
-    ConfigError,
-    ExactDraws,
-    ModelKind,
-    SimConfig,
-    WorldState,
-    init_population,
-    make_rng,
-)
-from rangesim.range_model import step_range
+from rangesim.core import ConfigError, ExactDraws, ModelKind, SimConfig, make_rng
+from rangesim.range_model import FREE, WorldState, init_population, step_range
 
 from oracles import agent_xy, edge_set
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rangesim import harness, metrics
+from rangesim import harness, metrics, null_model, range_model
 from rangesim.cli import main, parse_values
 from rangesim.core import STREAM_METRICS, STREAM_MODEL, ConfigError, ModelKind, SimConfig, make_rng
 from rangesim.diffusion import SIConfig, default_potion_config
@@ -61,18 +61,14 @@ def count_round_calls(monkeypatch, name, fail_at=None):
 def watch_steps(monkeypatch, before_step):
     """Call `before_step(k)` before the k-th range model step, k counting
     from 1 over every round run afterwards."""
-    real = harness.range_stepper
+    real = range_model.step_range
     count = itertools.count(1)
 
-    def stepper(config, rng):
-        step = real(config, rng)
+    def watched(*args):
+        before_step(next(count))
+        return real(*args)
 
-        def watched():
-            before_step(next(count))
-            return step()
-        return watched
-
-    monkeypatch.setattr(harness, "range_stepper", stepper)
+    monkeypatch.setattr(range_model, "step_range", watched)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
@@ -91,14 +87,15 @@ class TestRunModel:
 
     def test_each_snapshot_yielded_right_after_its_step(self, kind, monkeypatch):
         stepped = []
-        name = "range_stepper" if kind is ModelKind.RANGE else "null_stepper"
-        real = getattr(harness, name)
+        module, name = ((range_model, "step_range") if kind is ModelKind.RANGE
+                        else (null_model, "step_null"))
+        real = getattr(module, name)
 
-        def stepper(config, rng):
-            step = real(config, rng)
-            return lambda: stepped.append(len(stepped) + 1) or step()
+        def step(*args):
+            stepped.append(len(stepped) + 1)
+            return real(*args)
 
-        monkeypatch.setattr(harness, name, stepper)
+        monkeypatch.setattr(module, name, step)
         snaps = iter_model(model_config(kind, steps=3), make_rng(1, 0))
         assert stepped == []  # nothing runs until the first snapshot is asked for
         assert [list(stepped) for _ in snaps] == [[1], [1, 2], [1, 2, 3]]
@@ -312,7 +309,9 @@ class TestSweep:
 
     def test_invalid_sweep_values_rejected(self):
         with pytest.raises(ConfigError):
-            SweepConfig(base=range_config(), vary="r", values=(99.0,))
+            SweepConfig(base=range_config(), vary="r", values=(99.0,), paired=True)
+        with pytest.raises(ConfigError, match=r"swept r must lie in \[0, g\], got 99.0"):
+            SweepConfig(base=model_config(ModelKind.NULL), vary="r", values=(99.0,))
         with pytest.raises(ConfigError):
             SweepConfig(base=range_config(), vary="n", values=(0.0,))
         with pytest.raises(ConfigError):
@@ -564,6 +563,15 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize("model,shown", [("range", ["2", ""]), ("null", ["", "0.5"])])
+    def test_run_row_shows_only_its_model_parameter(self, tmp_path, model, shown):
+        out = tmp_path / "run.csv"
+        code = main(["run", "--model", model, "--r", "2", "--p-connect", "0.5", "--n", "6",
+                     "--g", "5", "--steps", "1", "--no-small-world", "--out", str(out)])
+        assert code == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[:5] == [model, "6", "5", *shown]
+
     def test_diffusion_command(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(["diffusion", "--process", "cultural", "--model", "null",
@@ -630,6 +638,17 @@ class TestCli:
         code = main(["sweep", *argv, "--steps", "2", "--rounds", "1", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + cells
+
+    def test_range_only_r_sweep_may_exceed_g(self, tmp_path):
+        # r = 12 > g = 10 still grows the range graph up to (g-1)*sqrt(2);
+        # only a null cell needs p = r/g <= 1
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--vary", "r", "--values", "12",
+                     "--n", "9", "--g", "10", "--steps", "2", "--rounds", "1",
+                     "--no-small-world", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["range", "9", "10", "12"]]
 
     def test_null_only_n_sweep_may_exceed_g_squared(self, tmp_path):
         # 200 agents on a 10x10 grid: only a range cell needs distinct tiles

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangesim.core import FREE, ExactDraws, ModelKind, SimConfig, init_population, make_rng
+from rangesim.core import ExactDraws, ModelKind, SimConfig, make_rng
 from rangesim.metrics import NetworkSnapshot
-from rangesim.range_model import max_sq_distance, range_links, step_range
+from rangesim.range_model import (
+    FREE,
+    init_population,
+    max_sq_distance,
+    range_links,
+    step_range,
+)
 
 from measures import average_clustering, run_model
 from oracles import RangeOracle, agent_xy, edge_set, in_range_links_oracle
