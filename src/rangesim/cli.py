@@ -69,7 +69,10 @@ def _add_common(parser: argparse.ArgumentParser, model_choices) -> None:
     parser.add_argument("--steps", type=int, default=100)
     parser.add_argument("--rounds", type=int, default=100)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="processes in all, the calling one included; the pool opens "
+                             "min(workers, rounds) - 1, counting a sweep's rounds over all "
+                             "its cells")
     parser.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
 
 

@@ -187,31 +187,49 @@ class SweepConfig:
 
 
 def _pool_task(fn: Callable, *args):
-    """`fn(*args)` in a pool worker. An iterator result (`round_rows`'
-    chunks) is collected into a list, so that it can be sent back whole."""
+    """`fn(*args)` as a pool task, in a pool worker or in the caller that
+    took it from the pool. An iterator result (`round_rows`' chunks) is
+    collected into a list, so that it can be sent back whole."""
     result = fn(*args)
     return list(result) if isinstance(result, Iterator) else result
 
 
 def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
-    """`map(fn, *iterables)`, on a pool of `workers` processes when above 1.
+    """`map(fn, *iterables)` on `workers` processes, the caller included.
 
-    The pool starts no more processes than there are tasks, and none for
-    a single task. Results come lazily and in input order, so a caller
-    can reduce or write each one as soon as it and every earlier one
-    have finished. `fn` is a round driver: `_round_averages`,
-    `round_rows` or `diffusion_round`. Serially an iterator result
-    (`round_rows`' chunks) is handed on unconsumed, so its items can be
-    written as they are made; a pool sends each one back as a list once
-    its task has finished.
+    A pool of min(workers, tasks) - 1 processes takes every task but the
+    first, which the caller runs at once. While the next result in input
+    order is not in, the caller runs the earliest task no pool process
+    has taken, if any. Results come lazily and in input order, so each
+    can be reduced or written once it and every earlier one are in. An
+    exception, or a consumer that stops reading, cancels every task not
+    yet started. `fn` is a round driver: `_round_averages`, `round_rows`
+    or `diffusion_round`. An iterator result (`round_rows`' chunks) of
+    the first task, or of any serial one, is handed on unconsumed, so
+    its items can be written as they are made; any other comes as a list.
     """
     tasks = list(zip(*iterables))
     workers = min(workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_pool_task, repeat(fn), *zip(*tasks))
-    else:
+    if workers < 2:
         yield from starmap(fn, tasks)
+        return
+    first, *rest = tasks
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(_pool_task, fn, *task) for task in rest]
+        ahead = {}  # results of the tasks the caller took from the pool
+        untried = 0  # every earlier future is taken, by the caller or the pool
+        try:
+            yield fn(*first)
+            for i, future in enumerate(futures):
+                while i not in ahead and not future.done() and untried < len(futures):
+                    # a future cancels only until a pool process takes it
+                    if futures[untried].cancel():
+                        ahead[untried] = _pool_task(fn, *rest[untried])
+                    untried += 1
+                yield ahead.pop(i) if i in ahead else future.result()
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 def _round_averages(config: SimConfig, round_idx: int, n_ref: int | None,

@@ -185,7 +185,7 @@ def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         hops += level * found
         pairs += found
     # a node's component label is its first reached column
-    return clustering, hops, pairs, np.argmin(unreached, axis=2)
+    return clustering, hops, pairs, np.argmax(unreached == 0, axis=2)
 
 
 # Words `_bitset_pass` gathers at once (at least one node's entries):

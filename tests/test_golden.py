@@ -26,7 +26,7 @@ The sweep cases beyond `sweep-paired` vary each other parameter: `g`
 (the grid side of the supplement's Fig. S1, from a complete graph at
 g = 3), `n` and `p` paired, where the null model takes p = r/g and the
 range model r = p*g, and `n` on the null model alone without the
-small-world index. They, and the `--workers 2` copy of `sweep-paired`,
+small-world index. They, and the `--workers` copies of `sweep-paired`,
 were recorded from commit a51c0ae, before `SweepConfig` resolved each
 cell only once.
 """
@@ -120,10 +120,12 @@ CASES = {
          "--steps", "8", "--rounds", "2", "--no-small-world", *SMALL],
         "bfd962aaecd4ffdae0a1bd96b99c19a71cb5e260b48e232f48ea92bbe4d39d80"),
 }
-# a worker pool must reproduce the serial bytes
+# a worker pool must reproduce the serial bytes: one process beside the
+# caller, and two (one for run-range, whose two rounds cap the pool)
 for _name in ("run-range", "diffusion-si", "sweep-paired"):
     _argv, _digest = CASES[_name]
-    CASES[f"{_name}-workers2"] = ([*_argv, "--workers", "2"], _digest)
+    for _workers in ("2", "3"):
+        CASES[f"{_name}-workers{_workers}"] = ([*_argv, "--workers", _workers], _digest)
 
 
 @pytest.mark.parametrize("name", list(CASES))

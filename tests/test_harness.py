@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -358,26 +359,77 @@ class TestSweep:
         assert abs(row_few.mean - row_many.mean) < 4 * se + 1e-9
 
 
+class InProcessFuture:
+    """A stand-in pool task: pending until the pool runs it, the caller
+    waits on it or anyone cancels it, which succeeds only while pending."""
+
+    def __init__(self, pool, fn, args):
+        self.pool, self.fn, self.args = pool, fn, args
+        self.state, self.value, self.error = "pending", None, None
+
+    def run(self):
+        self.state = "finished"
+        self.pool.record.ran.append(self.args[2])
+        try:
+            self.value = self.fn(*self.args)
+        except Exception as exc:  # kept for `result`, as a pool keeps it
+            self.error = exc
+
+    def cancel(self):
+        if self.state == "pending":
+            self.state = "cancelled"
+        return self.state == "cancelled"
+
+    def done(self):
+        if self.state == "pending":
+            self.pool.tick()
+        return self.state != "pending"
+
+    def result(self):
+        if self.state == "pending":
+            self.run()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class InProcessPool:
+    """Replaces the harness's process pool. It runs its earliest pending
+    task on every second `done` asked of a pending task, so that the
+    caller and the pool take turns. `record` collects the `max_workers`
+    of each pool opened (`sizes`), every task handed to a pool
+    (`futures`), and the round index, the task's second argument, of
+    each task handed to a pool (`submitted`) and run by one (`ran`)."""
+
+    def __init__(self, max_workers, record):
+        record.sizes.append(max_workers)
+        self.record, self.ticks = record, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.record.submitted.append(args[2])
+        self.record.futures.append(InProcessFuture(self, fn, args))
+        return self.record.futures[-1]
+
+    def tick(self):
+        self.ticks += 1
+        pending = [f for f in self.record.futures if f.state == "pending"]
+        if self.ticks % 2 == 0 and pending:
+            pending[0].run()
+
+
 def in_process_pool(monkeypatch):
-    """Replace the harness's process pool with an in-process stand-in;
-    returns the list of `max_workers` each pool was opened with."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    """Replace the harness's process pool with `InProcessPool`; returns
+    the record that every pool opened afterwards writes to."""
+    record = types.SimpleNamespace(sizes=[], submitted=[], ran=[], futures=[])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: InProcessPool(max_workers, record))
+    return record
 
 
 class TestWorkerPool:
@@ -385,33 +437,68 @@ class TestWorkerPool:
            "--steps", "4", "--n-ref", "2"]
 
     @pytest.mark.parametrize("rounds,workers,pools", [
-        (1, 64, []), (3, 64, [3]), (3, 2, [2])])
+        (1, 64, []), (3, 64, [2]), (3, 2, [1])])
     def test_run_opens_no_more_processes_than_rounds(self, rounds, workers, pools,
                                                      tmp_path, monkeypatch):
         argv = [*self.RUN, "--rounds", str(rounds)]
         serial = tmp_path / "serial.csv"
         assert main([*argv, "--out", str(serial)]) == 0
-        sizes = in_process_pool(monkeypatch)
+        pool = in_process_pool(monkeypatch)
         pooled = tmp_path / "pooled.csv"
         assert main([*argv, "--workers", str(workers), "--out", str(pooled)]) == 0
-        assert sizes == pools
+        assert pool.sizes == pools
         assert pooled.read_bytes() == serial.read_bytes()
 
     def test_sweep_pool_capped_by_its_rounds_over_all_cells(self, monkeypatch):
         sweep = SweepConfig(base=range_config(steps=3, rounds=2), vary="r",
                             values=(1.0, 2.0), paired=True, n_ref=FAST)
         serial = run_sweep(sweep)
-        sizes = in_process_pool(monkeypatch)
+        pool = in_process_pool(monkeypatch)
         assert run_sweep(sweep, workers=64) == serial
-        assert sizes == [8]  # 2 values x 2 models x 2 rounds
+        assert pool.sizes == [7]  # 2 values x 2 models x 2 rounds, less the caller
 
     def test_diffusion_pool_capped_by_its_rounds(self, monkeypatch):
         cfg = range_config(steps=5, rounds=2)
         process = SIConfig(p_infect=0.5)
         serial = list(run_diffusion_rounds(cfg, process))
-        sizes = in_process_pool(monkeypatch)
+        pool = in_process_pool(monkeypatch)
         assert list(run_diffusion_rounds(cfg, process, workers=64)) == serial
-        assert sizes == [2]
+        assert pool.sizes == [1]
+
+    def test_caller_runs_round_zero_and_takes_rounds_no_process_has(self, tmp_path,
+                                                                    monkeypatch):
+        argv = [*self.RUN, "--rounds", "5"]
+        serial = tmp_path / "serial.csv"
+        assert main([*argv, "--out", str(serial)]) == 0
+        calls = count_round_calls(monkeypatch, "round_rows")
+        pool = in_process_pool(monkeypatch)
+        pooled = tmp_path / "pooled.csv"
+        assert main([*argv, "--workers", "2", "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert pool.submitted == [1, 2, 3, 4]
+        # round 1 is pending when the caller first needs it, so the caller takes it
+        assert pool.ran == [2, 3, 4]
+        assert calls == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("fail_at", [None, 1, 2], ids=["stop", "caller-fails",
+                                                           "pool-fails"])
+    def test_early_exit_leaves_no_round_to_run(self, fail_at, monkeypatch):
+        # the first cell's rounds 0 and 1 run in the caller, round 2 in the pool
+        calls = count_round_calls(monkeypatch, "round_rows", fail_at=fail_at)
+        pool = in_process_pool(monkeypatch)
+        sweep = SweepConfig(base=range_config(steps=3, rounds=3), vary="r",
+                            values=(1.0, 2.0, 3.0), n_ref=FAST)
+        rows = iter_sweep(sweep, workers=2)
+        if fail_at is None:
+            assert next(rows).config.r == 1.0
+            rows.close()
+        else:
+            with pytest.raises(RuntimeError, match=f"round {fail_at} interrupted"):
+                next(rows)
+        assert calls == [0, 1, 2][:(fail_at or 2) + 1]
+        assert pool.ran == ([2] if fail_at != 1 else [])
+        assert len(pool.futures) == 8
+        assert not [f for f in pool.futures if f.state == "pending"]
 
 
 class TestCsvOutput:
