@@ -198,15 +198,17 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
     """`map(fn, *iterables)` on `workers` processes, the caller included.
 
     A pool of min(workers, tasks) - 1 processes takes every task but the
-    first, which the caller runs at once. While the next result in input
-    order is not in, the caller runs the earliest task no pool process
-    has taken, if any. Results come lazily and in input order, so each
-    can be reduced or written once it and every earlier one are in. An
-    exception, or a consumer that stops reading, cancels every task not
-    yet started. `fn` is a round driver: `_round_averages`, `round_rows`
-    or `diffusion_round`. An iterator result (`round_rows`' chunks) of
-    the first task, or of any serial one, is handed on unconsumed, so
-    its items can be written as they are made; any other comes as a list.
+    first, which the caller runs at once. Tasks are handed to the pool
+    lazily, 2 * workers past the later of the next result in input order
+    and the caller's frontier. While that result is not in, the caller
+    runs the earliest task no pool process has taken, if any. Results
+    come lazily and in input order, so each can be reduced or written
+    once it and every earlier one are in. An exception, or a consumer
+    that stops reading, cancels every task not yet started. `fn` is a
+    round driver: `_round_averages`, `round_rows` or `diffusion_round`.
+    An iterator result (`round_rows`' chunks) of the first task, or of
+    any serial one, is handed on unconsumed, so its items can be written
+    as they are made; any other comes as a list.
     """
     tasks = list(zip(*iterables))
     workers = min(workers, len(tasks))
@@ -215,20 +217,24 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
         return
     first, *rest = tasks
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        futures = [pool.submit(_pool_task, fn, *task) for task in rest]
+        futures = {}  # handed to the pool and not yet yielded
         ahead = {}  # results of the tasks the caller took from the pool
-        untried = 0  # every earlier future is taken, by the caller or the pool
+        untried = 0  # every earlier task is taken, by the caller or the pool
         try:
             yield fn(*first)
-            for i, future in enumerate(futures):
-                while i not in ahead and not future.done() and untried < len(futures):
+            for i in range(len(rest)):
+                untried = max(untried, i)
+                for j in range(i + len(futures), min(untried + 2 * workers, len(rest))):
+                    futures[j] = pool.submit(_pool_task, fn, *rest[j])
+                while i not in ahead and not futures[i].done() and untried < i + len(futures):
                     # a future cancels only until a pool process takes it
                     if futures[untried].cancel():
                         ahead[untried] = _pool_task(fn, *rest[untried])
                     untried += 1
+                future = futures.pop(i)
                 yield ahead.pop(i) if i in ahead else future.result()
         finally:
-            for future in futures:
+            for future in futures.values():
                 future.cancel()
 
 

@@ -107,30 +107,33 @@ def _csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat % len(adj), np.searchsorted(flat, np.arange(0, adj.size + 1, len(adj)))
 
 
-def _mean_clustering(closed: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Mean local clustering per graph, in float64, from (b, n) integer closed-pair
-    counts (each edge among a node's neighbors counted twice) and degrees."""
+def _graph_measures(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean clustering, ASPL, component count and largest component size
+    of each graph of a (b, n, n) stack, from one pass's counts.
+
+    A stack whose every graph `_bitsets_pay` for, edges counted only
+    where it can, takes `_bitset_pass` graph by graph, any other
+    `_dense_pass`. Both count in integers, so their counts are equal:
+    per node, closed pairs (each edge among its neighbors twice), degree
+    and component size (itself included); per graph, the hop sum over
+    ordered connected pairs and their count. Every division is made
+    here. Both hop counts are exact in float64 and twice the unordered
+    ones, so the rounded quotient is bit-identical to the mean over
+    unordered pairs. A component of s nodes adds s terms 1/s to the
+    count of components, so the float sum lies within n² 2^-53 of it
+    and rounds to it exactly.
+    """
+    n = stack.shape[1]
+    bitsets = _bitsets_pay(n, 0) and all(
+        _bitsets_pay(n, np.count_nonzero(adj) // 2) for adj in stack)
+    closed, degrees, hops, pairs, sizes = (
+        map(np.concatenate, zip(*map(_bitset_pass, stack))) if bitsets else _dense_pass(stack))
     k = degrees.astype(np.float64)
     possible = k * (k - 1.0)
     local = np.divide(closed, possible, out=np.zeros_like(possible), where=possible > 0)
-    return local.mean(axis=1)
-
-
-def _hop_distances(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clustering and hop counts of a (b, n, n) stack of graphs, in one pass.
-
-    Returns (clustering, hops, pairs, reps): per graph, the mean local
-    clustering, the hop sum over ordered connected pairs and their
-    count; per node, the lowest-indexed node it reaches (its component
-    label). A stack whose every graph `_bitsets_pay` for, edges counted
-    only where it can, takes `_bitset_pass` graph by graph, any other
-    `_dense_pass`; both count in integers, so their results are equal.
-    """
-    n = stack.shape[1]
-    if _bitsets_pay(n, 0) and all(_bitsets_pay(n, np.count_nonzero(adj) // 2) for adj in stack):
-        results = [_bitset_pass(adj) for adj in stack]
-        return tuple(np.concatenate(parts) for parts in zip(*results))
-    return _dense_pass(stack)
+    aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
+    components = np.rint((1.0 / sizes).sum(axis=1)).astype(np.int64)
+    return local.mean(axis=1), aspl, components, sizes.max(axis=1)
 
 
 def _bitsets_pay(n: int, m: int) -> bool:
@@ -146,15 +149,15 @@ def _bitsets_pay(n: int, m: int) -> bool:
     return n > _DENSE_MAX_NODES or (n >= 128 and 28 * m <= n * n)
 
 
-def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_hop_distances` by level-synchronous BFS on dense float32 products.
+def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_graph_measures`' counts by level-synchronous BFS on dense float32 products.
 
     BFS from every source of every graph at once, one float32
     `frontier @ A` product per level into reused buffers; the first,
     A @ A, also counts closed triangles, and the loop stops once no
-    graph can reach another pair. Degrees and pair counts are products
-    with ones; a level's new pairs are the minimum of its walk counts
-    and a 0/1 mask of the pairs not yet reached. Every count is an
+    graph can reach another pair. Degrees, pair counts and sizes are
+    products with ones; a level's new pairs are the minimum of its walk
+    counts and a 0/1 mask of the pairs not yet reached. Every count is an
     integer below 2^24 for n up to 4096, so float32 holds it exactly.
     A stack holds at most `_stack_size(n)` graphs, which the buffers fit.
     """
@@ -168,7 +171,6 @@ def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     # their buffer holds the frontier from level 2 on
     np.multiply(paths, a, out=frontier)
     closed = np.dot(frontier.reshape(b * n, n), ones[:n]).reshape(b, n)
-    clustering = _mean_clustering(closed, degrees)
     np.subtract(1, a, out=unreached)
     unreached.reshape(b, -1)[:, ::n + 1] = 0  # every node reaches itself
     found = np.dot(degrees, ones[:n]).astype(np.int64)
@@ -184,8 +186,8 @@ def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         found = np.dot(frontier.reshape(b, -1), ones).astype(np.int64)
         hops += level * found
         pairs += found
-    # a node's component label is its first reached column
-    return clustering, hops, pairs, np.argmax(unreached == 0, axis=2)
+    sizes = n - np.dot(unreached.reshape(b * n, n), ones[:n]).astype(np.int64).reshape(b, n)
+    return closed, degrees, hops, pairs, sizes
 
 
 # Words `_bitset_pass` gathers at once (at least one node's entries):
@@ -206,15 +208,16 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return (x * _H01) >> np.uint64(56)
 
 
-def _bitset_pass(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_hop_distances` of one graph by bit-parallel multi-source BFS.
+def _bitset_pass(adj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_dense_pass`' counts of one graph by bit-parallel multi-source BFS.
 
     Every node keeps the set of sources that have reached it as bits
     over ceil(n / 64) uint64 words (Then et al., PVLDB 8(4), 2014). A
     level gathers the frontier words of every neighbor entry in CSR
     order and ORs them per node with one `reduceat`; the new bits are
-    those not yet seen. Clustering counts the bits that the packed rows
-    at the two ends of each entry share. Entries are gathered in blocks
+    those not yet seen, and a node's component size is the count of the
+    bits it has seen. Closed pairs count the bits that the packed rows at
+    the two ends of each entry share. Entries are gathered in blocks
     of whole nodes of about `_GATHER_WORDS` words, so that memory stays
     bounded on dense graphs.
     """
@@ -242,7 +245,6 @@ def _bitset_pass(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     for nodes, neighbors, segments in blocks:
         shared = frontier.take(neighbors, axis=0) & frontier[nodes].repeat(entries[nodes], axis=0)
         closed[nodes] = np.add.reduceat(_popcount(shared).ravel(), segments * words)
-    clustering = _mean_clustering(closed[None], degrees[None])
     node = np.arange(n)
     unseen = ~frontier[:n]
     unseen[node, node // 64] ^= np.uint64(1) << (node % 64).astype(np.uint64)
@@ -262,24 +264,9 @@ def _bitset_pass(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         found = int(np.count_nonzero(np.unpackbits(new.view(np.uint8))))
         hops += level * found
         pairs += found
-    # the component label is the lowest set bit; every node sees itself
-    seen = ~unseen
-    first = np.argmax(seen != 0, axis=1)
-    word = seen[node, first]
-    reps = 64 * first + np.frexp((word & (~word + np.uint64(1))).astype(np.float64))[1] - 1
-    return clustering, np.array([hops]), np.array([pairs]), reps[None]
-
-
-def _clustering_and_paths(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean clustering, ASPL and component labels of each graph of a stack.
-
-    Each graph's ASPL is 0 when no pair is connected. Both hop counts
-    are exact integers in float64 and twice the unordered ones, so the
-    rounded quotient is bit-identical to the mean over unordered pairs.
-    """
-    clustering, hops, pairs, reps = _hop_distances(stack)
-    aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
-    return clustering, aspl, reps
+    # padding bits past node n - 1 stay set in `unseen`
+    sizes = _popcount(~unseen).sum(axis=1)
+    return closed[None], degrees[None], np.array([hops]), np.array([pairs]), sizes[None]
 
 
 @lru_cache(maxsize=None)
@@ -357,7 +344,7 @@ def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.nda
         count, most = len(list(group)), max(1, _RUN_DRAWS // (2 * m))
         runs += [(m, min(most, count - lo)) for lo in range(0, count, most)]
     refs = len(sizes)
-    chosen = np.zeros((refs, pairs + 1), dtype=bool)
+    chosen = np.zeros((refs, pairs), dtype=bool)
     # per Floyd step, the values drawn as flat indices into `chosen`, one
     # column per reference short of every pair: the longest first, so
     # that the active[step] references still stepping lead, and `fresh`
@@ -389,7 +376,7 @@ def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.nda
             drawn = outputs[:, :m].T.astype(np.uint64)
             drawn *= bound[:m, None]
             drawn >>= _SHIFT32
-            rows = (pairs + 1) * np.arange(first, first + count, dtype=np.intp)
+            rows = pairs * np.arange(first, first + count, dtype=np.intp)
             value[:m, columns[k]] = drawn
             value[:m, columns[k]] += rows
             fresh[columns[k]] = rows + (pairs - m)
@@ -401,7 +388,7 @@ def _floyd_pair_sets(pairs: int, sizes: Sequence[int], rng: RngStream) -> np.nda
         np.copyto(v, fresh[:width], where=flat[v])
         flat[v] = True
         fresh += 1
-    return chosen[:, :pairs]
+    return chosen
 
 
 def _gnm_pairs(n: int, sizes: Sequence[int], rng: RngStream) -> np.ndarray:
@@ -454,7 +441,7 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
         measured = [ref for ref in refs if edge_counts[ref // n_ref] != complete]
         for lo in range(0, len(measured), stack):
             adj = pair_adjacency(sets[[ref - first for ref in measured[lo:lo + stack]]], n)
-            c, l, _ = _clustering_and_paths(adj)
+            c, l, _, _ = _graph_measures(adj)
             for ref, c_ref, l_ref in zip(measured[lo:], c.tolist(), l.tolist()):
                 running = sums[ref // n_ref]
                 running[0] += c_ref
@@ -467,20 +454,16 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
 def _metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
                   n_ref: int | None) -> list[MetricsRow]:
     """`metric_chunks`' rows of one stack of snapshots."""
-    clustering, aspl, reps = _clustering_and_paths(np.stack([snap.adj for snap in snaps]))
-    b, n = reps.shape
-    # component sizes of every graph from one count over offset labels
-    sizes = np.bincount((reps + n * np.arange(b)[:, None]).ravel(),
-                        minlength=b * n).reshape(b, n)
-    clustering, aspl = clustering.tolist(), aspl.tolist()
-    index: list[float | None] = [None] * b
+    measures = _graph_measures(np.stack([snap.adj for snap in snaps]))
+    clustering, aspl, counts, largest = (values.tolist() for values in measures)
+    n = snaps[0].n
+    index: list[float | None] = [None] * len(snaps)
     if n_ref is not None:
         linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
         c_r, l_r = _reference_means(n, [snaps[k].edge_count for k in linked], n_ref, rng)
         for k, c, l in zip(linked, c_r.tolist(), l_r.tolist()):
             if c != 0.0 and l != 0.0 and aspl[k] != 0.0:
                 index[k] = (clustering[k] / c) / (aspl[k] / l)
-    counts, largest = np.count_nonzero(sizes, axis=1).tolist(), sizes.max(axis=1).tolist()
     return [MetricsRow(2.0 * snap.edge_count / n, *values)
             for snap, *values in zip(snaps, clustering, aspl, counts, largest, index)]
 

@@ -10,9 +10,10 @@ occupied tiles, the reference for the package's padded int grid. The
 and find neighbors with one `flatnonzero` per agent, the reference for
 the package's int-bitmask inventories and per-snapshot neighbor lists.
 `two_pass_kernel_oracle` is the batched metrics kernel as two separate
-passes, float64 clustering and a BFS that runs every level, the
+passes, float64 closed pairs and a BFS that runs every level, the
 reference for the package's single pass with its shared first product
-and early stop. `choice_oracle` is numpy's `choice` without replacement
+and early stop; `kernel_measures_oracle` divides its counts into the
+kernel's per-graph measures. `choice_oracle` is numpy's `choice` without replacement
 drawn one 32-bit output at a time, and `pair_sets_oracle` the loop of one
 `choice` call per reference graph: the references for the package's
 batched G(n, m) sampler.
@@ -133,18 +134,18 @@ def small_world_oracle(n, edges, reference_graphs):
 
 
 def two_pass_kernel_oracle(stack):
-    """(mean clustering, hop sums, pair counts, component labels) of a
-    (b, n, n) boolean stack, as `metrics._hop_distances` returns them.
+    """(closed pairs, degrees, hop sums, pair counts, component sizes) of
+    a (b, n, n) boolean stack, as `metrics._dense_pass` returns them: per
+    node, its closed pairs, degree and component size; per graph, the
+    hop sum and count of its ordered connected pairs.
 
-    Clustering takes its own float64 A @ A; the float32 BFS then runs
+    Closed pairs take their own float64 A @ A; the float32 BFS then runs
     until a level finds no new pair in any graph, so a connected graph
-    pays for one empty level.
+    pays for one empty level. A node's component size is the number of
+    nodes that share its label, the lowest-indexed node it reaches.
     """
     a = stack.astype(np.float64)
-    k = a.sum(axis=2)
     closed = (np.matmul(a, a) * a).sum(axis=2)
-    possible = k * (k - 1.0)
-    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
     n = stack.shape[1]
     adj = stack.astype(np.float32)
     frontier = adj.copy()
@@ -162,7 +163,22 @@ def two_pass_kernel_oracle(stack):
         hops += level * found
         pairs += found
         frontier = nxt.astype(np.float32)
-    return local.mean(axis=1), hops, pairs, np.argmin(unreached, axis=2)
+    labels = np.argmin(unreached, axis=2)
+    sizes = np.count_nonzero(labels[:, :, None] == labels[:, None, :], axis=2)
+    return closed, a.sum(axis=2), hops, pairs, sizes
+
+
+def kernel_measures_oracle(stack):
+    """(mean clustering, ASPL, component count, largest component size) of
+    each graph of a (b, n, n) boolean stack, as `metrics._graph_measures`
+    returns them: float64 quotients of `two_pass_kernel_oracle`'s counts,
+    and `components_oracle` for the components."""
+    closed, degrees, hops, pairs, _ = two_pass_kernel_oracle(stack)
+    possible = degrees * (degrees - 1.0)
+    local = np.divide(closed, possible, out=np.zeros_like(closed), where=possible > 0)
+    aspl = np.divide(hops, pairs, out=np.zeros(len(stack)), where=pairs > 0)
+    counts, largest = zip(*(components_oracle(len(adj), edge_set(adj)) for adj in stack))
+    return local.mean(axis=1), aspl, np.array(counts), np.array(largest)
 
 
 def in_range_links_oracle(positions, r):

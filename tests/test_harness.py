@@ -237,8 +237,8 @@ class TestMetricChunks:
         expected_rng = make_rng(7, 0, STREAM_METRICS)
         expected = [metrics_snapshot(snap, expected_rng, n_ref=n_ref) for snap in snaps]
         batches = []
-        kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances", lambda stack:
+        kernel = metrics._graph_measures
+        monkeypatch.setattr(metrics, "_graph_measures", lambda stack:
                             batches.append(len(stack)) or kernel(stack))
         patch_stack_size(monkeypatch, n, chunk)
         rng = make_rng(7, 0, STREAM_METRICS)
@@ -476,9 +476,31 @@ class TestWorkerPool:
         assert main([*argv, "--workers", "2", "--out", str(pooled)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
         assert pool.submitted == [1, 2, 3, 4]
-        # round 1 is pending when the caller first needs it, so the caller takes it
-        assert pool.ran == [2, 3, 4]
+        # rounds 1 and 3 are pending when the caller first needs them, so the caller takes them
+        assert pool.ran == [2, 4]
         assert calls == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_is_handed_two_tasks_per_process_ahead(self, workers, tmp_path, monkeypatch):
+        argv = [*self.RUN, "--rounds", "40"]
+        serial = tmp_path / "serial.csv"
+        assert main([*argv, "--out", str(serial)]) == 0
+        pool = in_process_pool(monkeypatch)
+        unyielded = []
+        map_rounds = harness._map_rounds
+
+        def watched(*args):
+            # when result k arrives, the futures of results 1 to k - 1 are yielded
+            for k, result in enumerate(map_rounds(*args)):
+                unyielded.append(len(pool.futures) - max(k - 1, 0))
+                yield result
+
+        monkeypatch.setattr(harness, "_map_rounds", watched)
+        pooled = tmp_path / "pooled.csv"
+        assert main([*argv, "--workers", str(workers), "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert pool.submitted == list(range(1, 40))
+        assert len(unyielded) == 40 and max(unyielded) == 2 * workers
 
     @pytest.mark.parametrize("fail_at", [None, 1, 2], ids=["stop", "caller-fails",
                                                            "pool-fails"])
@@ -497,7 +519,8 @@ class TestWorkerPool:
                 next(rows)
         assert calls == [0, 1, 2][:(fail_at or 2) + 1]
         assert pool.ran == ([2] if fail_at != 1 else [])
-        assert len(pool.futures) == 8
+        # rounds are handed to the pool four ahead: one more once round 1 is in
+        assert len(pool.futures) == (4 if fail_at == 1 else 5)
         assert not [f for f in pool.futures if f.state == "pending"]
 
 

@@ -32,6 +32,7 @@ from oracles import (
     components_oracle,
     degree_oracle,
     edge_set,
+    kernel_measures_oracle,
     pair_sets_oracle,
     random_graph,
     reference_means_oracle,
@@ -210,8 +211,8 @@ class TestOracleEquivalence:
 
     def test_snapshot_distances_computed_once(self, monkeypatch):
         batches = []
-        kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances", lambda stack:
+        kernel = metrics._graph_measures
+        monkeypatch.setattr(metrics, "_graph_measures", lambda stack:
                             batches.append(len(stack)) or kernel(stack))
         g = snap(20, random_graph(20, np.random.default_rng(8), p=0.2))
         row = metrics_snapshot(g, make_rng(6, 0), n_ref=20)
@@ -287,16 +288,16 @@ class TestFusedKernel:
                           label="kinds")
         rng = np.random.default_rng(seed)
         stack = np.stack([kernel_graph(kind, n, rng) for kind in kinds])
-        clustering, hops, pairs, reps = metrics._hop_distances(stack)
-        expected = two_pass_kernel_oracle(stack)
-        assert clustering.tolist() == expected[0].tolist()
-        assert hops.tolist() == expected[1].tolist()
-        assert pairs.tolist() == expected[2].tolist()
-        assert reps.tolist() == expected[3].tolist()
-        sizes = [np.unique(labels, return_counts=True)[1] for labels in expected[3]]
+        expected = [values.tolist() for values in two_pass_kernel_oracle(stack)]
+        assert [values.tolist() for values in metrics._dense_pass(stack)] == expected
+        bitsets = map(np.concatenate, zip(*map(metrics._bitset_pass, stack)))
+        assert [values.tolist() for values in bitsets] == expected
+        measures = metrics._graph_measures(stack)
+        assert [values.tolist() for values in measures] == [
+            values.tolist() for values in kernel_measures_oracle(stack)]
         assert [(row.n_components, row.largest_component) for rows in metrics.metric_chunks(
             [NetworkSnapshot(adj) for adj in stack], None, None) for row in rows] == [
-            (int(s.size), int(s.max())) for s in sizes]
+            components_oracle(n, edge_set(adj)) for adj in stack]
 
     @pytest.mark.parametrize("b,n", [(40, 20), (3, 5), (1, 200)])
     def test_results_survive_the_next_call_of_the_same_shape(self, b, n):
@@ -305,12 +306,12 @@ class TestFusedKernel:
         first, second = (np.stack([kernel_graph(kind, n, rng) for kind in
                                    itertools.islice(itertools.cycle(GRAPH_KINDS), b)])
                          for _ in range(2))
-        results = metrics._hop_distances(first)
+        results = metrics._graph_measures(first)
         kept = [values.tolist() for values in results]
-        again = metrics._hop_distances(second)
+        again = metrics._graph_measures(second)
         assert [values.tolist() for values in results] == kept
         assert [values.tolist() for values in again] == [
-            values.tolist() for values in two_pass_kernel_oracle(second)]
+            values.tolist() for values in kernel_measures_oracle(second)]
 
     def test_one_buffer_set_per_node_count(self, monkeypatch):
         # every stack size from 1 to the largest, each on [:b] views of the
@@ -380,9 +381,9 @@ class TestFusedKernel:
         g = sample_gnm(n, m, make_rng(seed, 0))
         with pytest.MonkeyPatch.context() as patch:
             assert (self.products(patch, g) == 0) == (n >= 128 and not above)
-        results = metrics._hop_distances(g.adj[None])
+        results = metrics._graph_measures(g.adj[None])
         assert [values.tolist() for values in results] == [
-            values.tolist() for values in two_pass_kernel_oracle(g.adj[None])]
+            values.tolist() for values in kernel_measures_oracle(g.adj[None])]
 
     def test_graph_above_4096_nodes_has_closed_form_measures(self):
         # a star with 4100 leaves, a triangle and two isolated nodes on
@@ -401,6 +402,31 @@ class TestFusedKernel:
         assert (row.n_components, row.largest_component) == (4, leaves + 1)
         assert row.clustering == 3 / n
         assert row.avg_degree == 2 * (leaves + 3) / n
+
+    @staticmethod
+    def cliques(sizes, isolated, rng):
+        """Disjoint cliques of the given sizes and isolated nodes, on
+        shuffled labels."""
+        order = rng.permutation(sum(sizes) + isolated)
+        adj = np.zeros((len(order), len(order)), dtype=bool)
+        for lo, size in zip(np.cumsum([0, *sizes]), sizes):
+            members = order[lo:lo + size]
+            adj[np.ix_(members, members)] = True
+        np.fill_diagonal(adj, False)
+        return adj
+
+    def test_components_whose_reciprocals_are_inexact(self):
+        # components of 3 and 7 nodes sum thirds and sevenths, which
+        # float64 rounds; the count must still come out exact
+        rng = np.random.default_rng(21)
+        dense = np.stack([self.cliques([3] * 7, 0, rng), self.cliques([7] * 3, 0, rng),
+                          self.cliques([3, 3, 7], 8, rng)])
+        _, _, counts, largest = metrics._graph_measures(dense)
+        assert (counts.tolist(), largest.tolist()) == ([7, 3, 11], [3, 7, 7])
+        # 4210 nodes: above 4096, so the bitset pass
+        big = self.cliques([3] * 1400, 10, rng)
+        _, _, counts, largest = metrics._graph_measures(big[None])
+        assert (counts.tolist(), largest.tolist()) == ([1410], [3])
 
     def test_graphs_above_4096_nodes_never_take_the_dense_pass(self):
         # its float32 pair counts are exact only while n(n - 1) < 2^24
@@ -699,8 +725,8 @@ class TestPairSets:
             monkeypatch.setattr(metrics, "_BLOCK_SLOTS", block * 2 * complete)
             assert metrics._floyd_batch_pays(block, complete, complete)
         measured = []
-        kernel = metrics._hop_distances
-        monkeypatch.setattr(metrics, "_hop_distances", lambda stack:
+        kernel = metrics._graph_measures
+        monkeypatch.setattr(metrics, "_graph_measures", lambda stack:
                             measured.append(len(stack)) or kernel(stack))
         a, b = same_streams(9, True)
         c_r, l_r = metrics._reference_means(n, edge_counts, n_ref, a)
