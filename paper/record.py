@@ -1,12 +1,11 @@
 """Run the paper's figure recipes at full size and record what they give.
 
-Usage: python3 paper/record.py [--emit PATH] [--workers K] [--only NAME ...]
+Usage: python3 paper/record.py [--emit PATH]
 
 Each `paper/fig_*.json` recipe runs as `rangesim sweep --config FILE
---workers K` (K = 2 by default) in a fresh interpreter, against the
-`src/` next to this directory. For each, the record holds the wall time
-of that process, the CSV's data row count and its sha256. The record
-also names the commit the recipes ran on, marked "-dirty" when the tree
+--workers 2` in a fresh interpreter, against the `src/` next to this
+directory. For each, the record holds the wall time of that process,
+the CSV's data row count and its sha256. The record also names the commit the recipes ran on, marked "-dirty" when the tree
 has uncommitted changes, since a hash taken on a dirty tree does not
 belong to that commit. The JSON goes to PATH, or to stdout.
 """
@@ -25,6 +24,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 RECIPES = ("fig_r", "fig_4_n", "fig_s1")
+WORKERS = 2
 CLI = "import sys; from rangesim.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -42,11 +42,11 @@ def git_commit() -> str:
     return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
-def run_recipe(name: str, workers: int, out_dir: str) -> dict:
+def run_recipe(name: str, out_dir: str) -> dict:
     out = os.path.join(out_dir, f"{name}.csv")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     argv = [sys.executable, "-c", CLI, "sweep", "--config", os.path.join(HERE, f"{name}.json"),
-            "--workers", str(workers), "--out", out]
+            "--workers", str(WORKERS), "--out", out]
     start = time.perf_counter()
     subprocess.run(argv, env=env, check=True)
     wall = time.perf_counter() - start
@@ -59,17 +59,14 @@ def run_recipe(name: str, workers: int, out_dir: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--emit", help="JSON output path (default stdout)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--only", nargs="+", choices=RECIPES, default=RECIPES)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as out_dir:
         runs = []
-        for name in args.only:
-            runs.append(run_recipe(name, args.workers, out_dir))
+        for name in RECIPES:
+            runs.append(run_recipe(name, out_dir))
             print(f"{name}: {runs[-1]}", file=sys.stderr)
-    record = {"command": f"python3 paper/record.py --workers {args.workers}",
-              "git_commit": git_commit(), "workers": args.workers,
-              "cpu_count": os.cpu_count(), "runs": runs}
+    record = {"command": "python3 paper/record.py", "git_commit": git_commit(),
+              "workers": WORKERS, "cpu_count": os.cpu_count(), "runs": runs}
     text = json.dumps(record, indent=2) + "\n"
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
