@@ -1,4 +1,4 @@
-"""Dynamic communication networks from ranged agents on a bounded grid.
+"""Dynamic communication networks from range-limited agents on a bounded grid.
 
 Agents move randomly on a g-by-g integer grid and hold undirected links
 to every agent within communication range; a dynamic non-spatial null

@@ -86,7 +86,7 @@ def _add_metrics_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangesim",
-        description="Dynamic network simulation: ranged agents on a grid vs a non-spatial null model.",
+        description="Dynamic networks of agents that link while in range, vs a non-spatial null model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -165,9 +165,9 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key:
 
 
 def _sim_config(args, model: ModelKind, vary: str | None = None) -> SimConfig:
-    """The config the flags give; in a sweep, the swept parameter takes a
-    placeholder that passes its checks, since only the cells run. Outside
-    a sweep the parameter of the model that does not run is dropped."""
+    """The config the flags give, as SimConfig checks it. In a sweep the
+    swept parameter takes a placeholder that passes those checks, since
+    only the cells run; outside one, the other model's parameter is dropped."""
     n, g, r, p = args.n, args.g, args.r, args.p_connect
     if vary is None:
         r, p = (r, None) if model is ModelKind.RANGE else (None, p)
@@ -177,10 +177,6 @@ def _sim_config(args, model: ModelKind, vary: str | None = None) -> SimConfig:
         n = 1
     elif vary == "g":
         g = n  # n <= g*g for any n >= 1
-    if model is ModelKind.RANGE and r is None:
-        raise ConfigError("--r is required for the range model")
-    if model is ModelKind.NULL and p is None:
-        raise ConfigError("--p-connect is required for the null model")
     return SimConfig(model=model, n=n, g=g, r=r, p_connect=p,
                      steps=args.steps, rounds=args.rounds, seed=args.seed)
 

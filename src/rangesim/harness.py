@@ -114,7 +114,8 @@ class SweepConfig:
     `vary` is one of "r", "n", "g", "p_connect". With paired=True every
     value runs both models, the null model taking p_connect = r/g so its
     connection probability mirrors the range model's. `n_ref` is as for
-    `round_rows`.
+    `round_rows`. Each cell is a SimConfig, checked as `run` checks one;
+    the first that fails names its swept value, before any round runs.
     """
 
     base: SimConfig
@@ -132,20 +133,6 @@ class SweepConfig:
         if not 0 <= self.burn_in < max(self.base.steps, 1):
             raise ConfigError(f"burn-in must lie in [0, steps) for steps={self.base.steps}, "
                               f"got {self.burn_in}")
-        # only a range cell needs N distinct tiles, only a null cell p = r/g <= 1
-        ranged = self.paired or self.base.model is ModelKind.RANGE
-        nulled = self.paired or self.base.model is ModelKind.NULL
-        most_n, named = (self.base.g ** 2, "g*g") if ranged else (math.inf, "inf")
-        for v in self.values:
-            if self.vary == "r" and nulled and not 0 <= v <= self.base.g:
-                raise ConfigError(f"swept r must lie in [0, g], got {v}")
-            if self.vary == "p_connect" and not 0 <= v <= 1:
-                raise ConfigError(f"swept p_connect must lie in [0, 1], got {v}")
-            whole = math.isfinite(v) and v == int(v)
-            if self.vary == "n" and not (whole and 1 <= v <= most_n):
-                raise ConfigError(f"swept N must be an integer in [1, {named}], got {v}")
-            if self.vary == "g" and not (whole and v >= 1):
-                raise ConfigError(f"swept g must be a positive integer, got {v}")
         self.cells  # every cell resolves, so a sweep fails before it writes anything
 
     @cached_property
@@ -158,9 +145,12 @@ class SweepConfig:
     def _resolve(self, model: ModelKind, value: float) -> tuple[SimConfig, str, float]:
         """One cell's concrete SimConfig, and the name and value of the
         parameter its model varies: r or p_connect as the model has it
-        when `vary` is either, else the swept value itself."""
+        when `vary` is either, else the swept value itself. A swept n or
+        g must be a whole number, which `int` alone would not check."""
         changes: dict = {"model": model}
         if self.vary in ("n", "g"):
+            if not (math.isfinite(value) and value == int(value)):
+                raise ConfigError(f"swept {self.vary} must be an integer, got {value}")
             changes[self.vary] = int(value)
         if model is ModelKind.RANGE:
             changes["p_connect"] = None
@@ -175,11 +165,12 @@ class SweepConfig:
             elif self.vary == "r":
                 changes["p_connect"] = float(value) / self.base.g
             elif self.base.p_connect is None:
-                if self.base.r is None:
-                    raise ConfigError("paired sweep needs r or p_connect on the base config")
                 # p_connect = r/g mirrors the range model's connection chance
                 changes["p_connect"] = self.base.r / changes.get("g", self.base.g)
-        config = replace(self.base, **changes)
+        try:
+            config = replace(self.base, **changes)
+        except ConfigError as exc:
+            raise ConfigError(f"swept {self.vary} = {value}: {exc}") from None
         if self.vary in ("r", "p_connect"):
             name = "r" if model is ModelKind.RANGE else "p_connect"
             return config, name, getattr(config, name)
@@ -288,8 +279,6 @@ def _fmt(value) -> str:
     """CSV field: empty for missing, 9 significant digits for floats."""
     if value is None:
         return ""
-    if isinstance(value, int):  # bools as 0 and 1
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)

@@ -289,7 +289,7 @@ def pair_adjacency(sets: np.ndarray, n: int) -> np.ndarray:
 
 
 # Reference graphs are drawn in blocks of at most this many slots (one
-# reference at least), a reference counting max(n_pairs + 1, 2 * the
+# stack at least), a reference counting max(n_pairs + 1, 2 * the
 # call's largest edge count): 326 to 652 references at n = 20. A Floyd
 # step costs a block a few µs whatever it holds, so blocks pay up to
 # where their memory shows; this bounds a block's Floyd values, pair
@@ -431,9 +431,8 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     complete = pairs if n >= 3 else -1
     total = len(edge_counts) * n_ref
     stack = _stack_size(n)
-    block = max(1, _BLOCK_SLOTS // max(pairs + 1, 2 * max(edge_counts, default=0)))
-    if block > stack:
-        block -= block % stack
+    block = max(stack, _BLOCK_SLOTS // max(pairs + 1, 2 * max(edge_counts, default=0))
+                // stack * stack)
     sums = [[float(n_ref)] * 2 if m == complete else [0.0, 0.0] for m in edge_counts]
     for first in range(0, total, block):
         refs = range(first, min(first + block, total))

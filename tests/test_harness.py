@@ -311,7 +311,7 @@ class TestSweep:
     def test_invalid_sweep_values_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(base=range_config(), vary="r", values=(99.0,), paired=True)
-        with pytest.raises(ConfigError, match=r"swept r must lie in \[0, g\], got 99.0"):
+        with pytest.raises(ConfigError, match=r"swept r = 99.0: p_connect must be in \[0, 1\]"):
             SweepConfig(base=model_config(ModelKind.NULL), vary="r", values=(99.0,))
         with pytest.raises(ConfigError):
             SweepConfig(base=range_config(), vary="n", values=(0.0,))
@@ -770,15 +770,47 @@ class TestCli:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[:2] for row in rows] == [["null", "50"], ["null", "200"]]
 
-    @pytest.mark.parametrize("values,shown", [("nan", "nan"), ("4,17", "17.0")])
+    @pytest.mark.parametrize("values,shown", [
+        pytest.param("nan", "swept n must be an integer, got nan", id="nan-nan"),
+        pytest.param("4,17", "swept n = 17.0: range model needs unique positions: "
+                             "N=17 exceeds g*g=16 tiles", id="4,17-17.0"),
+    ])
     def test_swept_n_error_names_the_swept_value(self, tmp_path, capsys, values, shown):
         # on a 4x4 grid; the default --n 20 never runs
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--model", "range", "--r", "1", "--vary", "n", "--values", values,
                      "--g", "4", "--steps", "2", "--rounds", "1", "--out", str(out)])
         assert code == 2
-        assert (f"swept N must be an integer in [1, g*g], got {shown}"
-                in capsys.readouterr().err)
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_only_p_sweep_may_exceed_one(self, tmp_path):
+        # p = 1.2 runs the range cell r = p*g = 12, as the r sweep above
+        # does; only a null cell needs p <= 1
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--vary", "p", "--values", "1.2",
+                     "--n", "9", "--g", "10", "--steps", "2", "--rounds", "1",
+                     "--no-small-world", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["range", "9", "10", "12"]]
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["--model", "null", "--vary", "r", "--values", "1,11"], "swept r = 11.0: p_connect"),
+        (["--model", "both", "--vary", "r", "--values", "1,11"], "swept r = 11.0: p_connect"),
+        (["--model", "null", "--vary", "p", "--values", "1.5"], "swept p_connect = 1.5: "),
+        (["--vary", "n", "--values", "16,17", "--g", "4"], "swept n = 17.0: range model"),
+        (["--vary", "n", "--values", "2.5"], "swept n must be an integer, got 2.5"),
+        (["--vary", "g", "--values", "0"], "swept g = 0.0: grid side"),
+        (["--vary", "g", "--values", "nan"], "swept g must be an integer, got nan"),
+    ], ids=["r-null", "r-paired", "p-null", "n-range", "n-fraction", "g-zero", "g-nan"])
+    def test_swept_value_a_run_rejects_is_config_error(self, tmp_path, capsys, argv, shown):
+        # each cell is checked as `run` checks it, before any file is made
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--model", "range", "--n", "6", "--r", "1", "--p-connect", "0.5",
+                     *argv, "--steps", "2", "--rounds", "1", "--out", str(out)])
+        assert code == 2
+        assert shown in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["range-count", "config-list"])

@@ -697,9 +697,10 @@ class TestPairSets:
     def test_blocks_cut_inside_a_snapshots_references(self, monkeypatch):
         n, edge_counts, n_ref = 20, [12, 40, 95, 3, 60], 13
         whole = metrics._reference_means(n, edge_counts, n_ref, make_rng(8))
-        # blocks of 40 references, which the batch pays for: the first
-        # ends inside the fourth snapshot's 13 references
+        # blocks of 40 references, two stacks of 20, which the batch pays
+        # for: the first ends inside the fourth snapshot's 13 references
         monkeypatch.setattr(metrics, "_BLOCK_SLOTS", 40 * 191)
+        patch_stack_size(monkeypatch, n, 20)
         assert metrics._floyd_batch_pays(40, max(edge_counts), 190)
         assert metrics._floyd_batch_pays(25, max(edge_counts[3:]), 190)
         a, b = make_rng(8), make_rng(8)
@@ -710,14 +711,16 @@ class TestPairSets:
         assert means == pytest.approx([x for pair in expected for x in pair], rel=1e-12)
         assert_same_stream(a, b)
 
-    @pytest.mark.parametrize("stack", ["reference", "chunk"])
-    @pytest.mark.parametrize("block", [None, 80])
+    # a block holds whole stacks: "reference" keeps the real stack of 163
+    # graphs, "chunk" and "half-chunk" patch stacks of 40 and 20
+    @pytest.mark.parametrize("block, stack", [(None, "reference"), (None, "chunk"),
+                                              (80, "chunk"), (80, "half-chunk")])
     def test_complete_snapshots_are_drawn_not_measured(self, stack, block, monkeypatch):
         n, n_ref, complete = 20, 30, 190
         edge_counts = [complete, 40, complete, 95, 60, complete, complete]
-        if stack == "chunk":
-            # stacks of 40 references, cut inside a snapshot's 30
-            patch_stack_size(monkeypatch, n, 40)
+        if stack != "reference":
+            # stacks cut inside a snapshot's 30 references
+            patch_stack_size(monkeypatch, n, {"chunk": 40, "half-chunk": 20}[stack])
         if block:
             # blocks of 80 references, a largest edge count taking 2 * 190
             # slots: the cuts at 80 and 160 fall inside the third and the
