@@ -1,4 +1,5 @@
-"""Four transmission processes over either model's snapshots.
+"""Four transmission processes over either model's snapshots, each an
+(n, n) symmetric boolean adjacency with a False diagonal.
 
 `run_process` runs one round of a process: it takes the snapshots one
 at a time, steps the agents on each, and stops taking them once the
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import ConfigError, ExactDraws, RngStream
-from .metrics import NetworkSnapshot
+from .metrics import neighbor_lists
 
 TRAIT_A = 0
 TRAIT_B = 1
@@ -212,20 +213,20 @@ class DiffusionTrajectory:
     crossover_time: int | None = None
 
 
-def _infect(snap: NetworkSnapshot, states: np.ndarray, p_eff,
+def _infect(adj: np.ndarray, states: np.ndarray, p_eff,
             rng: RngStream) -> np.ndarray:
     """The new infected mask after one trial per exposed agent (one with
     an infected neighbor before the step), in agent-index order.
     `p_eff` maps the exposed agents' infected-neighbor counts to their
     infection probabilities."""
-    counts = (snap.adj & states[None, :]).sum(axis=1)
+    counts = (adj & states[None, :]).sum(axis=1)
     exposed = np.flatnonzero(~states & (counts > 0))
     new = states.copy()
     new[exposed[rng.random(exposed.size) < p_eff(counts[exposed])]] = True
     return new
 
 
-def si_step(snap: NetworkSnapshot, states: np.ndarray, cfg: SIConfig,
+def si_step(adj: np.ndarray, states: np.ndarray, cfg: SIConfig,
             rng: RngStream) -> np.ndarray:
     """One synchronous SI update; returns the new infected mask.
 
@@ -235,22 +236,22 @@ def si_step(snap: NetworkSnapshot, states: np.ndarray, cfg: SIConfig,
     drawn per exposed agent, in agent-index order.
     """
     if cfg.exposure == "per_neighbor":
-        return _infect(snap, states, lambda k: 1.0 - (1.0 - cfg.p_infect) ** k, rng)
-    return _infect(snap, states, lambda k: cfg.p_infect, rng)
+        return _infect(adj, states, lambda k: 1.0 - (1.0 - cfg.p_infect) ** k, rng)
+    return _infect(adj, states, lambda k: cfg.p_infect, rng)
 
 
-def complex_contagion_step(snap: NetworkSnapshot, states: np.ndarray,
+def complex_contagion_step(adj: np.ndarray, states: np.ndarray,
                            cfg: ComplexContagionConfig, rng: RngStream) -> np.ndarray:
     """One synchronous complex-contagion update.
 
     An S-agent with k >= 1 infected neighbors (pre-step) is infected with
     probability clamp(p_base + (k/N) * w, 0, 1); one trial per agent.
     """
-    return _infect(snap, states,
-                   lambda k: np.clip(cfg.p_base + k / snap.n * cfg.w, 0.0, 1.0), rng)
+    return _infect(adj, states,
+                   lambda k: np.clip(cfg.p_base + k / len(adj) * cfg.w, 0.0, 1.0), rng)
 
 
-def cultural_step(snap: NetworkSnapshot, traits: np.ndarray, cfg: CulturalConfig,
+def cultural_step(adj: np.ndarray, traits: np.ndarray, cfg: CulturalConfig,
                   draws: ExactDraws) -> np.ndarray:
     """One synchronous cultural-transmission update.
 
@@ -261,7 +262,7 @@ def cultural_step(snap: NetworkSnapshot, traits: np.ndarray, cfg: CulturalConfig
     """
     new = traits.copy()
     old = traits.tolist()
-    for i, nbrs in enumerate(snap.neighbor_lists):
+    for i, nbrs in enumerate(neighbor_lists(adj)):
         if not nbrs:
             continue
         j = nbrs[draws.integers(len(nbrs))]
@@ -348,7 +349,7 @@ def try_combine(inv_i: int, inv_j: int, table: PotionTable, draws: ExactDraws) -
     return table.recipes.get(picked | rest)
 
 
-def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTable,
+def potion_step(adj: np.ndarray, inventories: list[int], table: PotionTable,
                 draws: ExactDraws) -> tuple[list[int], list[int]]:
     """One synchronous potion-task step.
 
@@ -360,11 +361,11 @@ def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTabl
     inventory masks and the bits of the products created this step, in
     creation order.
     """
-    neighbor_lists = snap.neighbor_lists
-    additions = [0] * snap.n
+    neighbors = neighbor_lists(adj)
+    additions = [0] * len(adj)
     created: list[int] = []
-    for i in draws.permutation(snap.n):
-        nbrs = neighbor_lists[i]
+    for i in draws.permutation(len(adj)):
+        nbrs = neighbors[i]
         if not nbrs:
             continue
         j = nbrs[draws.integers(len(nbrs))]
@@ -376,7 +377,7 @@ def potion_step(snap: NetworkSnapshot, inventories: list[int], table: PotionTabl
         additions[j] |= product
         if not inventories[i] & inventories[j] & product:
             for participant in (i, j):
-                for k in neighbor_lists[participant]:
+                for k in neighbors[participant]:
                     if draws.random() < table.p_diff:
                         additions[k] |= product
     return [inv | add for inv, add in zip(inventories, additions)], created
@@ -391,7 +392,7 @@ def check_population(cfg: ProcessConfig, n: int) -> None:
         raise ConfigError(f"n_init={cfg.n_init} exceeds population {n}")
 
 
-def _contagion(cfg: SIConfig | ComplexContagionConfig, snaps: Iterable[NetworkSnapshot],
+def _contagion(cfg: SIConfig | ComplexContagionConfig, snaps: Iterable[np.ndarray],
                n: int, rng: RngStream) -> Iterator[float]:
     """The infected fraction after each snapshot, from `n_init` agents."""
     check_population(cfg, n)
@@ -403,7 +404,7 @@ def _contagion(cfg: SIConfig | ComplexContagionConfig, snaps: Iterable[NetworkSn
         yield float(states.mean())
 
 
-def _cultural(cfg: CulturalConfig, snaps: Iterable[NetworkSnapshot], n: int,
+def _cultural(cfg: CulturalConfig, snaps: Iterable[np.ndarray], n: int,
               rng: RngStream) -> Iterator[float]:
     """The signed frequency (n_A - n_B)/N after each snapshot."""
     traits = np.full(n, TRAIT_B, dtype=np.int8)
@@ -414,7 +415,7 @@ def _cultural(cfg: CulturalConfig, snaps: Iterable[NetworkSnapshot], n: int,
         yield (2 * int((traits == TRAIT_A).sum()) - n) / n
 
 
-def _potion(cfg: PotionConfig, snaps: Iterable[NetworkSnapshot], n: int,
+def _potion(cfg: PotionConfig, snaps: Iterable[np.ndarray], n: int,
             rng: RngStream) -> DiffusionTrajectory:
     """The crossover-item holder fraction after every snapshot, and the
     timestep the crossover item was first made; the task never fixes."""
@@ -431,7 +432,7 @@ def _potion(cfg: PotionConfig, snaps: Iterable[NetworkSnapshot], n: int,
     return trajectory
 
 
-def run_process(cfg: ProcessConfig, snaps: Iterable[NetworkSnapshot], n: int,
+def run_process(cfg: ProcessConfig, snaps: Iterable[np.ndarray], n: int,
                 steps: int, rng: RngStream) -> DiffusionTrajectory:
     """Run a process over a round's snapshots of `n` agents.
 

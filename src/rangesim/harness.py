@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from itertools import count, islice, repeat, starmap
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     STREAM_DIFFUSION,
@@ -34,18 +35,12 @@ from .core import (
     make_rng,
 )
 from .diffusion import DiffusionTrajectory, ProcessConfig, check_population, run_process
-from .metrics import (
-    DEFAULT_N_REF,
-    METRIC_NAMES,
-    MetricsRow,
-    NetworkSnapshot,
-    metric_chunks,
-)
+from .metrics import DEFAULT_N_REF, METRIC_NAMES, MetricsRow, metric_chunks
 from .null_model import null_snapshots
 from .range_model import range_snapshots
 
 
-def iter_model(config: SimConfig, rng) -> Iterator[NetworkSnapshot]:
+def iter_model(config: SimConfig, rng) -> Iterator[np.ndarray]:
     """The configured model's snapshot after each of its `config.steps`
     timesteps, lazily: nothing runs until the first snapshot is asked
     for, and the model stops when its caller does.
@@ -114,8 +109,10 @@ class SweepConfig:
     `vary` is one of "r", "n", "g", "p_connect". With paired=True every
     value runs both models, the null model taking p_connect = r/g so its
     connection probability mirrors the range model's. `n_ref` is as for
-    `round_rows`. Each cell is a SimConfig, checked as `run` checks one;
-    the first that fails names its swept value, before any round runs.
+    `round_rows`. `cells` holds the (config, param_name, param_value) of
+    each (value, model) cell, in sweep order. Each is a SimConfig, checked
+    as `run` checks one; the first that fails names its swept value, when
+    the sweep is made, so that it fails before it writes anything.
     """
 
     base: SimConfig
@@ -124,6 +121,7 @@ class SweepConfig:
     paired: bool = False
     n_ref: int | None = DEFAULT_N_REF
     burn_in: int = 0
+    cells: list[tuple[SimConfig, str, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.vary not in ("r", "n", "g", "p_connect"):
@@ -133,14 +131,9 @@ class SweepConfig:
         if not 0 <= self.burn_in < max(self.base.steps, 1):
             raise ConfigError(f"burn-in must lie in [0, steps) for steps={self.base.steps}, "
                               f"got {self.burn_in}")
-        self.cells  # every cell resolves, so a sweep fails before it writes anything
-
-    @cached_property
-    def cells(self) -> list[tuple[SimConfig, str, float]]:
-        """(config, param_name, param_value) of each (value, model) cell,
-        in sweep order."""
         models = (ModelKind.RANGE, ModelKind.NULL) if self.paired else (self.base.model,)
-        return [self._resolve(model, value) for value in self.values for model in models]
+        object.__setattr__(self, "cells", [self._resolve(model, value)
+                                           for value in self.values for model in models])
 
     def _resolve(self, model: ModelKind, value: float) -> tuple[SimConfig, str, float]:
         """One cell's concrete SimConfig, and the name and value of the

@@ -1,4 +1,5 @@
-"""Per-timestep network measures on immutable graph snapshots.
+"""Per-timestep network measures on graph snapshots: each an (n, n)
+symmetric boolean adjacency with a False diagonal.
 
 Six measures per snapshot: average degree, average clustering, average
 shortest path length, number of connected components, size of the
@@ -9,7 +10,7 @@ random graphs. `metric_chunks` computes all six for a run of snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -18,38 +19,6 @@ import numpy as np
 from .core import RngStream
 
 DEFAULT_N_REF = 20
-
-
-@dataclass(frozen=True)
-class NetworkSnapshot:
-    """Simple undirected graph for one timestep.
-
-    Wraps a symmetric boolean adjacency matrix with a False diagonal.
-    Instances are read-only and cache their edge count and neighbor lists;
-    the measures come from `metric_chunks`.
-    """
-
-    adj: np.ndarray
-
-    def __post_init__(self) -> None:
-        adj = self.adj
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.dtype != np.bool_:
-            raise ValueError("adjacency must be a square boolean matrix")
-        adj.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.adj.shape[0]
-
-    @cached_property
-    def edge_count(self) -> int:
-        return np.count_nonzero(self.adj) // 2
-
-    @cached_property
-    def neighbor_lists(self) -> list[list[int]]:
-        """Each node's neighbors in ascending order, as Python ints."""
-        cols, bounds = (part.tolist() for part in _csr(self.adj))
-        return [cols[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -105,6 +74,12 @@ def _csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in ascending order, node after node, and the n + 1 bounds of their runs."""
     flat = np.flatnonzero(adj)
     return flat % len(adj), np.searchsorted(flat, np.arange(0, adj.size + 1, len(adj)))
+
+
+def neighbor_lists(adj: np.ndarray) -> list[list[int]]:
+    """Each node's neighbors in ascending order, as Python ints."""
+    cols, bounds = (part.tolist() for part in _csr(adj))
+    return [cols[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def _graph_measures(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -450,24 +425,26 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
     return means[:, 0], means[:, 1]
 
 
-def _metrics_rows(snaps: Sequence[NetworkSnapshot], rng: RngStream,
+def _metrics_rows(snaps: Sequence[np.ndarray], rng: RngStream,
                   n_ref: int | None) -> list[MetricsRow]:
     """`metric_chunks`' rows of one stack of snapshots."""
-    measures = _graph_measures(np.stack([snap.adj for snap in snaps]))
+    n = len(snaps[0])
+    # graph by graph: at n = 200 a count_nonzero with an axis takes 8 times as long
+    edges = [np.count_nonzero(adj) // 2 for adj in snaps]
+    measures = _graph_measures(np.stack(snaps))
     clustering, aspl, counts, largest = (values.tolist() for values in measures)
-    n = snaps[0].n
     index: list[float | None] = [None] * len(snaps)
     if n_ref is not None:
-        linked = [k for k, snap in enumerate(snaps) if snap.edge_count > 0]
-        c_r, l_r = _reference_means(n, [snaps[k].edge_count for k in linked], n_ref, rng)
+        linked = [k for k, m in enumerate(edges) if m > 0]
+        c_r, l_r = _reference_means(n, [edges[k] for k in linked], n_ref, rng)
         for k, c, l in zip(linked, c_r.tolist(), l_r.tolist()):
             if c != 0.0 and l != 0.0 and aspl[k] != 0.0:
                 index[k] = (clustering[k] / c) / (aspl[k] / l)
-    return [MetricsRow(2.0 * snap.edge_count / n, *values)
-            for snap, *values in zip(snaps, clustering, aspl, counts, largest, index)]
+    return [MetricsRow(2.0 * m / n, *values)
+            for m, *values in zip(edges, clustering, aspl, counts, largest, index)]
 
 
-def metric_chunks(snaps: Iterable[NetworkSnapshot], rng: RngStream,
+def metric_chunks(snaps: Iterable[np.ndarray], rng: RngStream,
                   n_ref: int | None) -> Iterator[list[MetricsRow]]:
     """All six measures of each of a run of same-size snapshots, in order:
     the rows of each stack of `_stack_size(n)` snapshots (the last may be
@@ -489,4 +466,4 @@ def metric_chunks(snaps: Iterable[NetworkSnapshot], rng: RngStream,
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
     snaps = iter(snaps)
     for first in snaps:
-        yield _metrics_rows([first, *islice(snaps, _stack_size(first.n) - 1)], rng, n_ref)
+        yield _metrics_rows([first, *islice(snaps, _stack_size(len(first)) - 1)], rng, n_ref)

@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import RngStream, SimConfig
-from .metrics import NetworkSnapshot, pair_adjacency
+from .metrics import pair_adjacency
 
 
 def step_null(links: np.ndarray, p_connect: float, rng: RngStream) -> np.ndarray:
@@ -28,11 +28,11 @@ def step_null(links: np.ndarray, p_connect: float, rng: RngStream) -> np.ndarray
     return np.where(links, u >= 1.0 - p_connect, u < p_connect)
 
 
-def null_snapshots(config: SimConfig, rng: RngStream) -> Iterator[NetworkSnapshot]:
-    """Start from an empty link set and yield the network after each
-    timestep, without end."""
+def null_snapshots(config: SimConfig, rng: RngStream) -> Iterator[np.ndarray]:
+    """Start from an empty link set and yield the network's adjacency
+    after each timestep, without end."""
     n = config.n
     links = np.zeros(n * (n - 1) // 2, dtype=bool)
     while True:
         links = step_null(links, config.p_connect, rng)
-        yield NetworkSnapshot(pair_adjacency(links[None], n)[0])
+        yield pair_adjacency(links[None], n)[0]

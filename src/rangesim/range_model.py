@@ -19,7 +19,6 @@ from typing import Iterator
 import numpy as np
 
 from .core import ExactDraws, RngStream, SimConfig
-from .metrics import NetworkSnapshot
 
 # Tile values of the padded occupancy grid besides agent indices.
 FREE = -1
@@ -93,7 +92,8 @@ def max_sq_distance(r: float, g: int) -> int:
 
 
 def range_links(coordinates: np.ndarray, d2_max: int) -> np.ndarray:
-    """Boolean link matrix over (n, 2) integer tile coordinates.
+    """The (n, n) symmetric boolean adjacency, with a False diagonal, of
+    agents at (n, 2) integer tile coordinates.
 
     Pair (i, j) is linked iff its squared distance is at most d2_max.
     """
@@ -110,8 +110,8 @@ def range_links(coordinates: np.ndarray, d2_max: int) -> np.ndarray:
     return linked
 
 
-def step_range(world: WorldState, config: SimConfig, draws: ExactDraws) -> NetworkSnapshot:
-    """Advance the world one timestep and return the resulting network.
+def step_range(world: WorldState, config: SimConfig, draws: ExactDraws) -> np.ndarray:
+    """Advance the world one timestep and return its network's adjacency.
 
     Movement is applied agent by agent in the drawn order, since occupancy
     makes move legality order-dependent. An agent's legal moves are its
@@ -132,13 +132,12 @@ def step_range(world: WorldState, config: SimConfig, draws: ExactDraws) -> Netwo
         target = moves[integers(len(moves))]
         grid[target] = agent
         positions[agent] = target
-    return NetworkSnapshot(range_links(world.coordinates(),
-                                       max_sq_distance(config.r, config.g)))
+    return range_links(world.coordinates(), max_sq_distance(config.r, config.g))
 
 
-def range_snapshots(config: SimConfig, rng: RngStream) -> Iterator[NetworkSnapshot]:
-    """Place a fresh population and yield the network after each
-    timestep, without end.
+def range_snapshots(config: SimConfig, rng: RngStream) -> Iterator[np.ndarray]:
+    """Place a fresh population and yield the network's adjacency after
+    each timestep, without end.
 
     After placement the stream's scalar draws are served by ExactDraws.
     """

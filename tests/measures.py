@@ -16,8 +16,7 @@ from functools import lru_cache
 
 from rangesim import metrics
 from rangesim.harness import iter_model, iter_sweep, round_rows
-from rangesim.metrics import (DEFAULT_N_REF, NetworkSnapshot, _gnm_pairs, metric_chunks,
-                              pair_adjacency)
+from rangesim.metrics import DEFAULT_N_REF, _gnm_pairs, metric_chunks, pair_adjacency
 
 
 def metrics_snapshot(snap, rng, n_ref=DEFAULT_N_REF):
@@ -70,7 +69,7 @@ def sample_gnm(n, m, rng):
     """One reference graph: a uniform simple graph with n nodes and m edges."""
     if m > n * (n - 1) // 2:
         raise ValueError(f"cannot place {m} edges on {n} nodes")
-    return NetworkSnapshot(pair_adjacency(_gnm_pairs(n, [m], rng), n)[0])
+    return pair_adjacency(_gnm_pairs(n, [m], rng), n)[0]
 
 
 def run_sweep(sweep, workers=1):

@@ -4,8 +4,9 @@ Everything here is deliberately brute force (triple enumeration,
 Floyd-Warshall over dicts, exhaustive labelling) and shares no code with
 the package's metric implementations. `edge_set` and `snapshot_from_edges`
 convert between the oracles' edge sets and the package's adjacency
-matrices. `RangeOracle` is the range model on (x, y) tuples and a dict of
-occupied tiles, the reference for the package's padded int grid. The
+matrices, and `edge_count` counts an adjacency's edges. `RangeOracle` is
+the range model on (x, y) tuples and a dict of occupied tiles, the
+reference for the package's padded int grid. The
 `*_oracle` diffusion steps hold potion inventories as sets of item names
 and find neighbors with one `flatnonzero` per agent, the reference for
 the package's int-bitmask inventories and per-snapshot neighbor lists.
@@ -25,8 +26,6 @@ import math
 
 import numpy as np
 
-from rangesim.metrics import NetworkSnapshot
-
 INF = math.inf
 
 
@@ -36,13 +35,18 @@ def edge_set(adj):
     return {(int(i), int(j)) for i, j in zip(iu, ju)}
 
 
+def edge_count(adj):
+    """Unordered linked pairs of a symmetric boolean matrix."""
+    return len(edge_set(adj))
+
+
 def snapshot_from_edges(n, edges):
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         if i == j:
             raise ValueError(f"self-link on node {i}")
         adj[i, j] = adj[j, i] = True
-    return NetworkSnapshot(adj)
+    return adj
 
 
 def adjacency_sets(n, edges):
@@ -330,12 +334,12 @@ def random_graph(n, rng, p=None):
     return edges
 
 
-def cultural_step_oracle(snap, traits, cfg, rng):
+def cultural_step_oracle(adj, traits, cfg, rng):
     """Cultural transmission, drawing as the package does: per agent with a
     neighbor, one bounded integer, then one uniform if the traits differ."""
     new = traits.copy()
-    for i in range(snap.n):
-        nbrs = np.flatnonzero(snap.adj[i])
+    for i in range(len(adj)):
+        nbrs = np.flatnonzero(adj[i])
         if nbrs.size == 0:
             continue
         j = int(nbrs[rng.integers(nbrs.size)])
@@ -384,13 +388,13 @@ def try_combine_oracle(inv_i, inv_j, cfg, rng):
     return recipes.get(frozenset(picks_i + picks_j))
 
 
-def potion_step_oracle(snap, inventories, cfg, rng):
+def potion_step_oracle(adj, inventories, cfg, rng):
     """One potion step on sets of names; (new inventories, created names)."""
-    additions = [set() for _ in range(snap.n)]
+    additions = [set() for _ in range(len(adj))]
     created = []
-    for agent in rng.permutation(snap.n):
+    for agent in rng.permutation(len(adj)):
         i = int(agent)
-        nbrs = np.flatnonzero(snap.adj[i])
+        nbrs = np.flatnonzero(adj[i])
         if nbrs.size == 0:
             continue
         j = int(nbrs[rng.integers(nbrs.size)])
@@ -402,7 +406,7 @@ def potion_step_oracle(snap, inventories, cfg, rng):
         additions[j].add(product)
         if product not in inventories[i] or product not in inventories[j]:
             for participant in (i, j):
-                for k in np.flatnonzero(snap.adj[participant]):
+                for k in np.flatnonzero(adj[participant]):
                     if rng.random() < cfg.p_diff:
                         additions[int(k)].add(product)
     return [inv | add for inv, add in zip(inventories, additions)], created

@@ -42,6 +42,7 @@ from oracles import (
     clustering_oracle,
     components_oracle,
     degree_oracle,
+    edge_count,
     edge_set,
     random_graph,
     small_world_oracle,
@@ -207,8 +208,8 @@ def test_08_metrics_oracle_equivalence():
         diffs.append(abs(row.aspl - aspl_oracle(n, edges)))
         value = small_world_index(g, make_rng(idx, 1), n_ref=5)
         refs_rng = make_rng(idx, 1)
-        refs = [sample_gnm(n, g.edge_count, refs_rng) for _ in range(5)]
-        expected = small_world_oracle(n, edges, [(s.n, edge_set(s.adj)) for s in refs])
+        refs = [sample_gnm(n, edge_count(g), refs_rng) for _ in range(5)]
+        expected = small_world_oracle(n, edges, [(len(s), edge_set(s)) for s in refs])
         if expected is None:
             assert value is None
         else:

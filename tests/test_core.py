@@ -66,7 +66,7 @@ class TestInitPopulation:
         world = init_population(cfg, rng)
         draws = ExactDraws(rng)
         assert len(world.positions) == 1
-        assert edge_set(step_range(world, cfg, draws).adj) == set()
+        assert edge_set(step_range(world, cfg, draws)) == set()
 
     def test_same_seed_same_positions(self):
         cfg = range_config(n=10, g=10, seed=77)

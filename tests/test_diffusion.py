@@ -336,11 +336,13 @@ class TestObservers:
         with pytest.raises(ConfigError):
             run_process(SIConfig(n_init=5), [snap(3, [])], 3, 1, make_rng(1, 0, 2))
 
-    def test_cultural_signed_frequency(self):
-        # 5 of 10 agents start with A, and nothing changes without links
-        traj = run_process(CulturalConfig(init_split=0.5), [snap(10, [])], 10, 1,
+    @pytest.mark.parametrize("n,frequency", [(10, 0.0), (5, -0.2), (7, 1 / 7)])
+    def test_cultural_signed_frequency(self, n, frequency):
+        # round(0.5 * n) agents start with A, halves rounding to even (2 of
+        # 5, 4 of 7), and nothing changes without links
+        traj = run_process(CulturalConfig(init_split=0.5), [snap(n, [])], n, 1,
                            make_rng(2, 0, 2))
-        assert traj.frequencies == [0.0]
+        assert traj.frequencies == [frequency]
 
     def test_fixation_stops_taking_snapshots(self):
         # an endless supply of complete graphs: the run returns only

@@ -22,9 +22,10 @@ from rangesim.harness import (
     write_timeseries_csv,
     write_trajectories_csv,
 )
-from rangesim.metrics import NetworkSnapshot, metric_chunks
+from rangesim.metrics import metric_chunks
 
 from measures import metrics_snapshot, patch_stack_size, round_metrics, run_model, run_sweep
+from oracles import edge_count
 
 
 def range_config(**kwargs):
@@ -74,6 +75,27 @@ def watch_steps(monkeypatch, before_step):
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
 class TestRunModel:
+    @pytest.mark.parametrize("case", ["single", "sparse", "complete"])
+    def test_yields_symmetric_bool_adjacency(self, kind, case):
+        # complete: r = (g - 1)·√2 spans the 6-by-6 grid, p_connect = 1 links every pair
+        key, sparse, complete = (("r", 1.0, 5 * math.sqrt(2)) if kind is ModelKind.RANGE
+                                 else ("p_connect", 0.1, 1.0))
+        changes = {"single": {"n": 1}, "sparse": {key: sparse}, "complete": {key: complete}}
+        cfg = model_config(kind, **changes[case])
+        snaps = list(iter_model(cfg, make_rng(cfg.seed, 0)))
+        assert len(snaps) == cfg.steps
+        for adj in snaps:
+            assert type(adj) is np.ndarray and adj.dtype == np.bool_
+            assert adj.shape == (cfg.n, cfg.n)
+            assert np.array_equal(adj, adj.T)
+            assert not adj.diagonal().any()
+        links = [np.count_nonzero(adj) // 2 for adj in snaps]
+        pairs = cfg.n * (cfg.n - 1) // 2
+        if case == "complete":
+            assert links == [pairs] * cfg.steps
+        elif case == "sparse":
+            assert 0 < max(links) and min(links) < pairs // 4
+
     def test_zero_steps_empty_trajectory(self, kind):
         seen = []
         run_model(model_config(kind, steps=0), make_rng(1, 0), [lambda t, s: seen.append(t)])
@@ -105,7 +127,7 @@ class TestRunModel:
         cfg = model_config(kind)
         runs = [[], []]
         for snaps in runs:
-            run_model(cfg, make_rng(cfg.seed, 4), [lambda t, s, out=snaps: out.append(s.adj)])
+            run_model(cfg, make_rng(cfg.seed, 4), [lambda t, s, out=snaps: out.append(s)])
         assert len(runs[0]) == cfg.steps
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
@@ -115,7 +137,7 @@ class TestRunModel:
         run_model(model_config(kind, n=1, steps=5), make_rng(1, 0),
                   [lambda t, s: snaps.append(s)])
         assert len(snaps) == 5
-        assert all(s.edge_count == 0 and s.n == 1 for s in snaps)
+        assert all(edge_count(s) == 0 and len(s) == 1 for s in snaps)
 
 
 class TestRunRound:
@@ -157,7 +179,7 @@ class TestRunRound:
         assert len(traj.frequencies) == 15
         measured, diffused, _ = seen
         assert 1 <= len(diffused) <= len(measured) == 15
-        assert all(np.array_equal(a.adj, b.adj) for a, b in zip(measured, diffused))
+        assert all(np.array_equal(a, b) for a, b in zip(measured, diffused))
         rng = make_rng(cfg.seed, 1, STREAM_METRICS)
         assert [row for chunk in metric_chunks(diffused, rng, FAST)
                 for row in chunk] == plain[:len(diffused)]
@@ -222,7 +244,7 @@ def snapshot_stream(n, steps, seed):
         edgeless = t < 2 or steps // 2 <= t < steps // 2 + 3 or t == steps - 1
         p = 0.0 if edgeless else rng.uniform(0.02, 0.5)
         upper = np.triu(rng.random((n, n)) < p, k=1)
-        snaps.append(NetworkSnapshot(upper | upper.T))
+        snaps.append(upper | upper.T)
     return snaps
 
 
@@ -254,9 +276,9 @@ class TestMetricChunks:
         cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)
         snaps = []
         run_model(cfg, make_rng(cfg.seed, 0, STREAM_MODEL),
-                  [lambda t, snap: snaps.append(snap.adj)])
+                  [lambda t, snap: snaps.append(snap)])
         rng = make_rng(cfg.seed, 0, STREAM_METRICS)
-        expected = [metrics_snapshot(NetworkSnapshot(adj), rng, n_ref=4) for adj in snaps]
+        expected = [metrics_snapshot(adj, rng, n_ref=4) for adj in snaps]
         assert round_metrics(cfg, 0, 4) == expected
 
 
@@ -856,7 +878,7 @@ class TestCli:
             assert not (tmp_path / "x.csv").exists()
         # `metric_chunks` raises at its first `next`, before it measures
         with pytest.raises(ValueError, match="n_ref=0"):
-            next(metric_chunks([NetworkSnapshot(np.zeros((2, 2), dtype=bool))],
+            next(metric_chunks([np.zeros((2, 2), dtype=bool)],
                                make_rng(0, 0), 0))
 
     def test_workers_below_one_is_config_error(self, tmp_path, capsys):

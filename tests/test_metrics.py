@@ -12,7 +12,6 @@ from rangesim import metrics
 from rangesim.cli import main
 from rangesim.core import ModelKind, SimConfig, make_rng
 from rangesim.harness import iter_model
-from rangesim.metrics import NetworkSnapshot
 from rangesim.range_model import max_sq_distance, range_links
 
 from measures import (
@@ -31,6 +30,7 @@ from oracles import (
     clustering_oracle,
     components_oracle,
     degree_oracle,
+    edge_count,
     edge_set,
     kernel_measures_oracle,
     pair_sets_oracle,
@@ -63,7 +63,7 @@ class TestWorkedExamples:
     def test_clustering_one_third_node(self):
         # hub 0 linked to 1,2,3 with only 1-2 closed: local coefficient 1/3
         g = snap(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        a = g.adj.astype(float)
+        a = g.astype(float)
         local_hub = ((a @ a) * a)[0].sum() / (3 * 2)
         assert local_hub == pytest.approx(1 / 3)
         assert average_clustering(g) == pytest.approx((1 / 3 + 1 + 1 + 0) / 4)
@@ -131,11 +131,11 @@ class TestMetricsSnapshot:
 
 def fw_reference(g):
     """(ASPL, components) from scipy Floyd-Warshall and connected_components."""
-    dist = shortest_path(g.adj.astype(np.float64), method="FW", directed=False)
-    pair_dists = dist[np.triu_indices(g.n, k=1)]
+    dist = shortest_path(g.astype(np.float64), method="FW", directed=False)
+    pair_dists = dist[np.triu_indices(len(g), k=1)]
     finite = pair_dists[np.isfinite(pair_dists)]
     aspl = float(finite.mean()) if finite.size else 0.0
-    count, labels = connected_components(csr_array(g.adj), directed=False)
+    count, labels = connected_components(csr_array(g), directed=False)
     return aspl, (int(count), int(np.bincount(labels).max()))
 
 
@@ -149,12 +149,12 @@ def kernel_cases(n, rng):
     graphs = []
     for r in (1.0, 1.5, 2.0, 3.0):
         tiles = rng.choice(g * g, size=n, replace=False)
-        graphs.append(NetworkSnapshot(range_links(
-            [(int(t // g), int(t % g)) for t in tiles], max_sq_distance(r, g))))
+        graphs.append(range_links(
+            [(int(t // g), int(t % g)) for t in tiles], max_sq_distance(r, g)))
     for mean_degree in (1, 2, 3.5, 4, 8):
         p = min(1.0, mean_degree / (n - 1))
         upper = np.triu(rng.random((n, n)) < p, k=1)
-        graphs.append(NetworkSnapshot(upper | upper.T))
+        graphs.append(upper | upper.T)
         m = int(mean_degree * n / 2)
         graphs.append(sample_gnm(n, m, make_rng(int(rng.integers(1 << 30)), 0)))
     graphs += [snap(n, []), path(n), complete(n)]
@@ -175,7 +175,7 @@ class TestOracleEquivalence:
     def test_single_node_and_edgeless(self):
         for g in (snap(1, []), snap(2, []), snap(150, [])):
             assert average_shortest_path_length(g) == 0.0
-            assert components(g) == (g.n, 1)
+            assert components(g) == (len(g), 1)
         assert fw_reference(snap(150, [])) == (0.0, (150, 1))
 
     def test_small_world_matches_sequential_loop(self):
@@ -186,7 +186,7 @@ class TestOracleEquivalence:
             refs_rng = make_rng(seed, 0)
             c_total = l_total = 0.0
             for _ in range(20):
-                ref = sample_gnm(20, g.edge_count, refs_rng)
+                ref = sample_gnm(20, edge_count(g), refs_rng)
                 c_total += average_clustering(ref)
                 l_total += fw_reference(ref)[0]
             c_r, l_r = c_total / 20, l_total / 20
@@ -240,8 +240,8 @@ class TestOracleEquivalence:
             g = snap(n, edges)
             value = small_world_index(g, make_rng(seed, 0), n_ref=5)
             refs_rng = make_rng(seed, 0)
-            refs = [sample_gnm(n, g.edge_count, refs_rng) for _ in range(5)]
-            expected = small_world_oracle(n, edges, [(r.n, edge_set(r.adj)) for r in refs])
+            refs = [sample_gnm(n, edge_count(g), refs_rng) for _ in range(5)]
+            expected = small_world_oracle(n, edges, [(len(r), edge_set(r)) for r in refs])
             if expected is None:
                 assert value is None
             else:
@@ -296,7 +296,7 @@ class TestFusedKernel:
         assert [values.tolist() for values in measures] == [
             values.tolist() for values in kernel_measures_oracle(stack)]
         assert [(row.n_components, row.largest_component) for rows in metrics.metric_chunks(
-            [NetworkSnapshot(adj) for adj in stack], None, None) for row in rows] == [
+            list(stack), None, None) for row in rows] == [
             components_oracle(n, edge_set(adj)) for adj in stack]
 
     @pytest.mark.parametrize("b,n", [(40, 20), (3, 5), (1, 200)])
@@ -381,9 +381,9 @@ class TestFusedKernel:
         g = sample_gnm(n, m, make_rng(seed, 0))
         with pytest.MonkeyPatch.context() as patch:
             assert (self.products(patch, g) == 0) == (n >= 128 and not above)
-        results = metrics._graph_measures(g.adj[None])
+        results = metrics._graph_measures(g[None])
         assert [values.tolist() for values in results] == [
-            values.tolist() for values in kernel_measures_oracle(g.adj[None])]
+            values.tolist() for values in kernel_measures_oracle(g[None])]
 
     def test_graph_above_4096_nodes_has_closed_form_measures(self):
         # a star with 4100 leaves, a triangle and two isolated nodes on
@@ -395,7 +395,7 @@ class TestFusedKernel:
         adj[hub, spokes] = adj[spokes, hub] = True
         for i, j in itertools.combinations(triangle, 2):
             adj[i, j] = adj[j, i] = True
-        row = metrics_snapshot(NetworkSnapshot(adj), make_rng(0, 0), n_ref=None)
+        row = metrics_snapshot(adj, make_rng(0, 0), n_ref=None)
         hops = 2 * leaves + 2 * leaves * (leaves - 1) + 6
         pairs = 2 * leaves + leaves * (leaves - 1) + 6
         assert row.aspl == hops / pairs
@@ -468,8 +468,8 @@ class TestFusedKernel:
 
 def networkx_graph(nx, g):
     graph = nx.Graph()
-    graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(edge_set(g.adj))
+    graph.add_nodes_from(range(len(g)))
+    graph.add_edges_from(edge_set(g))
     return graph
 
 
@@ -484,9 +484,9 @@ def networkx_aspl(nx, graph):
 @given(n=st.integers(1, 70), density=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
 def test_neighbor_lists_are_the_adjacency_rows(n, density, seed):
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
-    g = NetworkSnapshot(upper | upper.T)
-    lists = g.neighbor_lists
-    assert lists == [np.flatnonzero(row).tolist() for row in g.adj]
+    adj = upper | upper.T
+    lists = metrics.neighbor_lists(adj)
+    assert lists == [np.flatnonzero(row).tolist() for row in adj]
     assert all(type(v) is int for nbrs in lists for v in nbrs)
 
 
@@ -495,7 +495,7 @@ def test_neighbor_lists_are_the_adjacency_rows(n, density, seed):
 def test_random_graphs_match_networkx(n, density, seed):
     nx = pytest.importorskip("networkx")
     upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
-    g = NetworkSnapshot(upper | upper.T)
+    g = upper | upper.T
     row = metrics_snapshot(g, make_rng(seed, 0), n_ref=3)
     graph = networkx_graph(nx, g)
     c_g, l_g = nx.average_clustering(graph), networkx_aspl(nx, graph)
@@ -503,12 +503,12 @@ def test_random_graphs_match_networkx(n, density, seed):
     assert row.aspl == l_g  # both are exact integer sums over the same pairs
     sizes = [len(part) for part in nx.connected_components(graph)]
     assert (row.n_components, row.largest_component) == (len(sizes), max(sizes))
-    if g.edge_count == 0:
+    if edge_count(g) == 0:
         assert row.small_world is None
         return
     # the index by its direct formula, over the references the row drew
     refs_rng = make_rng(seed, 0)
-    refs = [networkx_graph(nx, sample_gnm(n, g.edge_count, refs_rng)) for _ in range(3)]
+    refs = [networkx_graph(nx, sample_gnm(n, edge_count(g), refs_rng)) for _ in range(3)]
     c_r = sum(nx.average_clustering(ref) for ref in refs) / 3
     l_r = sum(networkx_aspl(nx, ref) for ref in refs) / 3
     if c_r == 0.0 or l_r == 0.0 or l_g == 0.0:
@@ -523,7 +523,7 @@ class TestInvariants:
         for _ in range(50):
             n = int(rng.integers(1, 15))
             g = snap(n, random_graph(n, rng))
-            assert average_degree(g) == 2 * g.edge_count / n
+            assert average_degree(g) == 2 * edge_count(g) / n
 
     def test_clustering_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -553,7 +553,7 @@ class TestInvariants:
         for _ in range(50):
             n = int(rng.integers(1, 10))
             g = snap(n, random_graph(n, rng))
-            assert (components(g)[0] == n) == (g.edge_count == 0)
+            assert (components(g)[0] == n) == (edge_count(g) == 0)
 
     def test_row_bounds(self):
         rng = np.random.default_rng(14)
@@ -593,9 +593,9 @@ class TestSampleGnm:
         rng = make_rng(5, 0)
         for m in (0, 1, 5, 10):
             g = sample_gnm(6, m, rng)
-            assert g.edge_count == m
-            assert not g.adj.diagonal().any()
-            assert (g.adj == g.adj.T).all()
+            assert edge_count(g) == m
+            assert not g.diagonal().any()
+            assert (g == g.T).all()
 
     def test_too_many_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -606,15 +606,10 @@ class TestSampleGnm:
         counts = np.zeros((5, 5))
         trials = 3000
         for _ in range(trials):
-            counts += sample_gnm(5, 3, rng).adj
+            counts += sample_gnm(5, 3, rng)
         frequency = counts[np.triu_indices(5, k=1)] / trials
         # each of the 10 pairs should be present in 3/10 of samples
         assert np.all(np.abs(frequency - 0.3) < 0.05)
-
-    def test_snapshot_immutable(self):
-        g = sample_gnm(5, 4, make_rng(2, 0))
-        with pytest.raises(ValueError):
-            g.adj[0, 1] = True
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20])

@@ -62,5 +62,5 @@ def test_links_view_matches_snapshot():
     iu, ju = np.triu_indices(7, k=1)
     for _, snap in zip(range(5), null_snapshots(cfg, make_rng(2, 0))):
         links = step_null(links, 0.5, rng)
-        assert np.array_equal(snap.adj, pair_adjacency(links[None], 7)[0])
-        assert {(int(i), int(j)) for i, j in zip(iu[links], ju[links])} == edge_set(snap.adj)
+        assert np.array_equal(snap, pair_adjacency(links[None], 7)[0])
+        assert {(int(i), int(j)) for i, j in zip(iu[links], ju[links])} == edge_set(snap)

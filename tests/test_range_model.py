@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangesim.core import ExactDraws, ModelKind, SimConfig, make_rng
-from rangesim.metrics import NetworkSnapshot
 from rangesim.range_model import (
     FREE,
     init_population,
@@ -16,7 +15,7 @@ from rangesim.range_model import (
 )
 
 from measures import average_clustering, run_model
-from oracles import RangeOracle, agent_xy, edge_set, in_range_links_oracle
+from oracles import RangeOracle, agent_xy, edge_count, edge_set, in_range_links_oracle
 
 
 def config(**kwargs):
@@ -71,7 +70,7 @@ class TestRangeLinks:
             a = linked.astype(np.int64)
             assert linked.any()
             assert np.trace(a @ a @ a) == 0
-            assert average_clustering(NetworkSnapshot(linked)) == 0.0
+            assert average_clustering(linked) == 0.0
 
     def test_diagonal_range_closes_triangles(self):
         block = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -109,7 +108,7 @@ class TestStepRange:
             for _ in range(20):
                 snap = step_range(world, cfg, draws)
                 expected = in_range_links_oracle(agent_xy(world), cfg.r)
-                assert edge_set(snap.adj) == expected
+                assert edge_set(snap) == expected
 
     def test_chebyshev_displacement_at_most_one(self):
         cfg = config(n=20, g=7, r=2.0)
@@ -138,7 +137,7 @@ class TestStepRange:
         world = init_population(cfg, rng)
         draws = ExactDraws(rng)
         for _ in range(10):
-            assert step_range(world, cfg, draws).edge_count == 0
+            assert edge_count(step_range(world, cfg, draws)) == 0
 
     def test_complete_beyond_diagonal(self):
         g = 5
@@ -148,7 +147,7 @@ class TestStepRange:
         draws = ExactDraws(rng)
         for _ in range(10):
             snap = step_range(world, cfg, draws)
-            assert snap.edge_count == cfg.n * (cfg.n - 1) // 2
+            assert edge_count(snap) == cfg.n * (cfg.n - 1) // 2
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -169,7 +168,7 @@ def test_int_grid_matches_dict_reference(g, seed, steps, r, data):
         snap = step_range(world, cfg, draws)
         expected = reference.step()
         assert agent_xy(world) == reference.positions
-        assert edge_set(snap.adj) == expected
+        assert edge_set(snap) == expected
         # occupancy is a bijection between agents and occupied tiles
         held = {tile: agent for tile, agent in enumerate(world.grid) if agent >= 0}
         assert sorted(held.values()) == list(range(n))
@@ -201,17 +200,17 @@ class TestRunRange:
         world = init_population(cfg, rng)
         draws = ExactDraws(rng)
         snap = step_range(world, cfg, draws)
-        adj, positions = snap.adj.copy(), agent_xy(world)
+        adj, positions = snap.copy(), agent_xy(world)
         step_range(world, cfg, draws)
         assert agent_xy(world) != positions
-        assert np.array_equal(snap.adj, adj)
+        assert np.array_equal(snap, adj)
         assert edge_set(adj) == in_range_links_oracle(positions, cfg.r)
 
     def test_deterministic_trajectory(self):
         cfg = config(n=12, g=6, r=1.5, steps=12, seed=99)
         runs = [collect_snapshots(cfg, make_rng(cfg.seed, 4)) for _ in range(2)]
         for a, b in zip(*runs):
-            assert edge_set(a.adj) == edge_set(b.adj)
+            assert edge_set(a) == edge_set(b)
 
     def test_snapshot_count(self):
         snaps = collect_snapshots(config(steps=7), make_rng(1, 0))
