@@ -60,7 +60,8 @@ class ExactDraws:
     word's low half and then its high half, like PCG64's own 32-bit
     buffer; that buffer survives the `random()` calls in between. `permutation` puts
     the Generator back at the exact position, lets numpy shuffle, and
-    refills.
+    refills. `lend` hands a caller the unread words and the pending half
+    to parse the same way itself, and `settle` takes the position back.
     """
 
     def __init__(self, rng: RngStream):
@@ -78,6 +79,7 @@ class ExactDraws:
     def _fill(self) -> None:
         bits = self._rng.bit_generator
         self._state = bits.state  # where the block starts, for `permutation`
+        self._drawn = _DRAW_BLOCK  # words drawn since `_state`
         self._words = iter(bits.random_raw(_DRAW_BLOCK).tolist())
         self._next = self._words.__next__
 
@@ -115,13 +117,31 @@ class ExactDraws:
             word = self._word()
         return (word >> 11) * 2.0 ** -53
 
+    def lend(self, count: int) -> tuple[list[int], int | None]:
+        """The unread words, topped up to at least `count`, and the pending
+        32-bit half. The caller reads words in order and must hand the
+        position back with `settle` before any other call."""
+        self._lent = [*self._words]
+        short = count - len(self._lent)
+        if short > 0:
+            self._lent += self._rng.bit_generator.random_raw(short).tolist()
+            self._drawn += short
+        return self._lent, self._half
+
+    def settle(self, used: int, half: int | None) -> None:
+        """Take back a `lend`: its first `used` words were read, and `half`
+        is pending (None when no half is)."""
+        self._words = iter(self._lent[used:])
+        self._next = self._words.__next__
+        self._half = half
+
     def permutation(self, n: int) -> list[int]:
         """A shuffled `list(range(n))`, drawn by the Generator itself."""
         bits = self._rng.bit_generator
         half = self._half
         bits.state = {**self._state, "has_uint32": int(half is not None),
                       "uinteger": half or 0}
-        bits.random_raw(_DRAW_BLOCK - operator.length_hint(self._words))
+        bits.random_raw(self._drawn - operator.length_hint(self._words))
         order = self._rng.permutation(n).tolist()
         self._restart()
         return order

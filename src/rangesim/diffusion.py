@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import ConfigError, ExactDraws, RngStream
-from .metrics import neighbor_lists
+from .metrics import csr
 
 TRAIT_A = 0
 TRAIT_B = 1
@@ -132,8 +132,9 @@ class PotionConfig:
             if not (math.isfinite(score) and score >= 0):
                 raise ConfigError(f"score of {item!r} must be finite and non-negative, "
                                   f"got {score}")
-        # in `PotionTable`'s order, so that no pool's total overflows either
-        if not math.isfinite(sum(self.item_scores[item] for item in sorted(self.item_scores))):
+        # in `PotionTable`'s order, left to right, so that no pool's total overflows either
+        if not math.isfinite([*accumulate((self.item_scores[item] for item in
+                                           sorted(self.item_scores)), initial=0.0)][-1]):
             raise ConfigError("item scores must have a finite sum")
 
 
@@ -262,10 +263,11 @@ def cultural_step(adj: np.ndarray, traits: np.ndarray, cfg: CulturalConfig,
     """
     new = traits.copy()
     old = traits.tolist()
-    for i, nbrs in enumerate(neighbor_lists(adj)):
-        if not nbrs:
+    cols, bounds = (part.tolist() for part in csr(adj))
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        if start == end:
             continue
-        j = nbrs[draws.integers(len(nbrs))]
+        j = cols[start + draws.integers(end - start)]
         if old[j] == old[i]:
             continue
         if draws.random() < (cfg.p_a if old[j] == TRAIT_A else cfg.p_b):
@@ -291,62 +293,21 @@ class PotionTable:
         self.crossover = next(self.bit[rec.product] for rec in cfg.recipes if rec.tier == top)
         self.start = self.mask(cfg.starting_inventory)
         self.p_diff = cfg.p_diff
-        self._pools: dict[int, tuple[list[int], list[float], list[float], float]] = {}
+        self.pools: dict[int, tuple[list[int], list[float], list[float], float]] = {}
 
     def mask(self, items) -> int:
         """The mask of a collection of item names."""
         return sum(self.bit[item] for item in set(items))
 
-    def _pool(self, mask: int) -> tuple[list[int], list[float], list[float], float]:
+    def pool(self, mask: int) -> tuple[list[int], list[float], list[float], float]:
         """A mask's item bits, their scores, the running sums of the scores
-        (added left to right from 0.0, the last one replaced by infinity)
-        and their total (builtin `sum`)."""
-        items = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        weights = [self.scores[i] for i in items]
-        running = [*accumulate(weights[:-1], initial=0.0)][1:] + [math.inf]
-        pool = self._pools[mask] = ([1 << i for i in items], weights, running, sum(weights))
+        (the last one replaced by infinity) and their total, all added left
+        to right from 0.0."""
+        bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+        weights = [self.scores[bit.bit_length() - 1] for bit in bits]
+        sums = [*accumulate(weights, initial=0.0)]
+        pool = self.pools[mask] = (bits, weights, sums[1:-1] + [math.inf], sums[-1])
         return pool
-
-    def pick(self, mask: int, count: int, draws: ExactDraws) -> int | None:
-        """Mask of `count` (at least 1) distinct items of `mask`, drawn with
-        probability proportional to score; None when `mask` holds fewer.
-
-        One uniform per pick, scaled by the total, selects the first item
-        whose running sum exceeds it, or the last item if none does.
-        After each pick the total drops by the picked score.
-        """
-        pools = self._pools
-        bits, weights, running, total = pools.get(mask) or self._pool(mask)
-        if len(bits) < count:
-            return None
-        idx = bisect_right(running, draws.random() * total)
-        picked = bits[idx]
-        for _ in range(count - 1):
-            total -= weights[idx]
-            rest = mask ^ picked
-            bits, weights, running, _ = pools.get(rest) or self._pool(rest)
-            idx = bisect_right(running, draws.random() * total)
-            picked |= bits[idx]
-        return picked
-
-
-def try_combine(inv_i: int, inv_j: int, table: PotionTable, draws: ExactDraws) -> int | None:
-    """Draw a 3-item triple from two inventory masks and look it up.
-
-    A fair coin decides whether the first agent contributes 1 or 2 items;
-    the second contributes the remainder, excluding items already picked
-    so the triple is always distinct. Higher-scored items are more likely
-    to be chosen. Returns the product's bit, or None for an invalid
-    triple or when a contributor runs out of distinct items.
-    """
-    count_i = 1 + draws.integers(2)
-    picked = table.pick(inv_i, count_i, draws)
-    if picked is None:
-        return None
-    rest = table.pick(inv_j & ~picked, 3 - count_i, draws)
-    if rest is None:
-        return None
-    return table.recipes.get(picked | rest)
 
 
 def potion_step(adj: np.ndarray, inventories: list[int], table: PotionTable,
@@ -355,31 +316,104 @@ def potion_step(adj: np.ndarray, inventories: list[int], table: PotionTable,
 
     Agents are visited in a fresh random order; each with a neighbor
     picks one uniformly and attempts a combination against the pre-step
-    inventories. Products new to either participant are additionally
-    offered to each participant's neighbors with probability p_diff.
-    All additions land together at the end of the step. Returns the new
-    inventory masks and the bits of the products created this step, in
-    creation order.
+    inventories. A fair coin decides whether the agent gives 1 or 2
+    distinct items and the neighbor the rest, none already picked; the
+    attempt fails when either runs short. Each pick is weighted by score:
+    one uniform, scaled by the pool's total, selects the first item whose
+    running sum exceeds it (the last item if none does), and the total
+    then drops by the picked score. A recipe's product goes to both
+    participants and, when new to either, is offered to each one's
+    neighbors with probability p_diff. All additions land together at the
+    end of the step. Returns the new inventory masks and the bits of the
+    products created this step, in creation order.
+
+    The draws are those of `ExactDraws.integers` (neighbor, coin) and
+    `random` (picks, offers), parsed inline from a lent word buffer.
     """
-    neighbors = neighbor_lists(adj)
+    cols, bounds = csr(adj)
+    # words an attempt reads at most, Lemire rejections aside: two 32-bit
+    # draws, three picks and an offer to every neighbor of both participants
+    need = 5 + 2 * int(np.diff(bounds).max())
+    # words lent at a time: every attempt's draws but offers and rejections, and one more
+    ahead = need + 5 * len(adj)
+    cols, bounds = cols.tolist(), bounds.tolist()
+    pools, pool, recipes, p_diff = table.pools, table.pool, table.recipes, table.p_diff
     additions = [0] * len(adj)
     created: list[int] = []
-    for i in draws.permutation(len(adj)):
-        nbrs = neighbors[i]
-        if not nbrs:
+    order = draws.permutation(len(adj))
+    words, half = draws.lend(ahead)
+    pos, last = 0, len(words) - need
+    for i in order:
+        start = bounds[i]
+        deg = bounds[i + 1] - start
+        if not deg:
             continue
-        j = nbrs[draws.integers(len(nbrs))]
-        product = try_combine(inventories[i], inventories[j], table, draws)
+        while True:  # `integers(deg)`, after topping up the words
+            if pos > last:
+                draws.settle(pos, half)
+                words, half = draws.lend(ahead)
+                pos, last = 0, len(words) - need
+            if deg == 1:
+                j = cols[start]
+                break
+            if half is None:
+                word = words[pos]
+                pos += 1
+                m = (word & 0xFFFFFFFF) * deg
+                half = word >> 32
+            else:
+                m = half * deg
+                half = None
+            if m & 0xFFFFFFFF >= 0x100000000 % deg:  # else Lemire rejects the draw
+                j = cols[start + (m >> 32)]
+                break
+        if half is None:  # `integers(2)`, a 32-bit half's top bit: does the agent give two?
+            word = words[pos]
+            pos += 1
+            two = word >> 31 & 1
+            half = word >> 32
+        else:
+            two = half >> 31
+            half = None
+        inv_i = inventories[i]
+        bits, weights, running, total = pools.get(inv_i) or pool(inv_i)
+        if len(bits) <= two:
+            continue
+        idx = bisect_right(running, (words[pos] >> 11) * 2.0 ** -53 * total)
+        pos += 1
+        picked = bits[idx]
+        if two:
+            total -= weights[idx]
+            bits, weights, running, _ = pools.get(inv_i ^ picked) or pool(inv_i ^ picked)
+            idx = bisect_right(running, (words[pos] >> 11) * 2.0 ** -53 * total)
+            pos += 1
+            picked |= bits[idx]
+        rest = inventories[j] & ~picked
+        bits, weights, running, total = pools.get(rest) or pool(rest)
+        if len(bits) < 2 - two:
+            continue
+        idx = bisect_right(running, (words[pos] >> 11) * 2.0 ** -53 * total)
+        pos += 1
+        picked |= bits[idx]
+        if not two:
+            total -= weights[idx]
+            rest ^= bits[idx]
+            bits, weights, running, _ = pools.get(rest) or pool(rest)
+            idx = bisect_right(running, (words[pos] >> 11) * 2.0 ** -53 * total)
+            pos += 1
+            picked |= bits[idx]
+        product = recipes.get(picked)
         if product is None:
             continue
         created.append(product)
         additions[i] |= product
         additions[j] |= product
-        if not inventories[i] & inventories[j] & product:
-            for participant in (i, j):
-                for k in neighbors[participant]:
-                    if draws.random() < table.p_diff:
-                        additions[k] |= product
+        if not inv_i & inventories[j] & product:
+            for k in cols[start:start + deg] + cols[bounds[j]:bounds[j + 1]]:
+                if (words[pos] >> 11) * 2.0 ** -53 < p_diff:
+                    additions[k] |= product
+                pos += 1
+    draws.settle(pos, half)
     return [inv | add for inv, add in zip(inventories, additions)], created
 
 

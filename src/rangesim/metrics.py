@@ -69,17 +69,11 @@ def _kernel_buffers(n: int) -> tuple[np.ndarray, ...]:
             np.ones(n * n, dtype=np.float32))
 
 
-def _csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The compressed sparse row (CSR) form of an adjacency: each node's neighbors
     in ascending order, node after node, and the n + 1 bounds of their runs."""
     flat = np.flatnonzero(adj)
     return flat % len(adj), np.searchsorted(flat, np.arange(0, adj.size + 1, len(adj)))
-
-
-def neighbor_lists(adj: np.ndarray) -> list[list[int]]:
-    """Each node's neighbors in ascending order, as Python ints."""
-    cols, bounds = (part.tolist() for part in _csr(adj))
-    return [cols[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def _graph_measures(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -129,39 +123,50 @@ def _dense_pass(stack: np.ndarray) -> tuple[np.ndarray, ...]:
 
     BFS from every source of every graph at once, one float32
     `frontier @ A` product per level into reused buffers; the first,
-    A @ A, also counts closed triangles, and the loop stops once no
-    graph can reach another pair. Degrees, pair counts and sizes are
-    products with ones; a level's new pairs are the minimum of its walk
-    counts and a 0/1 mask of the pairs not yet reached. Every count is an
-    integer below 2^24 for n up to 4096, so float32 holds it exactly.
-    A stack holds at most `_stack_size(n)` graphs, which the buffers fit.
+    A @ A, also counts closed triangles and holds the degrees on its
+    diagonal, and the loop stops once no graph can reach another pair.
+    Closed pairs, pair counts and sizes are products with ones; a level's
+    new pairs are the minimum of its walk counts and a 0/1 mask of the
+    pairs not yet reached. Every count is an integer below 2^24 for n up
+    to 4096, so float32 holds it exactly. A stack holds at most
+    `_stack_size(n)` graphs, which the buffers fit.
+
+    OpenBLAS's gemv now and then flags "invalid value" on these finite
+    operands, with the right result: the flag is ignored, and a count that
+    is not a whole number in its range raises FloatingPointError.
     """
     b, n = stack.shape[:2]
     *work, ones = _kernel_buffers(n)
     a, paths, frontier, unreached = (array[:b] for array in work)
     np.copyto(a, stack)
-    degrees = np.dot(a.reshape(b * n, n), ones[:n]).reshape(b, n)
-    np.matmul(a, a, out=paths)
-    # (A² ∘ A) row sums count each edge among a node's neighbors twice;
-    # their buffer holds the frontier from level 2 on
-    np.multiply(paths, a, out=frontier)
-    closed = np.dot(frontier.reshape(b * n, n), ones[:n]).reshape(b, n)
-    np.subtract(1, a, out=unreached)
-    unreached.reshape(b, -1)[:, ::n + 1] = 0  # every node reaches itself
-    found = np.dot(degrees, ones[:n]).astype(np.int64)
-    hops, pairs = found.copy(), found.copy()
-    level = 1
-    # a graph is done once a level finds nothing or no pair is left unreached
-    while np.any((found > 0) & (pairs < n * (n - 1))):
-        if level > 1:
-            np.matmul(frontier, a, out=paths)
-        level += 1
-        np.minimum(paths, unreached, out=frontier)
-        unreached -= frontier
-        found = np.dot(frontier.reshape(b, -1), ones).astype(np.int64)
-        hops += level * found
-        pairs += found
-    sizes = n - np.dot(unreached.reshape(b * n, n), ones[:n]).astype(np.int64).reshape(b, n)
+    with np.errstate(invalid="ignore"):
+        np.matmul(a, a, out=paths)
+        degrees = paths.diagonal(axis1=1, axis2=2).copy()
+        # (A² ∘ A) row sums count each edge among a node's neighbors twice;
+        # their buffer holds the frontier from level 2 on
+        np.multiply(paths, a, out=frontier)
+        closed = np.dot(frontier.reshape(b * n, n), ones[:n]).reshape(b, n)
+        np.subtract(1, a, out=unreached)
+        unreached.reshape(b, -1)[:, ::n + 1] = 0  # every node reaches itself
+        found = np.dot(degrees, ones[:n]).astype(np.int64)
+        hops, pairs = found.copy(), found.copy()
+        level = 1
+        # a graph is done once a level finds nothing or no pair is left unreached
+        while np.any((found > 0) & (pairs < n * (n - 1))):
+            if level > 1:
+                np.matmul(frontier, a, out=paths)
+            level += 1
+            np.minimum(paths, unreached, out=frontier)
+            unreached -= frontier
+            found = np.dot(frontier.reshape(b, -1), ones).astype(np.int64)
+            hops += level * found
+            pairs += found
+        sizes = n - np.dot(unreached.reshape(b * n, n), ones[:n]).astype(np.int64).reshape(b, n)
+        # NaN fails every comparison; the int64 counts are whole by their type
+        for counts, high in ((degrees, n - 1), (closed, n * n), (pairs, n * (n - 1)), (sizes, n)):
+            if not (counts.min() >= 0 and counts.max() <= high
+                    and (counts.dtype == np.int64 or np.array_equal(np.rint(counts), counts))):
+                raise FloatingPointError("a kernel count is not a whole number in its range")
     return closed, degrees, hops, pairs, sizes
 
 
@@ -198,7 +203,7 @@ def _bitset_pass(adj: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     n = len(adj)
     words = -(-n // 64)
-    cols, bounds = _csr(adj)
+    cols, bounds = csr(adj)
     degrees = np.diff(bounds)
     if not degrees.all():
         # an isolated node's one entry is node n, whose row stays zero: no empty segment

@@ -17,7 +17,9 @@ and early stop; `kernel_measures_oracle` divides its counts into the
 kernel's per-graph measures. `choice_oracle` is numpy's `choice` without replacement
 drawn one 32-bit output at a time, and `pair_sets_oracle` the loop of one
 `choice` call per reference graph: the references for the package's
-batched G(n, m) sampler.
+batched G(n, m) sampler. `ScriptedWords` serves crafted 64-bit words both
+to the package's potion step and to the oracles, as a stand-in for a
+PCG64 stream.
 """
 
 from __future__ import annotations
@@ -358,7 +360,9 @@ def weighted_pick_oracle(items, count, scores, rng):
         return None
     pool = sorted(items)
     weights = [scores[item] for item in pool]
-    total = sum(weights)
+    total = 0.0
+    for weight in weights:  # left to right: builtin `sum` compensates from Python 3.12
+        total += weight
     picked = []
     for _ in range(count):
         u = rng.random() * total
@@ -410,3 +414,62 @@ def potion_step_oracle(adj, inventories, cfg, rng):
                     if rng.random() < cfg.p_diff:
                         additions[int(k)].add(product)
     return [inv | add for inv, add in zip(inventories, additions)], created
+
+
+class ScriptedWords:
+    """Crafted 64-bit words in place of a PCG64 stream, then `FILL` words.
+
+    Serves `potion_step` (`permutation`, `lend`, `settle`) and the name-set
+    oracles (`permutation`, `integers`, `random`) alike. `permutation`
+    returns the given order, or the identity, and reads no word.
+    `random()` is a word's top 53 bits times 2^-53; `integers` is numpy's
+    Lemire draw on 32-bit halves, low half first, rejections included.
+    A `FILL` word reads as the largest value below 1, or the largest
+    legal integer.
+    """
+
+    FILL = 2**64 - 1
+
+    def __init__(self, words=(), order=None):
+        self.words, self.order = list(words), order
+        self.pos, self.half = 0, None
+
+    def _word(self):
+        word = self.words[self.pos] if self.pos < len(self.words) else self.FILL
+        self.pos += 1
+        return word
+
+    def permutation(self, n):
+        return list(range(n) if self.order is None else self.order)
+
+    def random(self):
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, low, high=None):
+        low, high = (0, low) if high is None else (low, high)
+        k = high - low
+        while k > 1:
+            if self.half is None:
+                word = self._word()
+                half, self.half = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, self.half = self.half, None
+            if half * k % 2**32 >= 2**32 % k:
+                return low + (half * k >> 32)
+        return low
+
+    def lend(self, count):
+        return self.words[self.pos:] + [self.FILL] * count, self.half
+
+    def settle(self, used, half):
+        self.pos, self.half = self.pos + used, half
+
+
+def uniform_word(u):
+    """The word that `random()` reads as u, a multiple of 2^-53 in [0, 1)."""
+    return int(u * 2**53) << 11
+
+
+def halves_word(low, high):
+    """The word whose 32-bit halves `integers` reads as low, then high."""
+    return high << 32 | low

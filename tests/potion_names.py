@@ -22,20 +22,6 @@ def _name(table, bit):
     return name
 
 
-def weighted_pick(items, count, cfg, draws):
-    """`PotionTable.pick` on names; the picked names in sorted order, or None."""
-    table = PotionTable(cfg)
-    picked = table.pick(table.mask(items), count, draws)
-    return None if picked is None else sorted(names(table, picked))
-
-
-def try_combine(inv_i, inv_j, cfg, draws):
-    """`diffusion.try_combine` on sets of names; the product name or None."""
-    table = PotionTable(cfg)
-    product = diffusion.try_combine(table.mask(inv_i), table.mask(inv_j), table, draws)
-    return None if product is None else _name(table, product)
-
-
 def potion_step(snap, inventories, cfg, draws):
     """`diffusion.potion_step` on sets of names; (inventories, created names)."""
     table = PotionTable(cfg)

@@ -9,7 +9,7 @@ from rangesim import core
 from rangesim.core import ConfigError, ExactDraws, ModelKind, SimConfig, make_rng
 from rangesim.range_model import FREE, WorldState, init_population, step_range
 
-from oracles import agent_xy, edge_set
+from oracles import ScriptedWords, agent_xy, edge_set
 
 
 def range_config(**kwargs):
@@ -172,9 +172,40 @@ class TestRngStreams:
 # method rejects about one 32-bit draw in four and the retry path runs
 BOUNDS = st.one_of(st.just(1), st.integers(2, 9), st.integers(3 * 2**30 - 4, 3 * 2**30 + 4),
                    st.integers(1, 2**32 - 1))
+# a lend: the words asked for (past a block of 3, a top-up) and the draws
+# parsed from them, k for `integers(k)` and None for `random()`
+LENDS = st.tuples(st.integers(0, 300), st.lists(st.one_of(st.none(), BOUNDS), max_size=40))
 DRAWS = st.one_of(st.tuples(st.just("integers"), BOUNDS), st.tuples(st.just("one-two"), st.none()),
                   st.tuples(st.just("random"), st.none()),
-                  st.tuples(st.just("permutation"), st.integers(0, 40)))
+                  st.tuples(st.just("permutation"), st.integers(0, 40)),
+                  st.tuples(st.just("lend"), LENDS))
+
+
+def parse_lent(words, half, draws):
+    """`random()` (None) and `integers(k)` draws parsed from lent words as
+    numpy makes them, as far as the words go: the values, the words read
+    and the half left pending."""
+    stream, values = ScriptedWords(words), []
+    stream.half = half
+    for k in draws:
+        before = stream.pos, stream.half
+        value = stream.random() if k is None else stream.integers(k)
+        if stream.pos > len(words):  # the words ran out mid-draw: it is not made
+            stream.pos, stream.half = before
+            break
+        values.append(value)
+    return values, stream.pos, stream.half
+
+
+def lend_and_check(draws, plain, count, parsed):
+    """Lend `count` words, parse `parsed` from them, settle, and check the
+    values against the plain Generator's."""
+    words, half = draws.lend(count)
+    assert len(words) >= count
+    values, used, half = parse_lent(words, half, parsed)
+    assert values == [plain.random() if k is None else plain.integers(k)
+                      for k in parsed[:len(values)]]
+    draws.settle(used, half)
 
 
 class TestExactDraws:
@@ -195,10 +226,26 @@ class TestExactDraws:
                     assert 1 + draws.integers(2) == plain.integers(1, 3)
                 elif call == "random":
                     assert draws.random() == plain.random()
+                elif call == "lend":
+                    lend_and_check(draws, plain, *arg)
                 else:
                     assert draws.permutation(arg) == plain.permutation(arg).tolist()
             assert draws.integers(3) == plain.integers(3)
             assert draws.random() == plain.random()
+
+    def test_lend_tops_up_and_hands_over_the_half(self):
+        wrapped, plain = make_rng(3), make_rng(3)
+        with mock.patch.object(core, "_DRAW_BLOCK", 3):
+            draws = ExactDraws(wrapped)
+            assert draws.integers(7) == plain.integers(7)  # a high half is pending
+            # 2 words left of the block and 8 more; 3 read, a high half left
+            lend_and_check(draws, plain, 10, [None, 5, None, 9])
+            words, half = draws.lend(0)
+            assert half is not None and len(words) == 7
+            draws.settle(0, half)
+            lend_and_check(draws, plain, 50, [None] * 30 + [3])
+            assert draws.permutation(9) == plain.permutation(9).tolist()
+            assert draws.integers(2**31 + 5) == plain.integers(2**31 + 5)
 
     def test_rejections_redraw(self):
         draws, plain = ExactDraws(make_rng(5)), make_rng(5)

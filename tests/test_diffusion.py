@@ -2,7 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 import pytest
@@ -32,14 +32,17 @@ from rangesim.harness import iter_model
 
 from measures import run_model
 from oracles import (
+    ScriptedWords,
     cultural_step_oracle,
+    halves_word,
     potion_step_oracle,
     random_graph,
     snapshot_from_edges,
     try_combine_oracle,
+    uniform_word,
     weighted_pick_oracle,
 )
-from potion_names import names, potion_step, try_combine, weighted_pick
+from potion_names import names, potion_step
 
 
 def snap(n, edges):
@@ -237,34 +240,45 @@ class TestCultural:
             assert traits[2] == TRAIT_B
 
 
+def combine(inv_i, inv_j, cfg, draws):
+    """The products of one `potion_step` on two linked agents holding
+    `inv_i` and `inv_j`: each makes one combination attempt."""
+    return potion_step(snap(2, [(0, 1)]), [set(inv_i), set(inv_j)], cfg, draws)[1]
+
+
 class TestTryCombine:
+    """Combination attempts, made by `potion_step` on a linked pair."""
+
     def test_known_recipe_triple(self):
         cfg = default_potion_config()
         inv = {"a1", "a3", "b2"}
         # both sides hold exactly the recipe items: every split yields the triple
         for seed in range(50):
-            assert try_combine(set(inv), set(inv), cfg, ExactDraws(make_rng(seed, 0))) == "B1"
+            assert combine(inv, inv, cfg, ExactDraws(make_rng(seed, 0))) == ["B1", "B1"]
 
     def test_invalid_triple_gives_nothing(self):
         cfg = default_potion_config()
         inv = {"a1", "a2", "a3"}
         for seed in range(50):
-            assert try_combine(set(inv), set(inv), cfg, ExactDraws(make_rng(seed, 0))) is None
+            assert combine(inv, inv, cfg, ExactDraws(make_rng(seed, 0))) == []
 
     def test_insufficient_distinct_items(self):
         cfg = default_potion_config()
         for seed in range(20):
-            assert try_combine({"a1"}, {"a1"}, cfg, ExactDraws(make_rng(seed, 0))) is None
+            assert combine({"a1"}, {"a1"}, cfg, ExactDraws(make_rng(seed, 0))) == []
 
     def test_higher_scores_picked_more_often(self):
-        cfg = default_potion_config()
-        inv = ["A3", "a1"]  # scores 64 and 1
+        # an attempt makes X or Y when the pair gives one of x, y (scores 64
+        # and 1) and both of p, q; which one follows the weighted pick
+        cfg = PotionConfig(recipes=(Recipe(frozenset("ypq"), "Y", 1, 4.0),
+                                    Recipe(frozenset("xpq"), "X", 2, 16.0)),
+                           starting_inventory=("x", "y", "p", "q"),
+                           item_scores={"x": 64.0, "y": 1.0, "p": 1.0, "q": 1.0,
+                                        "X": 16.0, "Y": 4.0})
         draws = ExactDraws(make_rng(7, 0))
-        trials = 2000
-        a3_picked = sum(weighted_pick(inv, 1, cfg, draws) == ["A3"]
-                        for _ in range(trials))
-        share = a3_picked / trials  # expected 64/65
-        assert abs(share - 64 / 65) < 3 * np.sqrt((64 / 65) * (1 / 65) / trials)
+        made = [product for _ in range(2000) for product in combine("xy", "pq", cfg, draws)]
+        share = made.count("X") / len(made)  # expected 64/65
+        assert abs(share - 64 / 65) < 3 * np.sqrt((64 / 65) * (1 / 65) / len(made))
 
 
 class TestPotionStep:
@@ -471,26 +485,23 @@ def test_cultural_step_matches_oracle(n, density, p_a, p_b, seed, data):
     assert draws.random() == rng_theirs.random()
 
 
-ALMOST_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+ALMOST_ONE = 1.0 - 2.0 ** -53  # the largest double below 1, a `FILL` word's `random()`
+
+SCORES = {"a": 0.1, "b": 0.7, "c": 0.2, "d": 1.0}
+ABCD = PotionConfig(recipes=(Recipe(frozenset("abc"), "P", 1, 5.5),
+                             Recipe(frozenset("bcd"), "Q", 2, 22.0)),
+                    starting_inventory=("a", "b", "c", "d"),
+                    item_scores={**SCORES, "P": 5.5, "Q": 22.0})
 
 
-class ScriptedRng:
-    """Returns the given uniforms, then ALMOST_ONE; integers are the
-    largest legal value."""
-
-    def __init__(self, *uniforms):
-        self.uniforms = list(uniforms)
-
-    def random(self):
-        return self.uniforms.pop(0) if self.uniforms else ALMOST_ONE
-
-    def integers(self, low, high=None):
-        return (low if high is None else high) - 1
-
-
-SCORES = {"a": 0.1, "b": 0.7, "c": 0.2}
-ABC = PotionConfig(recipes=(Recipe(frozenset("abc"), "P", 1, 5.5),),
-                   starting_inventory=("a", "b", "c"), item_scores={**SCORES, "P": 5.5})
+def scripted_step(adj, inventories, words):
+    """`potion_step` and its oracle on the same scripted words; both must
+    agree and stop at the same word and half. Returns the products."""
+    ours, theirs = ScriptedWords(words), ScriptedWords(words)
+    result = potion_step(adj, inventories, ABCD, ours)
+    assert result == potion_step_oracle(adj, inventories, ABCD, theirs)
+    assert (ours.pos, ours.half) == (theirs.pos, theirs.half)
+    return result[1]
 
 
 def test_pick_past_the_running_sums_takes_the_last_item():
@@ -498,11 +509,12 @@ def test_pick_past_the_running_sums_takes_the_last_item():
     # 0.2, lies at or past 0.1 + 0.7, so no running sum exceeds it and
     # both implementations fall back to the last item left, b
     assert (0.1 + 0.7 + 0.2 - 0.2) * ALMOST_ONE >= 0.1 + 0.7
-    assert weighted_pick_oracle(["a", "b", "c"], 2, SCORES, ScriptedRng()) == ["c", "b"]
-    assert weighted_pick(["a", "b", "c"], 2, ABC, ScriptedRng()) == ["b", "c"]
+    assert weighted_pick_oracle(["a", "b", "c"], 2, SCORES, ScriptedWords()) == ["c", "b"]
     # the first agent gives two items (c, then b), the second gives a
-    assert try_combine_oracle({"a", "b", "c"}, {"a", "b", "c"}, ABC, ScriptedRng()) == "P"
-    assert try_combine({"a", "b", "c"}, {"a", "b", "c"}, ABC, ScriptedRng()) == "P"
+    assert try_combine_oracle({"a", "b", "c"}, {"a", "b", "c"}, ABCD, ScriptedWords()) == "P"
+    # every coin says two items: agent 0 gives c and b, agent 1 then d, and
+    # agent 1's own attempt finds no second item
+    assert scripted_step(snap(2, [(0, 1)]), [{"a", "b", "c"}, {"d"}], []) == ["Q"]
 
 
 def test_second_pick_scales_by_total_less_first_score():
@@ -511,9 +523,36 @@ def test_second_pick_scales_by_total_less_first_score():
     # would fall short of it and select a
     total = 0.1 + 0.7 + 0.2
     assert 0.125 * (total - 0.2) >= 0.1 > 0.125 * (0.1 + 0.7)
-    assert weighted_pick_oracle(["a", "b", "c"], 2, SCORES,
-                                ScriptedRng(ALMOST_ONE, 0.125)) == ["c", "b"]
-    assert weighted_pick(["a", "b", "c"], 2, ABC, ScriptedRng(ALMOST_ONE, 0.125)) == ["b", "c"]
+    picks = [uniform_word(ALMOST_ONE), uniform_word(0.125)]
+    assert weighted_pick_oracle(["a", "b", "c"], 2, SCORES, ScriptedWords(picks)) == ["c", "b"]
+    # both agents' coins say two items (the first word's halves), then the picks
+    words = [ScriptedWords.FILL, *picks]
+    assert scripted_step(snap(2, [(0, 1)]), [{"a", "b", "c"}, {"d"}], words) == ["Q"]
+
+
+def test_neighbor_pick_redraws_a_rejected_half():
+    # agent 0 has 3 neighbors: the low half 0 times 3 leaves 0 < 2^32 % 3,
+    # so numpy rejects it and draws again from the high half, 2^32 - 1,
+    # which picks the last neighbor, 3, the only one holding c
+    star3 = star(3)
+    inventories = [{"a", "b"}, {"d"}, {"d"}, {"c"}]
+    assert scripted_step(star3, inventories, [halves_word(0, 2**32 - 1)]) == ["P"]
+    # without the rejection, the low half would pick neighbor 1
+    assert scripted_step(star3, inventories, [halves_word(1, 2**32 - 1)]) == []
+
+
+def test_pool_totals_are_left_to_right_sums():
+    # builtin `sum` is compensated from Python 3.12 on; the running sums
+    # and the totals that scale the draws are added left to right
+    table = PotionTable(load_potion_config(os.path.join(os.path.dirname(__file__),
+                                                        "recipes_fractional.json")))
+    for mask in range(1, 1 << len(table.scores)):
+        bits, weights, running, total = table.pool(mask)
+        expected = 0.0
+        for weight in weights:
+            expected += weight
+        assert total == expected
+        assert running[:-1] == [*accumulate(weights[:-1])]
 
 
 BASE_TABLE = {

@@ -16,6 +16,7 @@ DEAD = {
     ("rangesim.metrics", "average_shortest_path_length"),
     ("rangesim.metrics", "average_clustering"),
     ("rangesim.metrics", "sample_gnm"),
+    ("rangesim.diffusion", "try_combine"),
 }
 
 
