@@ -20,6 +20,7 @@ from .core import ConfigError, ModelKind, SimConfig
 from .diffusion import (
     ComplexContagionConfig,
     CulturalConfig,
+    PotionConfig,
     SIConfig,
     default_potion_config,
     load_potion_config,
@@ -108,16 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(diff, ("range", "null"))
     diff.add_argument("--process", choices=("si", "complex", "cultural", "potion"),
                       help="required")
-    diff.add_argument("--p-infect", type=float, default=0.1)
-    diff.add_argument("--n-init", type=int, default=1)
+    # each default is its process config's, so the two cannot drift apart
+    diff.add_argument("--p-infect", type=float, default=SIConfig.p_infect)
+    diff.add_argument("--n-init", type=int, default=SIConfig.n_init)
     diff.add_argument("--exposure", choices=("per_neighbor", "per_agent"),
-                      default="per_neighbor")
-    diff.add_argument("--p-base", type=float, default=0.01)
-    diff.add_argument("--w", type=float, default=1.0)
-    diff.add_argument("--p-a", type=float, default=0.1)
-    diff.add_argument("--p-b", type=float, default=0.2)
-    diff.add_argument("--init-split", type=float, default=0.5)
-    diff.add_argument("--p-diff", type=float, default=0.5)
+                      default=SIConfig.exposure)
+    diff.add_argument("--p-base", type=float, default=ComplexContagionConfig.p_base)
+    diff.add_argument("--w", type=float, default=ComplexContagionConfig.w)
+    diff.add_argument("--p-a", type=float, default=CulturalConfig.p_a)
+    diff.add_argument("--p-b", type=float, default=CulturalConfig.p_b)
+    diff.add_argument("--init-split", type=float, default=CulturalConfig.init_split)
+    diff.add_argument("--p-diff", type=float, default=PotionConfig.p_diff)
     diff.add_argument("--recipes", default=None, help="JSON recipe table path")
     diff.set_defaults(handler=_cmd_diffusion)
 

@@ -138,7 +138,7 @@ class PotionConfig:
             raise ConfigError("item scores must have a finite sum")
 
 
-def default_potion_config(p_diff: float = 0.5) -> PotionConfig:
+def default_potion_config(p_diff: float = PotionConfig.p_diff) -> PotionConfig:
     """Two 3-tier crafting trajectories plus one crossover recipe.
 
     Base items score 1 and products quadruple per tier, so agents
@@ -172,7 +172,7 @@ def _inputs(value) -> frozenset[str]:
     return frozenset(_typed(item, str, "inputs must be item names") for item in value)
 
 
-def load_potion_config(path: str, p_diff: float = 0.5) -> PotionConfig:
+def load_potion_config(path: str, p_diff: float = PotionConfig.p_diff) -> PotionConfig:
     """Read a recipe table from a JSON file (format documented in README)."""
     with open(path, encoding="utf-8") as fh:
         try:

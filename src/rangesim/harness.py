@@ -20,8 +20,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import count, islice, repeat, starmap
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import islice, repeat, starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core import (
     make_rng,
 )
 from .diffusion import DiffusionTrajectory, ProcessConfig, check_population, run_process
-from .metrics import DEFAULT_N_REF, METRIC_NAMES, MetricsRow, metric_chunks
+from .metrics import DEFAULT_N_REF, METRIC_NAMES, MetricsRow, metric_rows
 from .null_model import null_snapshots
 from .range_model import range_snapshots
 
@@ -50,10 +50,10 @@ def iter_model(config: SimConfig, rng) -> Iterator[np.ndarray]:
 
 
 def round_rows(config: SimConfig, round_idx: int,
-               n_ref: int | None = DEFAULT_N_REF) -> Iterator[list[MetricsRow]]:
-    """One round's metric rows, lazily, as `metric_chunks` yields them."""
-    return metric_chunks(iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL)),
-                         make_rng(config.seed, round_idx, STREAM_METRICS), n_ref)
+               n_ref: int | None = DEFAULT_N_REF) -> Iterator[MetricsRow]:
+    """One round's metric rows, lazily, as `metric_rows` yields them."""
+    return metric_rows(iter_model(config, make_rng(config.seed, round_idx, STREAM_MODEL)),
+                       make_rng(config.seed, round_idx, STREAM_METRICS), n_ref)
 
 
 def diffusion_round(config: SimConfig, round_idx: int,
@@ -66,8 +66,7 @@ def diffusion_round(config: SimConfig, round_idx: int,
                        make_rng(config.seed, round_idx, STREAM_DIFFUSION))
 
 
-@dataclass(frozen=True)
-class MetricAggregate:
+class MetricAggregate(NamedTuple):
     """Cross-round statistics of one metric's round time-averages."""
 
     mean: float | None
@@ -172,7 +171,7 @@ class SweepConfig:
 
 def _pool_task(fn: Callable, *args):
     """`fn(*args)` as a pool task, in a pool worker or in the caller that
-    took it from the pool. An iterator result (`round_rows`' chunks) is
+    took it from the pool. An iterator result (`round_rows`' rows) is
     collected into a list, so that it can be sent back whole."""
     result = fn(*args)
     return list(result) if isinstance(result, Iterator) else result
@@ -190,7 +189,7 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
     once it and every earlier one are in. An exception, or a consumer
     that stops reading, cancels every task not yet started. `fn` is a
     round driver: `_round_averages`, `round_rows` or `diffusion_round`.
-    An iterator result (`round_rows`' chunks) of the first task, or of
+    An iterator result (`round_rows`' rows) of the first task, or of
     any serial one, is handed on unconsumed, so its items can be written
     as they are made; any other comes as a list.
     """
@@ -225,8 +224,7 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
 def _round_averages(config: SimConfig, round_idx: int, n_ref: int | None,
                     burn_in: int) -> dict[str, float | None]:
     """Worker body: time-averages of one round's metric trajectory."""
-    rows = [row for chunk in round_rows(config, round_idx, n_ref) for row in chunk]
-    kept = rows[burn_in:]
+    kept = list(round_rows(config, round_idx, n_ref))[burn_in:]
     out: dict[str, float | None] = {}
     for name in METRIC_NAMES:
         values = [getattr(row, name) for row in kept]
@@ -304,8 +302,7 @@ def _aggregate_fields(row: AggregateRow) -> list[str]:
     fields = [cfg.model.value, _fmt(cfg.n), _fmt(cfg.g), _fmt(cfg.r), _fmt(cfg.p_connect),
               row.param_name, _fmt(row.param_value), _fmt(cfg.rounds)]
     for name in METRIC_NAMES:
-        agg = row.metrics[name]
-        fields += [_fmt(agg.mean), _fmt(agg.std), _fmt(agg.band), _fmt(agg.defined_count)]
+        fields += map(_fmt, row.metrics[name])
     return fields
 
 
@@ -315,9 +312,8 @@ def write_csv(rows: Iterable[AggregateRow], path: str) -> int:
     Rows are flushed as they arrive, so an interrupted sweep leaves the
     completed rows on disk.
     """
-    header = ["model", "N", "g", "r", "p_connect", "param_name", "param_value", "rounds"]
-    for name in METRIC_NAMES:
-        header += [f"{name}_mean", f"{name}_std", f"{name}_band", f"{name}_defined_count"]
+    header = ["model", "N", "g", "r", "p_connect", "param_name", "param_value", "rounds",
+              *(f"{name}_{stat}" for name in METRIC_NAMES for stat in MetricAggregate._fields)]
     return _write_csv(path, header, ([_aggregate_fields(row)] for row in rows))
 
 
@@ -325,10 +321,11 @@ def write_timeseries_csv(config: SimConfig, path: str, n_ref: int | None = DEFAU
                          workers: int = 1) -> int:
     """Per-timestep dump: one line per (round, timestep); returns line count.
 
-    Each round's rows are numbered from 1, across its chunks. A serial
-    run flushes each chunk's lines as soon as `metric_chunks` has
-    measured it; a pooled run flushes each round's lines as soon as it
-    and every earlier round have finished.
+    Each round's rows are numbered from 1, and each line is flushed as
+    soon as it is written. A serial run writes a round's lines as soon
+    as `metric_rows` has measured them, a stack at a time; a pooled run
+    writes each round's lines as soon as it and every earlier round have
+    finished.
     """
     header = ["model", "N", "g", "r", "p_connect", "round", "timestep", *METRIC_NAMES]
     prefix = [config.model.value, _fmt(config.n), _fmt(config.g),
@@ -336,10 +333,9 @@ def write_timeseries_csv(config: SimConfig, path: str, n_ref: int | None = DEFAU
     rounds = _map_rounds(round_rows, workers, repeat(config), range(config.rounds),
                          repeat(n_ref))
     return _write_csv(path, header, (
-        [prefix + [str(round_idx), str(next(timestep))]
-         + [_fmt(getattr(row, name)) for name in METRIC_NAMES] for row in rows]
-        for round_idx, chunks in enumerate(rounds)
-        for timestep in [count(1)] for rows in chunks))
+        [[*prefix, str(round_idx), str(timestep), *map(_fmt, row)]]
+        for round_idx, rows in enumerate(rounds)
+        for timestep, row in enumerate(rows, start=1)))
 
 
 def write_trajectories_csv(trajectories: Iterable[DiffusionTrajectory],

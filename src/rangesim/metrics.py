@@ -4,15 +4,14 @@ symmetric boolean adjacency with a False diagonal.
 Six measures per snapshot: average degree, average clustering, average
 shortest path length, number of connected components, size of the
 largest component, and the small-world index against sampled same-size
-random graphs. `metric_chunks` computes all six for a run of snapshots.
+random graphs. `metric_rows` computes all six for a run of snapshots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from .core import RngStream
 DEFAULT_N_REF = 20
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     """The six per-timestep measures; small_world is None when undefined."""
 
     avg_degree: float
@@ -33,8 +31,7 @@ class MetricsRow:
     small_world: float | None
 
 
-METRIC_NAMES = ("avg_degree", "clustering", "aspl", "n_components",
-                "largest_component", "small_world")
+METRIC_NAMES = MetricsRow._fields
 
 
 # Graphs go through the distance kernel in stacks of at most this many
@@ -432,7 +429,7 @@ def _reference_means(n: int, edge_counts: Sequence[int], n_ref: int,
 
 def _metrics_rows(snaps: Sequence[np.ndarray], rng: RngStream,
                   n_ref: int | None) -> list[MetricsRow]:
-    """`metric_chunks`' rows of one stack of snapshots."""
+    """`metric_rows`' rows of one stack of snapshots."""
     n = len(snaps[0])
     # graph by graph: at n = 200 a count_nonzero with an axis takes 8 times as long
     edges = [np.count_nonzero(adj) // 2 for adj in snaps]
@@ -449,11 +446,12 @@ def _metrics_rows(snaps: Sequence[np.ndarray], rng: RngStream,
             for m, *values in zip(edges, clustering, aspl, counts, largest, index)]
 
 
-def metric_chunks(snaps: Iterable[np.ndarray], rng: RngStream,
-                  n_ref: int | None) -> Iterator[list[MetricsRow]]:
-    """All six measures of each of a run of same-size snapshots, in order:
-    the rows of each stack of `_stack_size(n)` snapshots (the last may be
-    shorter), one kernel call each, yielded as soon as it is measured.
+def metric_rows(snaps: Iterable[np.ndarray], rng: RngStream,
+                n_ref: int | None) -> Iterator[MetricsRow]:
+    """All six measures of each of a run of same-size snapshots, one row
+    per snapshot, in order. Snapshots are measured a stack of
+    `_stack_size(n)` at a time (the last may be shorter), one kernel
+    call each, and a stack's rows are yielded as soon as it is measured.
 
     Clustering is the mean local coefficient, nodes with fewer than two
     neighbors counting 0; ASPL is the mean hop count over connected
@@ -471,4 +469,4 @@ def metric_chunks(snaps: Iterable[np.ndarray], rng: RngStream,
         raise ValueError(f"need at least one reference graph, got n_ref={n_ref}")
     snaps = iter(snaps)
     for first in snaps:
-        yield _metrics_rows([first, *islice(snaps, _stack_size(len(first)) - 1)], rng, n_ref)
+        yield from _metrics_rows([first, *islice(snaps, _stack_size(len(first)) - 1)], rng, n_ref)

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class WorldState:
     def n(self) -> int:
         return len(self.positions)
 
-    def coordinates(self) -> np.ndarray:
-        """(n, 2) int array of every agent's (x, y) tile."""
-        x, y = np.divmod(np.array(self.positions, dtype=np.int64), self.g + 2)
-        return np.stack([x - 1, y - 1], axis=1)
-
 
 def init_population(config: SimConfig, rng: RngStream) -> WorldState:
     """Place N agents on distinct uniformly random tiles.
@@ -91,15 +86,17 @@ def max_sq_distance(r: float, g: int) -> int:
     return bisect_right(range(2 * (g - 1) ** 2 + 1), r, key=math.sqrt) - 1
 
 
-def range_links(coordinates: np.ndarray, d2_max: int) -> np.ndarray:
+def range_links(tiles: Sequence[int], width: int, d2_max: int) -> np.ndarray:
     """The (n, n) symmetric boolean adjacency, with a False diagonal, of
-    agents at (n, 2) integer tile coordinates.
+    agents on the flat tiles `x * width + y`, each y below `width`.
 
-    Pair (i, j) is linked iff its squared distance is at most d2_max.
+    Pair (i, j) is linked iff its squared distance is at most d2_max. A
+    padded grid's frame offset cancels in the differences, so its tiles
+    serve as they are.
     """
     # int32 holds every squared distance up to g = 32768, beyond any grid
     # whose occupancy list fits in memory, and halves int64's memory traffic
-    x, y = np.asarray(coordinates, dtype=np.int32).T
+    x, y = np.divmod(np.array(tiles, dtype=np.int32), width)
     d2 = np.subtract.outer(x, x)
     d2 *= d2
     dy = np.subtract.outer(y, y)
@@ -132,7 +129,7 @@ def step_range(world: WorldState, config: SimConfig, draws: ExactDraws) -> np.nd
         target = moves[integers(len(moves))]
         grid[target] = agent
         positions[agent] = target
-    return range_links(world.coordinates(), max_sq_distance(config.r, config.g))
+    return range_links(positions, world.g + 2, max_sq_distance(config.r, config.g))
 
 
 def range_snapshots(config: SimConfig, rng: RngStream) -> Iterator[np.ndarray]:

@@ -1,13 +1,13 @@
 """One-snapshot views of the package's measures, for tests.
 
-The package measures graphs only through `metrics.metric_chunks`, a
-stack of snapshots at a time. These helpers call it on a single
-snapshot, so tests can name one measure at a time; `sample_gnm`,
-`run_sweep` and `round_metrics` wrap the reference sampler, the sweep
-iterator and a round's metric chunks the same way, `run_model` runs the
-model to its end, calling observers on each snapshot, and
-`patch_stack_size` sets the kernel's stack size. Unlike `oracles`,
-everything here is the package's own code.
+The package measures graphs only through `metrics.metric_rows`, which
+yields one row per snapshot and measures a stack of snapshots at a
+time. These helpers call it on a single snapshot, so tests can name one
+measure at a time; `sample_gnm`, `run_sweep` and `round_metrics` wrap
+the reference sampler, the sweep iterator and a round's metric rows the
+same way, `run_model` runs the model to its end, calling observers on
+each snapshot, and `patch_stack_size` sets the kernel's stack size.
+Unlike `oracles`, everything here is the package's own code.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from functools import lru_cache
 
 from rangesim import metrics
 from rangesim.harness import iter_model, iter_sweep, round_rows
-from rangesim.metrics import DEFAULT_N_REF, _gnm_pairs, metric_chunks, pair_adjacency
+from rangesim.metrics import DEFAULT_N_REF, _gnm_pairs, metric_rows, pair_adjacency
 
 
 def metrics_snapshot(snap, rng, n_ref=DEFAULT_N_REF):
-    """All six measures of one snapshot; draws as `metric_chunks` does."""
-    (row,), = metric_chunks([snap], rng, n_ref)
+    """All six measures of one snapshot; draws as `metric_rows` does."""
+    row, = metric_rows([snap], rng, n_ref)
     return row
 
 
@@ -77,8 +77,8 @@ def run_sweep(sweep, workers=1):
 
 
 def round_metrics(config, round_idx, n_ref=DEFAULT_N_REF):
-    """One round's metric rows: `round_rows`' chunks joined."""
-    return [row for chunk in round_rows(config, round_idx, n_ref) for row in chunk]
+    """One round's metric rows: `round_rows` run to its end."""
+    return list(round_rows(config, round_idx, n_ref))
 
 
 def run_model(config, rng, observers=()):

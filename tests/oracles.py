@@ -200,8 +200,10 @@ def in_range_links_oracle(positions, r):
 
 
 def agent_xy(world):
-    """Every agent's (x, y) tile of a WorldState, as tuples."""
-    return [tuple(xy) for xy in world.coordinates().tolist()]
+    """Every agent's (x, y) tile of a WorldState, as tuples: its flat
+    tile on the padded grid less the one-tile frame."""
+    width = world.g + 2
+    return [(x - 1, y - 1) for x, y in (divmod(tile, width) for tile in world.positions)]
 
 
 class RangeOracle:

@@ -12,8 +12,8 @@ index is undefined), `diffusion` for each process, two N = 130 runs (a
 sparse one, whose breadth-first searches run many levels, and a dense
 one with small-world references), two 45-step N = 20 runs, recorded
 from the code that measured each snapshot on its own, and two 170-step
-N = 20 runs, whose snapshots span more than one 163-graph metric chunk.
-The 170-step hashes were recorded from commit 8dc7b0f, whose chunks at
+N = 20 runs, whose snapshots span more than one 163-graph metric stack.
+The 170-step hashes were recorded from commit 8dc7b0f, whose stacks at
 N = 20 held 40 graphs.
 
 The N = 20 potion case never creates the crossover item, so its rows are
@@ -86,7 +86,7 @@ CASES = {
     "run-null-45": (
         ["run", "--model", "null", "--p-connect", "0.3", "--steps", "45", *SMALL],
         "ea0b50eae818686f15e91f3a4fee186c6f5d9fd5e3835702180b67b3301a74f4"),
-    # 170 steps cross the 163-graph metric chunk at N = 20
+    # 170 steps cross the 163-graph metric stack at N = 20
     "run-range-170": (
         ["run", "--model", "range", "--r", "3", "--steps", "170", *SMALL],
         "c77dfd46f480e137ac59ef3fcd1b454e86abf089567ae9dae60f0fe750d08a74"),

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from rangesim import harness, metrics, null_model, range_model
-from rangesim.cli import main, parse_values
+from rangesim.cli import _process_config, build_parser, main, parse_values
 from rangesim.core import STREAM_METRICS, STREAM_MODEL, ConfigError, ModelKind, SimConfig, make_rng
-from rangesim.diffusion import SIConfig, default_potion_config
+from rangesim.diffusion import (
+    ComplexContagionConfig,
+    CulturalConfig,
+    PotionConfig,
+    SIConfig,
+    default_potion_config,
+)
 from rangesim.harness import (
     SweepConfig,
     aggregate_rounds,
@@ -22,7 +28,7 @@ from rangesim.harness import (
     write_timeseries_csv,
     write_trajectories_csv,
 )
-from rangesim.metrics import metric_chunks
+from rangesim.metrics import metric_rows
 
 from measures import metrics_snapshot, patch_stack_size, round_metrics, run_model, run_sweep
 from oracles import edge_count
@@ -181,8 +187,7 @@ class TestRunRound:
         assert 1 <= len(diffused) <= len(measured) == 15
         assert all(np.array_equal(a, b) for a, b in zip(measured, diffused))
         rng = make_rng(cfg.seed, 1, STREAM_METRICS)
-        assert [row for chunk in metric_chunks(diffused, rng, FAST)
-                for row in chunk] == plain[:len(diffused)]
+        assert list(metric_rows(diffused, rng, FAST)) == plain[:len(diffused)]
 
     def test_diffusion_only_run(self):
         cfg = range_config(steps=30)
@@ -249,28 +254,28 @@ def snapshot_stream(n, steps, seed):
 
 
 class TestMetricChunks:
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 40])
+    @pytest.mark.parametrize("stack", [1, 2, 3, 40])
     @pytest.mark.parametrize("n,steps,n_ref", [(20, 97, 1), (20, 97, 20), (130, 9, 3)])
-    def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, chunk, monkeypatch):
-        # the real chunk is a stack, 163 graphs at n = 20 and 3 at n = 130;
-        # 97 steps end on a partial chunk at every patched size but 1
+    def test_chunks_match_per_snapshot_rows(self, n, steps, n_ref, stack, monkeypatch):
+        # the real stack is 163 graphs at n = 20 and 3 at n = 130;
+        # 97 steps end on a shorter stack at every patched size but 1
         assert metrics._stack_size(20) == 163 and metrics._stack_size(130) == 3
         snaps = snapshot_stream(n, steps, seed=n + n_ref)
         expected_rng = make_rng(7, 0, STREAM_METRICS)
         expected = [metrics_snapshot(snap, expected_rng, n_ref=n_ref) for snap in snaps]
-        batches = []
-        kernel = metrics._graph_measures
+        stacks, batches = [], []
+        rows_of, kernel = metrics._metrics_rows, metrics._graph_measures
+        monkeypatch.setattr(metrics, "_metrics_rows", lambda snaps, *args:
+                            stacks.append(len(snaps)) or rows_of(snaps, *args))
         monkeypatch.setattr(metrics, "_graph_measures", lambda stack:
                             batches.append(len(stack)) or kernel(stack))
-        patch_stack_size(monkeypatch, n, chunk)
+        patch_stack_size(monkeypatch, n, stack)
         rng = make_rng(7, 0, STREAM_METRICS)
-        chunks = list(metric_chunks(iter(snaps), rng, n_ref))
-        assert [len(rows) for rows in chunks] == [
-            min(chunk, steps - start) for start in range(0, steps, chunk)]
-        assert [row for rows in chunks for row in rows] == expected
+        assert list(metric_rows(iter(snaps), rng, n_ref)) == expected
+        assert stacks == [min(stack, steps - start) for start in range(0, steps, stack)]
         assert rng.random() == expected_rng.random()
         assert sum(row.small_world is not None for row in expected) > 0
-        assert max(batches) <= chunk
+        assert max(batches) <= stack
 
     def test_round_matches_per_snapshot_loop(self):
         cfg = range_config(n=20, g=10, r=2.0, steps=97, rounds=1, seed=5)
@@ -358,9 +363,9 @@ class TestSweep:
         assert calls == [0, 1]
 
     def test_n_sweep_serial_parallel_identical(self, tmp_path):
-        # n = 5, 20, 30 and 130 take chunks of 655, 40, 18 and 1 graphs, so
+        # n = 5, 20, 30 and 130 take stacks of 655, 40, 18 and 1 graphs, so
         # the reused kernel and distance buffers change shape from cell to
-        # cell, and 7 steps end every n below 128 on a partial chunk
+        # cell, and 7 steps end every n below 128 on a shorter stack
         argv = ["sweep", "--model", "both", "--vary", "n", "--values", "5,20,30,130",
                 "--g", "12", "--r", "2", "--steps", "7", "--rounds", "2", "--n-ref", "3"]
         serial = tmp_path / "serial.csv"
@@ -583,7 +588,7 @@ class TestCsvOutput:
         assert record["small_world_defined_count"] == "0"
 
     def test_timeseries_dump_line_count(self, tmp_path):
-        # 170 steps at N = 20 take a 163-graph chunk and a 7-graph one; each
+        # 170 steps at N = 20 take a 163-graph stack and a 7-graph one; each
         # round's timesteps still run 1..170, serially and from a pool
         runs = [(range_config(steps=7, rounds=3), 1)]
         runs += [(range_config(n=20, g=10, steps=170, rounds=2), workers) for workers in (1, 2)]
@@ -600,7 +605,7 @@ class TestCsvOutput:
 
     def test_serial_timeseries_writes_each_row_as_it_is_measured(self, tmp_path,
                                                                  monkeypatch):
-        # from n = 182 up a chunk is one snapshot, measured right after its step
+        # from n = 182 up a stack is one snapshot, measured right after its step
         assert metrics._stack_size(182) == 1 and metrics._stack_size(181) == 2
         path = tmp_path / "dump.csv"
         on_disk = []
@@ -611,7 +616,7 @@ class TestCsvOutput:
         assert on_disk == list(range(8))  # k - 1 rows before the k-th step
 
     def test_interrupted_serial_timeseries_keeps_measured_rows(self, tmp_path, monkeypatch):
-        # chunks of two snapshots: the 8th step (round 1, t = 4) fails while
+        # stacks of two snapshots: the 8th step (round 1, t = 4) fails while
         # t = 3 is held unmeasured, so round 1 keeps t = 1 and 2
         patch_stack_size(monkeypatch, 10, 2)
 
@@ -679,6 +684,18 @@ class TestCli:
         for bad in (["1", 2], [None], [True]):
             with pytest.raises(ConfigError):
                 parse_values(bad)
+
+    @pytest.mark.parametrize("process,default", [
+        ("si", SIConfig()), ("complex", ComplexContagionConfig()), ("cultural", CulturalConfig())])
+    def test_process_flag_defaults_are_the_configs(self, process, default):
+        # --n-init feeds SIConfig and ComplexContagionConfig alike
+        args = build_parser().parse_args(["diffusion", "--process", process])
+        assert _process_config(args) == default
+
+    def test_potion_flag_default_is_the_config(self):
+        potion = _process_config(build_parser().parse_args(["diffusion", "--process", "potion"]))
+        assert potion.p_diff == PotionConfig.p_diff
+        assert potion == default_potion_config()
 
     def test_sweep_command(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -876,10 +893,10 @@ class TestCli:
             assert code == 2
             assert "n_ref must be at least 1" in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
-        # `metric_chunks` raises at its first `next`, before it measures
+        # `metric_rows` raises at its first `next`, before it measures
         with pytest.raises(ValueError, match="n_ref=0"):
-            next(metric_chunks([np.zeros((2, 2), dtype=bool)],
-                               make_rng(0, 0), 0))
+            next(metric_rows([np.zeros((2, 2), dtype=bool)],
+                             make_rng(0, 0), 0))
 
     def test_workers_below_one_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--model", "range", "--n", "6", "--g", "5", "--r", "1",

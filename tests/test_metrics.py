@@ -149,8 +149,7 @@ def kernel_cases(n, rng):
     graphs = []
     for r in (1.0, 1.5, 2.0, 3.0):
         tiles = rng.choice(g * g, size=n, replace=False)
-        graphs.append(range_links(
-            [(int(t // g), int(t % g)) for t in tiles], max_sq_distance(r, g)))
+        graphs.append(range_links(tiles, g, max_sq_distance(r, g)))
     for mean_degree in (1, 2, 3.5, 4, 8):
         p = min(1.0, mean_degree / (n - 1))
         upper = np.triu(rng.random((n, n)) < p, k=1)
@@ -295,8 +294,8 @@ class TestFusedKernel:
         measures = metrics._graph_measures(stack)
         assert [values.tolist() for values in measures] == [
             values.tolist() for values in kernel_measures_oracle(stack)]
-        assert [(row.n_components, row.largest_component) for rows in metrics.metric_chunks(
-            list(stack), None, None) for row in rows] == [
+        assert [(row.n_components, row.largest_component) for row in metrics.metric_rows(
+            list(stack), None, None)] == [
             components_oracle(n, edge_set(adj)) for adj in stack]
 
     @pytest.mark.parametrize("b,n", [(40, 20), (3, 5), (1, 200)])
@@ -792,14 +791,14 @@ class TestPairSets:
         # one stack of snapshots, one kernel call
         cfg = SimConfig(model=ModelKind.RANGE, n=20, g=10, r=2.0, steps=metrics._stack_size(20))
         snaps = list(iter_model(cfg, make_rng(5)))
-        list(metrics.metric_chunks(snaps, make_rng(1), 20))  # caches filled before measuring
+        list(metrics.metric_rows(snaps, make_rng(1), 20))  # caches filled before measuring
         peaks = {}
         # references are drawn and measured a block at a time; keeping the
         # measures of every reference until the means grows the peak about
         # fourfold from n_ref = 20 to 500
         for n_ref in (20, 500):
             tracemalloc.start()
-            list(metrics.metric_chunks(snaps, make_rng(1), n_ref))
+            list(metrics.metric_rows(snaps, make_rng(1), n_ref))
             peaks[n_ref] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks[500] <= 1.5 * peaks[20]

@@ -31,7 +31,16 @@ SQRT_NEIGHBORS = (lambda s: math.nextafter(s, 0), lambda s: s,
 
 
 def links(coordinates, r, g=10):
-    return range_links(coordinates, max_sq_distance(r, g))
+    """`range_links` on (x, y) tiles of a g-by-g grid as `step_range` sees
+    them: flat tiles of the grid padded with a one-tile frame."""
+    width = g + 2
+    tiles = [(x + 1) * width + y + 1 for x, y in coordinates]
+    return range_links(tiles, width, max_sq_distance(r, g))
+
+
+def world_links(world, r):
+    """`range_links` on a WorldState's padded tiles, as `step_range` calls it."""
+    return range_links(world.positions, world.g + 2, max_sq_distance(r, world.g))
 
 
 class TestRangeLinks:
@@ -49,14 +58,14 @@ class TestRangeLinks:
     def test_r_zero_never_links(self):
         rng = np.random.default_rng(5)
         world = init_population(config(n=30, g=8, r=0.0), rng)
-        assert edge_set(links(world.coordinates(), 0.0, g=8)) == set()
+        assert edge_set(world_links(world, 0.0)) == set()
 
     def test_monotone_in_r(self):
         rng = np.random.default_rng(11)
         world = init_population(config(n=25, g=9), rng)
         previous = set()
         for r in (0.0, 1.0, 1.5, 2.0, 3.0, 5.0, 13.0):
-            current = edge_set(links(world.coordinates(), r, g=9))
+            current = edge_set(world_links(world, r))
             assert previous <= current
             previous = current
 
@@ -66,7 +75,7 @@ class TestRangeLinks:
         # so the graph is bipartite: no triangle, clustering exactly 0
         for seed in range(5):
             world = init_population(config(n=40, g=8, r=r), np.random.default_rng(seed))
-            linked = links(world.coordinates(), r, g=8)
+            linked = world_links(world, r)
             a = linked.astype(np.int64)
             assert linked.any()
             assert np.trace(a @ a @ a) == 0
@@ -116,9 +125,9 @@ class TestStepRange:
         world = init_population(cfg, rng)
         draws = ExactDraws(rng)
         for _ in range(30):
-            before = world.coordinates()
+            before = np.array(agent_xy(world))
             step_range(world, cfg, draws)
-            assert np.abs(world.coordinates() - before).max() <= 1
+            assert np.abs(np.array(agent_xy(world)) - before).max() <= 1
 
     def test_occupancy_stays_bijective(self):
         cfg = config(n=24, g=5, r=1.0)
@@ -174,6 +183,38 @@ def test_int_grid_matches_dict_reference(g, seed, steps, r, data):
         assert sorted(held.values()) == list(range(n))
         assert all(world.positions[agent] == tile for tile, agent in held.items())
     assert draws.random() == reference.rng.random()
+
+
+def thresholds(g):
+    """Ranges just below, at and just above each squared distance two
+    tiles of a g-by-g grid can have."""
+    d2s = sorted({dx * dx + dy * dy for dx in range(g) for dy in range(g)})
+    return [near(math.sqrt(d2)) for d2 in d2s for near in SQRT_NEIGHBORS]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=st.sampled_from([1, 2, 3, 10, 50]), data=st.data())
+def test_tile_links_match_oracle(g, data):
+    n = data.draw(st.integers(1, min(g * g, 60)), label="n")
+    tiles = data.draw(st.lists(st.integers(0, g * g - 1), min_size=n, max_size=n,
+                               unique=True), label="tiles")
+    r = data.draw(st.sampled_from(thresholds(g)), label="r")
+    coordinates = [divmod(t, g) for t in tiles]
+    assert edge_set(links(coordinates, r, g)) == in_range_links_oracle(coordinates, r)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 10])
+def test_saturated_tile_links_match_oracle(g):
+    coordinates = [divmod(t, g) for t in range(g * g)]
+    for r in thresholds(g):
+        assert edge_set(links(coordinates, r, g)) == \
+            in_range_links_oracle(coordinates, r)
+
+
+def test_density_one_is_complete():
+    # N = 9 agents fill the 3-by-3 grid, and r = 3 exceeds its diagonal
+    linked = links([divmod(t, 3) for t in range(9)], 3.0, 3)
+    assert edge_count(linked) == 9 * 8 // 2
 
 
 def collect_snapshots(cfg, rng):
