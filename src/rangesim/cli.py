@@ -63,13 +63,13 @@ def _add_common(parser: argparse.ArgumentParser, model_choices) -> None:
     parser.add_argument("--config", help="JSON file of flag defaults; flags override")
     parser.add_argument("--model", choices=model_choices, default=None)
     parser.add_argument("--n", type=int, default=20, help="population size")
-    parser.add_argument("--g", type=int, default=10, help="grid side length")
+    parser.add_argument("--g", type=int, default=SimConfig.g, help="grid side length")
     parser.add_argument("--r", type=float, default=None, help="communication range (range model)")
     parser.add_argument("--p-connect", type=float, default=None,
                         help="connection probability (null model)")
-    parser.add_argument("--steps", type=int, default=100)
-    parser.add_argument("--rounds", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--steps", type=int, default=SimConfig.steps)
+    parser.add_argument("--rounds", type=int, default=SimConfig.rounds)
+    parser.add_argument("--seed", type=int, default=SimConfig.seed)
     parser.add_argument("--workers", type=int, default=1,
                         help="processes in all, the calling one included; the pool opens "
                              "min(workers, rounds) - 1, counting a sweep's rounds over all "

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -199,8 +199,7 @@ def load_potion_config(path: str, p_diff: float = PotionConfig.p_diff) -> Potion
                         item_scores=scores, p_diff=p_diff)
 
 
-@dataclass
-class DiffusionTrajectory:
+class DiffusionTrajectory(NamedTuple):
     """Per-timestep trait frequencies plus fixation/crossover times.
 
     Frequencies are infected fractions in [0, 1] for SI and complex
@@ -209,7 +208,7 @@ class DiffusionTrajectory:
     potion task (which has no fixation notion).
     """
 
-    frequencies: list[float] = field(default_factory=list)
+    frequencies: list[float]
     fixation_time: int | None = None
     crossover_time: int | None = None
 
@@ -456,14 +455,14 @@ def _potion(cfg: PotionConfig, snaps: Iterable[np.ndarray], n: int,
     table = PotionTable(cfg)
     draws = ExactDraws(rng)
     inventories = [table.start] * n
-    trajectory = DiffusionTrajectory()
+    frequencies, crossover_time = [], None
     for t, snap in enumerate(snaps, start=1):
         inventories, created = potion_step(snap, inventories, table, draws)
-        if table.crossover in created and trajectory.crossover_time is None:
-            trajectory.crossover_time = t
+        if table.crossover in created and crossover_time is None:
+            crossover_time = t
         holders = sum(1 for inv in inventories if inv & table.crossover)
-        trajectory.frequencies.append(holders / n)
-    return trajectory
+        frequencies.append(holders / n)
+    return DiffusionTrajectory(frequencies, crossover_time=crossover_time)
 
 
 def run_process(cfg: ProcessConfig, snaps: Iterable[np.ndarray], n: int,
@@ -478,11 +477,9 @@ def run_process(cfg: ProcessConfig, snaps: Iterable[np.ndarray], n: int,
     if isinstance(cfg, PotionConfig):
         return _potion(cfg, snaps, n, rng)
     process = _cultural if isinstance(cfg, CulturalConfig) else _contagion
-    trajectory = DiffusionTrajectory()
+    frequencies = []
     for t, freq in enumerate(process(cfg, snaps, n, rng), start=1):
-        trajectory.frequencies.append(freq)
+        frequencies.append(freq)
         if abs(freq) == 1.0:
-            trajectory.fixation_time = t
-            trajectory.frequencies += [freq] * (steps - t)
-            break
-    return trajectory
+            return DiffusionTrajectory(frequencies + [freq] * (steps - t), fixation_time=t)
+    return DiffusionTrajectory(frequencies)

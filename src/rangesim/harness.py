@@ -3,9 +3,11 @@
 A round is one independent trajectory with its own RNG streams derived
 from (seed, round index), so rounds may run across a worker pool and
 still aggregate to byte-identical output. `iter_model` yields a round's
-snapshots, and each output has one driver over them: `round_rows`
-measures them, for `run` rows and sweep averages, and `diffusion_round`
-runs a diffusion process on them.
+snapshots, and each output has one driver over them, whose result is
+built once and passed unchanged from a pool process to the CSV writer:
+`_round_averages` gives a sweep a `MetricsRow` of the round's means,
+`round_rows` gives `run` the round's rows, and `diffusion_round` gives
+`diffusion` the round's `DiffusionTrajectory`.
 
 One setting says what is measured: `n_ref`, the reference graphs per
 small-world index, or None for no index and no reference draws. Rows
@@ -20,7 +22,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import islice, repeat, starmap
+from itertools import chain, islice, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -75,30 +77,32 @@ class MetricAggregate(NamedTuple):
     defined_count: int
 
 
+def _defined_mean(values: Iterable[float | None]) -> tuple[list[float], float | None]:
+    """The values that are not None, and their mean, None if there are none."""
+    defined = [v for v in values if v is not None]
+    return defined, sum(defined) / len(defined) if defined else None
+
+
 def aggregate_rounds(round_averages: Sequence[float | None]) -> MetricAggregate:
     """Mean, population standard deviation, and 1.5-sigma band across rounds.
 
     Undefined round averages (None) are excluded; with no defined values
     the aggregate itself is missing, with a zero count.
     """
-    defined = [v for v in round_averages if v is not None]
-    if not defined:
+    defined, mean = _defined_mean(round_averages)
+    if mean is None:
         return MetricAggregate(None, None, None, 0)
-    mean = sum(defined) / len(defined)
-    var = sum((v - mean) ** 2 for v in defined) / len(defined)
-    std = math.sqrt(var)
+    std = math.sqrt(sum((v - mean) ** 2 for v in defined) / len(defined))
     return MetricAggregate(mean, std, 1.5 * std, len(defined))
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """One sweep cell: its config, swept parameter and per-metric
-    cross-round aggregates."""
+class AggregateRow(NamedTuple):
+    """One sweep cell: its config, swept parameter and metric aggregates."""
 
     config: SimConfig
     param_name: str
     param_value: float
-    metrics: dict[str, MetricAggregate]
+    metrics: MetricsRow
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,8 @@ def _pool_task(fn: Callable, *args):
     return list(result) if isinstance(result, Iterator) else result
 
 
-def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
-    """`map(fn, *iterables)` on `workers` processes, the caller included.
+def _map_rounds(fn: Callable, workers: int, tasks: list[tuple]) -> Iterator:
+    """`starmap(fn, tasks)` on `workers` processes, the caller included.
 
     A pool of min(workers, tasks) - 1 processes takes every task but the
     first, which the caller runs at once. Tasks are handed to the pool
@@ -187,13 +191,11 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
     runs the earliest task no pool process has taken, if any. Results
     come lazily and in input order, so each can be reduced or written
     once it and every earlier one are in. An exception, or a consumer
-    that stops reading, cancels every task not yet started. `fn` is a
-    round driver: `_round_averages`, `round_rows` or `diffusion_round`.
-    An iterator result (`round_rows`' rows) of the first task, or of
-    any serial one, is handed on unconsumed, so its items can be written
-    as they are made; any other comes as a list.
+    that stops reading, cancels every task not yet started. An iterator
+    result (`round_rows`' rows) of the first task, or of any serial one,
+    is handed on unconsumed, so its items can be written as they are
+    made; any other comes as a list.
     """
-    tasks = list(zip(*iterables))
     workers = min(workers, len(tasks))
     if workers < 2:
         yield from starmap(fn, tasks)
@@ -222,15 +224,11 @@ def _map_rounds(fn: Callable, workers: int, *iterables) -> Iterator:
 
 
 def _round_averages(config: SimConfig, round_idx: int, n_ref: int | None,
-                    burn_in: int) -> dict[str, float | None]:
+                    burn_in: int) -> MetricsRow:
     """Worker body: time-averages of one round's metric trajectory."""
     kept = list(round_rows(config, round_idx, n_ref))[burn_in:]
-    out: dict[str, float | None] = {}
-    for name in METRIC_NAMES:
-        values = [getattr(row, name) for row in kept]
-        defined = [v for v in values if v is not None]
-        out[name] = sum(defined) / len(defined) if defined else None
-    return out
+    columns = zip(*kept) if kept else [()] * len(METRIC_NAMES)
+    return MetricsRow._make(_defined_mean(column)[1] for column in columns)
 
 
 def iter_sweep(sweep: SweepConfig, workers: int = 1) -> Iterator[AggregateRow]:
@@ -241,29 +239,23 @@ def iter_sweep(sweep: SweepConfig, workers: int = 1) -> Iterator[AggregateRow]:
     soon as its own rounds and those of every earlier cell are in.
     """
     rounds = sweep.base.rounds
-    results = _map_rounds(
-        _round_averages, workers,
-        [config for config, _, _ in sweep.cells for _ in range(rounds)],
-        [round_idx for _ in sweep.cells for round_idx in range(rounds)],
-        repeat(sweep.n_ref), repeat(sweep.burn_in))
-    for config, param_name, param_value in sweep.cells:
-        cell_results = list(islice(results, rounds))
-        yield AggregateRow(config, param_name, param_value,
-                           {name: aggregate_rounds([res[name] for res in cell_results])
-                            for name in METRIC_NAMES})
+    results = _map_rounds(_round_averages, workers,
+                          [(config, round_idx, sweep.n_ref, sweep.burn_in)
+                           for config, _, _ in sweep.cells for round_idx in range(rounds)])
+    for cell in sweep.cells:
+        cell_rounds = list(islice(results, rounds))
+        yield AggregateRow(*cell, MetricsRow._make(map(aggregate_rounds, zip(*cell_rounds))))
 
 
 def run_diffusion_rounds(config: SimConfig, process: ProcessConfig,
                          workers: int = 1) -> Iterator[DiffusionTrajectory]:
     """Each round's trajectory of one diffusion experiment, lazily and in
-    round order, without metric collection.
-
-    The process is checked against the population before this returns, so
-    a bad config raises ConfigError before any round runs.
+    round order. The process is checked against the population before
+    this returns, so a bad config raises ConfigError before any round runs.
     """
     check_population(process, config.n)
-    return _map_rounds(diffusion_round, workers, repeat(config), range(config.rounds),
-                       repeat(process))
+    return _map_rounds(diffusion_round, workers,
+                       [(config, round_idx, process) for round_idx in range(config.rounds)])
 
 
 def _fmt(value) -> str:
@@ -273,6 +265,13 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".9g")
     return str(value)
+
+
+def _config_fields(config: SimConfig | None = None) -> list[str]:
+    """A metric CSV line's first columns: their names, or `config`'s values."""
+    if config is None:
+        return ["model", "N", "g", "r", "p_connect"]
+    return [config.model.value, *map(_fmt, (config.n, config.g, config.r, config.p_connect))]
 
 
 def _write_csv(path: str, header: Sequence[str],
@@ -298,21 +297,15 @@ def _write_csv(path: str, header: Sequence[str],
 
 
 def _aggregate_fields(row: AggregateRow) -> list[str]:
-    cfg = row.config
-    fields = [cfg.model.value, _fmt(cfg.n), _fmt(cfg.g), _fmt(cfg.r), _fmt(cfg.p_connect),
-              row.param_name, _fmt(row.param_value), _fmt(cfg.rounds)]
-    for name in METRIC_NAMES:
-        fields += map(_fmt, row.metrics[name])
-    return fields
+    return [*_config_fields(row.config), row.param_name, _fmt(row.param_value),
+            _fmt(row.config.rounds), *map(_fmt, chain.from_iterable(row.metrics))]
 
 
 def write_csv(rows: Iterable[AggregateRow], path: str) -> int:
-    """Write aggregate rows as tidy UTF-8 CSV; returns the row count.
-
-    Rows are flushed as they arrive, so an interrupted sweep leaves the
-    completed rows on disk.
-    """
-    header = ["model", "N", "g", "r", "p_connect", "param_name", "param_value", "rounds",
+    """Write aggregate rows as tidy UTF-8 CSV, each flushed as it arrives,
+    so that an interrupted sweep leaves the completed rows on disk;
+    returns the row count."""
+    header = [*_config_fields(), "param_name", "param_value", "rounds",
               *(f"{name}_{stat}" for name in METRIC_NAMES for stat in MetricAggregate._fields)]
     return _write_csv(path, header, ([_aggregate_fields(row)] for row in rows))
 
@@ -327,11 +320,10 @@ def write_timeseries_csv(config: SimConfig, path: str, n_ref: int | None = DEFAU
     writes each round's lines as soon as it and every earlier round have
     finished.
     """
-    header = ["model", "N", "g", "r", "p_connect", "round", "timestep", *METRIC_NAMES]
-    prefix = [config.model.value, _fmt(config.n), _fmt(config.g),
-              _fmt(config.r), _fmt(config.p_connect)]
-    rounds = _map_rounds(round_rows, workers, repeat(config), range(config.rounds),
-                         repeat(n_ref))
+    header = [*_config_fields(), "round", "timestep", *METRIC_NAMES]
+    prefix = _config_fields(config)
+    rounds = _map_rounds(round_rows, workers,
+                         [(config, round_idx, n_ref) for round_idx in range(config.rounds)])
     return _write_csv(path, header, (
         [[*prefix, str(round_idx), str(timestep), *map(_fmt, row)]]
         for round_idx, rows in enumerate(rounds)

@@ -21,7 +21,8 @@ DEFAULT_N_REF = 20
 
 
 class MetricsRow(NamedTuple):
-    """The six per-timestep measures; small_world is None when undefined."""
+    """The six per-timestep measures; small_world is None when undefined.
+    In a sweep cell's `AggregateRow.metrics`, each holds a `MetricAggregate`."""
 
     avg_degree: float
     clustering: float

@@ -74,7 +74,7 @@ def test_01_degree_point_check():
     # range model, N=20, g=7, r=2: mean average degree 3.9 +/- 0.5
     sweep = SweepConfig(base=range_cfg(n=20, g=7, r=2.0), vary="r", values=(2.0,),
                         n_ref=None)
-    agg = run_sweep(sweep, workers=WORKERS)[0].metrics["avg_degree"]
+    agg = run_sweep(sweep, workers=WORKERS)[0].metrics.avg_degree
     report("01 degree point-check", abs(agg.mean - 3.9) <= 0.5,
            f"mean average degree {agg.mean:.3f} vs 3.9 +/- 0.5")
 
@@ -133,7 +133,7 @@ def test_04_clustering_contrast(r):
     sweep = SweepConfig(base=range_cfg(n=20, g=10, r=r), vary="r", values=(r,),
                         paired=True, n_ref=None)
     rows = run_sweep(sweep, workers=WORKERS)
-    rg, nl = rows[0].metrics["clustering"], rows[1].metrics["clustering"]
+    rg, nl = rows[0].metrics.clustering, rows[1].metrics.clustering
     se = math.sqrt(rg.std ** 2 / rg.defined_count + nl.std ** 2 / nl.defined_count)
     margin = (rg.mean - nl.mean) / se
     if r < math.sqrt(2):
@@ -150,7 +150,7 @@ def test_05_aspl_two_phase():
                         values=tuple(float(v) for v in range(11)),
                         n_ref=None)
     rows = run_sweep(sweep, workers=WORKERS)
-    curve = [row.metrics["aspl"].mean for row in rows]
+    curve = [row.metrics.aspl.mean for row in rows]
     peak = int(np.argmax(curve))
     rises = all(curve[i] < curve[peak] for i in range(peak))
     falls = all(curve[i] > curve[i + 1] for i in range(peak, 10))
@@ -162,7 +162,7 @@ def test_06_small_world_contrast():
     sweep = SweepConfig(base=range_cfg(n=40, g=10, r=2.0), vary="r", values=(2.0,),
                         paired=True)
     rows = run_sweep(sweep, workers=WORKERS)
-    rg, nl = rows[0].metrics["small_world"], rows[1].metrics["small_world"]
+    rg, nl = rows[0].metrics.small_world, rows[1].metrics.small_world
     se = math.sqrt(rg.std ** 2 / rg.defined_count + nl.std ** 2 / nl.defined_count)
     margin = (rg.mean - nl.mean) / se
     report("06 small-world contrast", margin > 3,
@@ -309,11 +309,11 @@ def test_13_grid_size_thins_the_network():
     sweep = SweepConfig(base=range_cfg(n=9, g=3, r=3.0, steps=50, rounds=20), vary="g",
                         values=values, n_ref=None)
     rows = run_sweep(sweep, workers=WORKERS)
-    means = {name: [row.metrics[name].mean for row in rows]
+    means = {name: [getattr(row.metrics, name).mean for row in rows]
              for name in ("avg_degree", "n_components", "largest_component")}
     complete = {"avg_degree": 8.0, "clustering": 1.0, "aspl": 1.0,
                 "n_components": 1.0, "largest_component": 9.0}
-    full = rows[0].metrics
+    full = rows[0].metrics._asdict()
     ok = all((full[name].mean, full[name].std) == (value, 0.0)
              for name, value in complete.items())
     degree = means["avg_degree"]
@@ -354,7 +354,7 @@ def test_14_degree_is_linear_in_n_not_in_g():
                           values=g_values, n_ref=None)
     per_pair = {ModelKind.RANGE: ([], []), ModelKind.NULL: ([], [])}
     for row in run_sweep(n_sweep, workers=WORKERS):
-        degree, others = row.metrics["avg_degree"], row.config.n - 1
+        degree, others = row.metrics.avg_degree, row.config.n - 1
         values, errors = per_pair[row.config.model]
         values.append(degree.mean / others)
         errors.append(degree.std / math.sqrt(rounds - 1) / others)
@@ -362,7 +362,7 @@ def test_14_degree_is_linear_in_n_not_in_g():
     null_q, null_se, null_dev = _spread(*per_pair[ModelKind.NULL])
     scaled, scaled_se = [], []
     for row in run_sweep(g_sweep, workers=WORKERS):
-        degree, area = row.metrics["avg_degree"], row.config.g ** 2
+        degree, area = row.metrics.avg_degree, row.config.g ** 2
         scaled.append(degree.mean * area)
         scaled_se.append(degree.std / math.sqrt(rounds - 1) * area)
     _, _, scaled_dev = _spread(scaled, scaled_se)

@@ -375,13 +375,31 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
         assert len(serial.read_text().splitlines()) == 1 + 2 * 4
 
+    def test_cell_aggregates_equal_a_direct_computation(self):
+        # at r = 1 the range cell's small-world index is undefined on some
+        # rows but not all, and on every kept row of some rounds
+        sweep = SweepConfig(base=range_config(steps=6, rounds=3), vary="r", values=(1.0, 2.0),
+                            paired=True, n_ref=FAST, burn_in=2)
+        mixed = 0
+        for row in iter_sweep(sweep):
+            kept = [list(harness.round_rows(row.config, round_idx, FAST))[2:]
+                    for round_idx in range(3)]
+            mixed += {r.small_world is None for rows in kept for r in rows} == {True, False}
+            for name in metrics.METRIC_NAMES:
+                round_means = []
+                for rows in kept:
+                    defined = [getattr(r, name) for r in rows if getattr(r, name) is not None]
+                    round_means.append(sum(defined) / len(defined) if defined else None)
+                assert getattr(row.metrics, name) == aggregate_rounds(round_means), name
+        assert mixed >= 1
+
     def test_doubling_rounds_moves_mean_within_tolerance(self):
         few = SweepConfig(base=range_config(steps=20, rounds=12), vary="r",
                           values=(2.0,), n_ref=None)
         many = SweepConfig(base=range_config(steps=20, rounds=24), vary="r",
                            values=(2.0,), n_ref=None)
-        row_few = run_sweep(few)[0].metrics["avg_degree"]
-        row_many = run_sweep(many)[0].metrics["avg_degree"]
+        row_few = run_sweep(few)[0].metrics.avg_degree
+        row_many = run_sweep(many)[0].metrics.avg_degree
         se = row_few.std / math.sqrt(12)
         assert abs(row_few.mean - row_many.mean) < 4 * se + 1e-9
 
@@ -570,7 +588,7 @@ class TestCsvOutput:
         write_csv(rows, str(path))
         with open(path) as fh:
             record = next(csv.DictReader(fh))
-        for name, agg in rows[0].metrics.items():
+        for name, agg in rows[0].metrics._asdict().items():
             got = record[f"{name}_mean"]
             if agg.mean is None:
                 assert got == ""
@@ -691,6 +709,33 @@ class TestCli:
         # --n-init feeds SIConfig and ComplexContagionConfig alike
         args = build_parser().parse_args(["diffusion", "--process", process])
         assert _process_config(args) == default
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "diffusion"])
+    def test_model_flag_defaults_are_the_configs(self, command):
+        defaults = {field.name: field.default for field in dataclasses.fields(SimConfig)
+                    if field.default is not dataclasses.MISSING}
+        if command == "run":
+            defaults["rounds"] = 1  # one round is the per-timestep dump's default
+        args = build_parser().parse_args([command])
+        assert {name: getattr(args, name) for name in defaults} == defaults
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["sweep", "--vary", "r", "--values", "1,2"], 4),
+        (["run"], 0),
+        (["diffusion", "--process", "si"], 0)], ids=["sweep", "run", "diffusion"])
+    def test_zero_steps(self, argv, rows, tmp_path):
+        # a sweep cell of empty rounds aggregates nothing; the dumps have no rows
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--r", "1", "--steps", "0", "--rounds", "2", "--out", str(out)]) == 0
+        with open(out) as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == rows
+        for record in records:
+            aggregates = {key: value for key, value in record.items()
+                          if key.startswith(tuple(metrics.METRIC_NAMES))}
+            assert len(aggregates) == 4 * len(metrics.METRIC_NAMES)
+            for key, value in aggregates.items():
+                assert value == ("0" if key.endswith("_defined_count") else ""), key
 
     def test_potion_flag_default_is_the_config(self):
         potion = _process_config(build_parser().parse_args(["diffusion", "--process", "potion"]))
